@@ -73,9 +73,9 @@ def _all_quota_mechs(n: int, m: int, cls, partition_only: bool = False):
 def ac1() -> tuple[bool, str]:
     """Every canonical serial-quota mechanism passes the three axioms."""
     checked = 0
-    jobs = [(n, m, lex_class(m)) for n, m in AXIOM_SIZES_LEX]
-    jobs.append((2, 3, strict_monotone_class(3)))
-    for n, m, cls in jobs:
+    sizes = [(n, m, lex_class(m)) for n, m in AXIOM_SIZES_LEX]
+    sizes.append((2, 3, strict_monotone_class(3)))
+    for n, m, cls in sizes:
         for mech in _all_quota_mechs(n, m, cls):
             for check in (check_truthful, check_non_bossy, check_neutral):
                 report = check(mech)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -58,10 +57,6 @@ AXIOM_CHECKS = {
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
-
-
-def _default_jobs() -> int:
-    return max(1, int(os.environ.get("SERIALQUOTA_JOBS", "1")))
 
 
 def _emit(payload: dict, args) -> None:
@@ -135,9 +130,8 @@ def cmd_fairness(args) -> int:
     mech = serial_quota(q, p, additive_class(args.m))
     families = tuple(x.strip() for x in args.family.split(",") if x.strip())
     spec = GeneratorSpec(n, args.m, families, args.count, args.seed)
-    jobs = args.jobs or _default_jobs()
     if args.audit == "mms":
-        audit = rho_mms_audit(mech, spec, jobs=jobs)
+        audit = rho_mms_audit(mech, spec)
         ratio = audit.worst_ratio
         print(
             f"worst_ratio: {ratio} ({float(ratio):.6f}) over "
@@ -153,7 +147,7 @@ def cmd_fairness(args) -> int:
         payload["floor"] = fraction_to_json(rho_bound(n, args.m))
         _emit(payload, args)
         return 0 if ok else 1
-    audit = ef1_audit(mech, spec, jobs=jobs)
+    audit = ef1_audit(mech, spec)
     feasible = ef1_quota_feasibility(mech.quota.q)
     clean = not audit.ef1_violations
     print(
@@ -205,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-timestamp",
             action="store_true",
             help="omit timestamp and timing fields for byte-identical reports",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="worker pool size (default: SERIALQUOTA_JOBS or 1)",
         )
 
     p_check = sub.add_parser("check", help="run axiom checkers on a mechanism file")

@@ -1,14 +1,17 @@
 """Fairness audits: exact maximin shares, EF1 checks, and quota feasibility.
 
-MMS is brute-forced over labeled n-part partitions in exact rational
-arithmetic; ties in the value vector are fine here, strictness only matters
-once a mechanism consumes the instance.  Audits draw instances from named
-deterministic families ("identical", "targeted") plus a seeded random family,
-so every reported number is reproducible bit for bit.
+MMS is brute-forced over labeled n-part partitions.  The audits and sweeps
+run on batched int64 kernels over exactly scaled values, tested against the
+rational reference `mms`, `bundle_value` and `check_ef1` (value ties are fine
+there; strictness only matters once a mechanism consumes the instance).
+Audits draw instances from named deterministic families ("identical",
+"targeted") plus a seeded random family, so every reported number is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,25 +20,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TieDetected, TooLarge
+from .errors import DomainError, TieDetected, TooLarge
 from .mechanisms import (
     Allocation,
     CardinalInstance,
     Mechanism,
-    RoundRobin,
     SerialQuota,
     apply_serial_quota,
-    cardinal_apply,
 )
-from .prefs import AdditiveStrict, Ordering, compare, goods_of
+from .prefs import MAX_GOODS, AdditiveStrict, Ordering, compare, goods_of
 from .properties import PropertyReport
 
 EF1 = "ef1"
 MMS_ASSIGNMENT_CAP = 10**7
 
 # Perturbation used by the deterministic families: good g gets an extra
-# eps * 2^g, which keeps all subset sums distinct (the integer part and the
-# eps part decompose uniquely).
+# eps * 2^g.  Subset sums stay distinct (integer and eps parts decompose
+# uniquely) while eps * (2^m - 1) < 1, which m <= MAX_GOODS guarantees.
 EPS = Fraction(1, 10**6)
 
 
@@ -64,6 +65,8 @@ class GeneratorSpec:
         bad = set(self.families) - known
         if bad:
             raise ValueError(f"unknown instance families: {sorted(bad)}")
+        if self.n < 1 or self.m > MAX_GOODS:
+            raise ValueError(f"need n >= 1 and m <= {MAX_GOODS}, got n={self.n}, m={self.m}")
 
 
 def _values_of(valuation) -> tuple[Fraction, ...]:
@@ -216,67 +219,53 @@ def generate_instances(mech: Mechanism, spec: GeneratorSpec) -> list[CardinalIns
     return out
 
 
-def _descriptor(mech: Mechanism) -> str:
-    if isinstance(mech, SerialQuota):
-        return f"serial_quota q={mech.quota.q} p={mech.quota.p}"
-    if isinstance(mech, RoundRobin):
-        return f"round_robin n={mech.n} m={mech.m}"
-    return f"{type(mech).__name__} n={mech.n} m={mech.m}"
+def _descriptor(mech: SerialQuota) -> str:
+    return f"serial_quota q={mech.quota.q} p={mech.quota.p}"
 
 
-def _map_instances(fn, instances, jobs: int):
-    """Order-preserving map, threaded when jobs > 1; results merge in
-    generation order either way."""
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def _integer_values(instances: Sequence[CardinalInstance], n: int, m: int) -> np.ndarray:
+    """Exact int64 values of the instances, shape (count, n, m).
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, instances))
-    return [fn(inst) for inst in instances]
+    Each valuation row is scaled by the LCM of its denominators.  A positive
+    per-agent factor changes neither that agent's MMS ratio nor its EF1
+    comparisons, and keeps its subset sums distinct.  Generated rows at
+    m <= MAX_GOODS sum to less than 2^40, far inside int64.
+    """
+    rows = []
+    for inst in instances:
+        if (inst.n, inst.m) != (n, m):
+            raise DomainError(f"instance is ({inst.n},{inst.m}), mechanism is ({n},{m})")
+        for valuation in inst.valuations:
+            scale = math.lcm(*(v.denominator for v in valuation.values))
+            rows.append([int(v * scale) for v in valuation.values])
+    return np.array(rows, dtype=np.int64).reshape(len(instances), n, m)
 
 
-def rho_mms_audit(mech: Mechanism, spec: GeneratorSpec, jobs: int = 1) -> FairnessAudit:
+def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
     """Worst ratio of received value to maximin share across the instance sweep.
 
     Each agent's ratio is capped at 1 (the guarantee is fully met); MMS = 0
     makes the bound vacuous, also scored 1.
     """
     instances = generate_instances(mech, spec)
-
-    def ratios(inst: CardinalInstance) -> list[Fraction]:
-        alloc = cardinal_apply(mech, inst)
-        out = []
-        for i in range(inst.n):
-            share = mms(inst.valuations[i], inst.n)
-            if share == 0:
-                out.append(Fraction(1))
-            else:
-                got = bundle_value(inst.valuations[i], alloc.bundles[i])
-                out.append(min(Fraction(1), got / share))
-        return out
-
     worst = None
-    for rs in _map_instances(ratios, instances, jobs):
-        for ratio in rs:
-            if worst is None or ratio < worst:
-                worst = ratio
+    if instances:
+        vals = _integer_values(instances, mech.n, mech.m)
+        worst = _worst_ratio(*_ratios(mech.quota.q, mech.quota.p, vals))
     return FairnessAudit(_descriptor(mech), len(instances), worst, ())
 
 
-def ef1_audit(mech: Mechanism, spec: GeneratorSpec, jobs: int = 1) -> FairnessAudit:
-    """Run check_ef1 on every generated instance; collect the first envy pair
-    per failing instance, in generation order."""
+def ef1_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
+    """EF1 on every generated instance; collect the first envy pair per
+    failing instance, in generation order."""
     instances = generate_instances(mech, spec)
-
-    def envy_pair(inst: CardinalInstance):
-        report = check_ef1(cardinal_apply(mech, inst), inst)
-        return None if report.holds else report.witness
-
-    violations = []
-    for inst, w in zip(instances, _map_instances(envy_pair, instances, jobs)):
-        if w is not None:
-            violations.append((inst, w["envious"], w["envied"]))
-    return FairnessAudit(_descriptor(mech), len(instances), None, tuple(violations))
+    vals = _integer_values(instances, mech.n, mech.m)
+    first = _first_envy(mech.quota.q, mech.quota.p, vals)
+    violations = tuple(
+        (instances[k], int(first[k, 0]), int(first[k, 1]))
+        for k in np.nonzero(first[:, 0] >= 0)[0]
+    )
+    return FairnessAudit(_descriptor(mech), len(instances), None, violations)
 
 
 def _subset_bit_matrix(m: int) -> np.ndarray:
@@ -320,25 +309,73 @@ def _apply_quota_int(q, p, vals: np.ndarray) -> np.ndarray:
     return bundles
 
 
-def _mms_int_batch(rows: np.ndarray, n: int, chunk: int = 2048) -> np.ndarray:
-    """MMS per integer value row, vectorized over labeled partitions."""
-    m = rows.shape[1]
-    if n**m > MMS_ASSIGNMENT_CAP:
+def _mms_int_batch(rows: np.ndarray, n: int, block=1 << 16, cells=1 << 22) -> np.ndarray:
+    """MMS per integer value row, vectorized over labeled partitions.
+
+    Partitions are taken `block` at a time and rows in chunks, so that no
+    intermediate holds much more than `cells` (row, partition) sums.
+    """
+    count, m = rows.shape
+    total = n**m
+    if total > MMS_ASSIGNMENT_CAP:
         raise TooLarge(f"{n}^{m} partitions exceed the brute-force cap")
-    owners = np.zeros((n**m, m), dtype=np.int64)
-    idx = np.arange(n**m)
-    for g in range(m):
-        owners[:, g] = (idx // n ** (m - 1 - g)) % n
-    parts = [(owners == j).astype(np.int64) for j in range(n)]
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    for lo in range(0, rows.shape[0], chunk):
-        block = rows[lo : lo + chunk]
-        low = None
-        for part in parts:
-            s = block @ part.T
-            low = s if low is None else np.minimum(low, s)
-        out[lo : lo + chunk] = low.max(axis=1)
+    step = min(total, block)
+    chunk = max(1, cells // step)
+    place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    out = np.zeros(count, dtype=np.int64)
+    for start in range(0, total, step):
+        owners = np.arange(start, min(start + step, total))[:, None] // place % n
+        parts = [(owners == j).astype(np.int64) for j in range(n)]
+        for lo in range(0, count, chunk):
+            sub = rows[lo : lo + chunk]
+            low = sub @ parts[0].T
+            for part in parts[1:]:
+                np.minimum(low, sub @ part.T, out=low)
+            np.maximum(out[lo : lo + chunk], low.max(axis=1), out=out[lo : lo + chunk])
     return out
+
+
+def _owned(q, p, vals: np.ndarray) -> np.ndarray:
+    """0/1 int64 array (count, n, m): whether the serial quota gives agent i good g."""
+    bundles = _apply_quota_int(q, p, vals)
+    return (bundles[:, :, None] >> np.arange(vals.shape[2], dtype=np.int64)) & 1
+
+
+def _ratios(q, p, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each agent's received value and maximin share, both shape (count, n)."""
+    count, n, m = vals.shape
+    got = (vals * _owned(q, p, vals)).sum(axis=2)
+    shares = _mms_int_batch(vals.reshape(count * n, m), n).reshape(count, n)
+    return got, shares
+
+
+def _worst_ratio(got: np.ndarray, shares: np.ndarray) -> Fraction:
+    """Smallest got/share, capped at 1, by exact integer cross-multiplication;
+    a share of 0 makes the bound vacuous and scores 1."""
+    low_g, low_s = 1, 1
+    for g, s in zip(got.ravel().tolist(), shares.ravel().tolist()):
+        if s and g * low_s < low_g * s:
+            low_g, low_s = g, s
+    return Fraction(low_g, low_s)
+
+
+def _first_envy(q, p, vals: np.ndarray) -> np.ndarray:
+    """First EF1 violation (envious, envied) per instance in (i, j) order, or
+    (-1, -1).  With distinct subset sums, i envies j up to one good iff j's
+    bundle minus its best good is worth more to i than i's own bundle."""
+    count, n, _ = vals.shape
+    owned = _owned(q, p, vals)
+    first = np.full((count, 2), -1, dtype=np.int64)
+    for i in range(n):
+        vi = vals[:, i, :]
+        own = (vi * owned[:, i]).sum(axis=1)
+        for j in range(n):
+            if j == i:
+                continue
+            masked = vi * owned[:, j]
+            envy = masked.sum(axis=1) - masked.max(axis=1, initial=0) > own
+            first[envy & (first[:, 0] == -1)] = (i, j)
+    return first
 
 
 def rho_floor_sweep(
@@ -355,24 +392,14 @@ def rho_floor_sweep(
     rng = np.random.default_rng(seed)
     vals = strict_integer_rows(rng, count * n, m).reshape(count, n, m)
     q = (1,) * (n - 1) + (m - n + 1,)
-    bundles = _apply_quota_int(q, tuple(range(n)), vals)
-    bits = 1 << np.arange(m, dtype=np.int64)
-    present = (bundles[:, :, None] & bits) != 0
-    got = (vals * present).sum(axis=2)
-    shares = _mms_int_batch(vals.reshape(count * n, m), n).reshape(count, n)
+    got, shares = _ratios(q, tuple(range(n)), vals)
     viol = bound.denominator * got < shares
     holds = not viol.any()
-    g_flat, s_flat = got.ravel(), shares.ravel()
-    k = 0
-    for t in range(1, g_flat.shape[0]):
-        if int(g_flat[t]) * int(s_flat[k]) < int(g_flat[k]) * int(s_flat[t]):
-            k = t
-    worst = min(Fraction(1), Fraction(int(g_flat[k]), int(s_flat[k])))
     first = None
     if not holds:
         i = int(np.nonzero(viol.any(axis=1))[0][0])
         first = CardinalInstance.from_values([tuple(int(v) for v in row) for row in vals[i]])
-    return holds, worst, first
+    return holds, _worst_ratio(got, shares), first
 
 
 def ef1_random_sweep(
@@ -386,28 +413,14 @@ def ef1_random_sweep(
     n = quota.n
     rng = np.random.default_rng(seed)
     vals = strict_integer_rows(rng, count * n, m).reshape(count, n, m)
-    bundles = _apply_quota_int(quota.q, quota.p, vals)
-    bits = 1 << np.arange(m, dtype=np.int64)
-    present = ((bundles[:, :, None] & bits) != 0).astype(np.int64)
-    bad = np.zeros(count, dtype=bool)
-    first_pair = np.full((count, 2), -1, dtype=np.int64)
-    for i in range(n):
-        vi = vals[:, i, :]
-        own = (vi * present[:, i]).sum(axis=1)
-        for j in range(n):
-            if j == i:
-                continue
-            masked = vi * present[:, j]
-            envy = masked.sum(axis=1) - masked.max(axis=1) > own
-            new = envy & (first_pair[:, 0] == -1)
-            first_pair[new] = (i, j)
-            bad |= envy
-    if not bad.any():
+    first_pair = _first_envy(quota.q, quota.p, vals)
+    bad = np.nonzero(first_pair[:, 0] >= 0)[0]
+    if not bad.size:
         return 0, None
-    k = int(np.nonzero(bad)[0][0])
+    k = int(bad[0])
     inst = CardinalInstance.from_values([tuple(int(v) for v in row) for row in vals[k]])
     i, j = int(first_pair[k, 0]), int(first_pair[k, 1])
-    return int(bad.sum()), (inst, i, j)
+    return int(bad.size), (inst, i, j)
 
 
 def rho_bound(n: int, m: int) -> Fraction:

@@ -23,7 +23,7 @@ from .mechanisms import (
     TableMechanism,
     canonicalize,
 )
-from .prefs import PreferenceClass
+from .prefs import PreferenceClass, full_mask
 from .properties import NEUTRAL, NON_BOSSY, TRUTHFUL, PropertyReport
 
 ENUMERATION_CAP = 10**7
@@ -118,14 +118,11 @@ def recognize_serial_quota(mech: Mechanism) -> QuotaOrdering | None:
 
 def _choice_masks(n: int, m: int, partition_only: bool) -> np.ndarray:
     """Bundle rows for every allocation choice at one profile; shape (choices, n)."""
+    am = engine.assignment_masks(n, m)
     if not partition_only:
-        return np.asarray(engine.assignment_masks(n, m))
-    owners = engine.digit_array(n, m)
-    out = np.zeros((n**m, n), dtype=np.int32)
-    for g in range(m):
-        for j in range(n):
-            out[:, j] |= (owners[:, g] == j) << g
-    return out
+        return am
+    # Owner tuples with no "nobody" digit keep their base-n order.
+    return am[np.bitwise_or.reduce(am, axis=1) == full_mask(m)]
 
 
 def _passes_axioms(table: np.ndarray, cls: PreferenceClass, n: int) -> bool:

@@ -1,6 +1,7 @@
 """Exit-code contract and report determinism for the command-line surface."""
 
 import json
+import time
 
 import pytest
 
@@ -111,6 +112,16 @@ def test_fairness_ef1_violation_witness(capsys):
 
 def test_fairness_rejects_mismatched_n():
     assert main(["fairness", "mms", "--q", "1,2", "--n", "3", "--m", "3"]) == 2
+
+
+def test_fairness_rejects_too_many_goods_before_building_instances(capsys):
+    start = time.perf_counter()
+    code = main(["fairness", "mms", "--q", "1,16", "--m", "17",
+                 "--family", "identical", "--no-timestamp"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "m <= 16" in capsys.readouterr().err
+    assert elapsed < 1.0
 
 
 def test_reports_are_byte_identical_without_timestamp(tmp_path, capsys):

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from serialquota import (
     CardinalInstance,
+    DomainError,
+    SerialQuota,
     TooLarge,
     additive_class,
     cardinal_apply,
     canonicalize,
+    enumerate_q,
     serial_quota,
 )
 from serialquota.fairness import (
@@ -234,11 +237,56 @@ def test_ef1_audit_clean_vs_dirty():
     assert report.witness == {"envious": i, "envied": j}
 
 
-def test_parallel_audit_matches_serial():
+def exact_audits(mech, spec):
+    """Both audits recomputed per instance in exact rationals."""
+    instances = generate_instances(mech, spec)
+    worst, violations = None, []
+    for inst in instances:
+        alloc = cardinal_apply(mech, inst)
+        for i, valuation in enumerate(inst.valuations):
+            share = mms(valuation, inst.n)
+            got = bundle_value(valuation, alloc.bundles[i])
+            ratio = Fraction(1) if share == 0 else min(Fraction(1), got / share)
+            worst = ratio if worst is None else min(worst, ratio)
+        report = check_ef1(alloc, inst)
+        if not report.holds:
+            violations.append((inst, report.witness["envious"], report.witness["envied"]))
+    return worst, tuple(violations), len(instances)
+
+
+def test_audits_match_exact_recomputation():
+    """Every canonical vector at n <= 3, m <= 4 on all three families; the
+    identical and targeted rows are fractions, so LCM scaling is covered."""
+    checked = 0
+    for n in (1, 2, 3):
+        for m in range(1, 5):
+            spec = GeneratorSpec(n, m, count=6, seed=30 + 10 * n + m)
+            for qo in enumerate_q(n, m):
+                mech = SerialQuota(n, m, additive_class(m), qo)
+                worst, violations, tested = exact_audits(mech, spec)
+                rho = rho_mms_audit(mech, spec)
+                ef1 = ef1_audit(mech, spec)
+                assert (rho.instances_tested, rho.worst_ratio) == (tested, worst)
+                assert rho.ef1_violations == ()
+                assert (ef1.instances_tested, ef1.worst_ratio) == (tested, None)
+                assert ef1.ef1_violations == violations
+                checked += 1
+    assert checked > 100
+
+
+def test_audits_reject_instances_of_another_size():
     mech = serial_quota((1, 2), (0, 1), additive_class(3))
-    spec = GeneratorSpec(2, 3, count=40, seed=2)
-    assert rho_mms_audit(mech, spec, jobs=1) == rho_mms_audit(mech, spec, jobs=4)
-    assert ef1_audit(mech, spec, jobs=1) == ef1_audit(mech, spec, jobs=4)
+    with pytest.raises(DomainError):
+        rho_mms_audit(mech, GeneratorSpec(3, 3, families=("random",), count=2))
+    with pytest.raises(DomainError):
+        ef1_audit(mech, GeneratorSpec(2, 4, families=("identical",)))
+
+
+def test_generator_spec_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        GeneratorSpec(0, 3)
+    with pytest.raises(ValueError):
+        GeneratorSpec(2, 17)
 
 
 # ---------------------------------------------------------------- integer sweeps
@@ -276,6 +324,9 @@ def test_mms_batch_matches_generic():
     fast = _mms_int_batch(rows, 2)
     for t in range(30):
         assert int(fast[t]) == mms([int(v) for v in rows[t]], 2)
+    # Partition blocks of 5 and two-row chunks give the same shares.
+    assert (_mms_int_batch(rows, 2, block=5, cells=10) == fast).all()
+    assert (_mms_int_batch(rows, 3, block=5, cells=10) == _mms_int_batch(rows, 3)).all()
 
 
 def test_rho_floor_sweep_agrees_with_exact_recomputation():
