@@ -130,8 +130,10 @@ def cmd_fairness(args) -> int:
     mech = serial_quota(q, p, additive_class(args.m))
     families = tuple(x.strip() for x in args.family.split(",") if x.strip())
     spec = GeneratorSpec(n, args.m, families, args.count, args.seed)
+    audit = (rho_mms_audit if args.audit == "mms" else ef1_audit)(mech, spec)
+    if not audit.instances_tested:
+        raise ValueError(f"families {','.join(families)} generated no instances")
     if args.audit == "mms":
-        audit = rho_mms_audit(mech, spec)
         ratio = audit.worst_ratio
         print(
             f"worst_ratio: {ratio} ({float(ratio):.6f}) over "
@@ -147,7 +149,6 @@ def cmd_fairness(args) -> int:
         payload["floor"] = fraction_to_json(rho_bound(n, args.m))
         _emit(payload, args)
         return 0 if ok else 1
-    audit = ef1_audit(mech, spec)
     feasible = ef1_quota_feasibility(mech.quota.q)
     clean = not audit.ef1_violations
     print(

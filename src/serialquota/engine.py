@@ -13,7 +13,6 @@ matching `mechanisms.profile_index`.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -88,14 +87,29 @@ def mask_perm_table(pi: Permutation) -> np.ndarray:
     return out
 
 
-def neutrality_perms(m: int, samples: int = 100, seed: int = 0) -> list[Permutation]:
-    """All m! permutations for m <= 4; transpositions plus seeded samples above."""
-    if m <= 4:
-        return [Permutation(p) for p in permutations(range(m))]
-    out = [Permutation.swap(m, a, b) for a in range(m) for b in range(a + 1, m)]
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        out.append(Permutation(tuple(int(x) for x in rng.permutation(m))))
+def neutrality_perms(m: int) -> list[Permutation]:
+    """Generators of S_m: the swap (0 1) and, for m >= 3, the cycle i -> i+1 mod m.
+
+    If f(pi.P) = pi.f(P) holds at every profile for sigma and for tau, it
+    holds for their product, since f(sigma.tau.P) = sigma.f(tau.P) =
+    sigma.tau.f(P); so covariance under these generators is covariance under
+    every permutation of the goods.
+    """
+    if m < 2:
+        return []
+    gens = [Permutation.swap(m, 0, 1)]
+    if m >= 3:
+        gens.append(Permutation(tuple((i + 1) % m for i in range(m))))
+    return gens
+
+
+@lru_cache(maxsize=None)
+def perm_image_index(cls: PreferenceClass, n: int, pi: Permutation) -> np.ndarray:
+    """image[idx] = index of the profile whose members are pi's images of idx's."""
+    c = len(cls)
+    action = np.asarray(cls.perm_action(pi), dtype=np.int64)
+    out = action[digit_array(c, n)] @ radix_powers(c, n)
+    out.setflags(write=False)
     return out
 
 
@@ -183,19 +197,15 @@ def nonbossy_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     return _lowest(found)
 
 
-def neutrality_violation(table: np.ndarray, cls: PreferenceClass, n: int, perms=None):
-    """Lowest (profile_idx, perm_position) where renaming goods breaks covariance."""
-    c = len(cls)
-    digits = digit_array(c, n)
-    powers = radix_powers(c, n)
-    if perms is None:
-        perms = neutrality_perms(cls.m)
+def neutrality_violation(table: np.ndarray, cls: PreferenceClass, n: int):
+    """Lowest (profile_idx, perm_position) where renaming goods breaks covariance.
+
+    perm_position indexes neutrality_perms(cls.m).
+    """
     best = None
-    for pos, pi in enumerate(perms):
-        action = np.asarray(cls.perm_action(pi), dtype=np.int64)
-        new_idx = action[digits] @ powers
+    for pos, pi in enumerate(neutrality_perms(cls.m)):
         expect = mask_perm_table(pi)[table]
-        bad = np.nonzero((table[new_idx] != expect).any(axis=1))[0]
+        bad = np.nonzero((table[perm_image_index(cls, n, pi)] != expect).any(axis=1))[0]
         if bad.size:
             cand = (int(bad[0]), pos)
             if best is None or cand < best:
@@ -226,30 +236,48 @@ def assignment_masks(n: int, m: int) -> np.ndarray:
     return out
 
 
-def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int):
-    """Lowest (profile_idx, blocking bundle tuple); blocker has lowest assignment index."""
+def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int, cells=1 << 22):
+    """Lowest (profile_idx, blocking bundle tuple); blocker has lowest assignment index.
+
+    Whether an assignment is weakly or strictly better for agent j depends only
+    on (member, current bundle), so each distinct pair gets one packed bit row
+    over all assignments (bit a set: assignment a is weakly, resp. strictly,
+    better).  A profile's blockers are the AND of its agents' weak rows and
+    the OR of their strict rows.  Profiles are taken in blocks whose rank
+    comparisons hold at most `cells` entries.
+    """
     c = len(cls)
     m = cls.m
     digits = digit_array(c, n)
     ranks = rank_matrix(cls)
     am = assignment_masks(n, m)
-    p_count = table.shape[0]
-    cur = np.stack([ranks[digits[:, j], table[:, j]] for j in range(n)], axis=1)
-    first = np.full(p_count, -1, dtype=np.int64)
-    for a in range(am.shape[0]):
-        weak = np.ones(p_count, dtype=bool)
-        strict = np.zeros(p_count, dtype=bool)
+    step = max(1, cells // am.shape[0])
+    for lo in range(0, table.shape[0], step):
+        weak = strict = None
         for j in range(n):
-            alt = ranks[digits[:, j], am[a, j]]
-            weak &= alt >= cur[:, j]
-            strict |= alt > cur[:, j]
-        blk = weak & strict & (first == -1)
-        first[blk] = a
-    bad = np.nonzero(first != -1)[0]
-    if not bad.size:
-        return None
-    prof = int(bad[0])
-    return prof, tuple(int(x) for x in am[first[prof]])
+            keys, inv = np.unique(
+                digits[lo : lo + step, j] << m | table[lo : lo + step, j],
+                return_inverse=True,
+            )
+            member = keys >> m
+            alt = ranks[member[:, None], am[None, :, j]]  # (keys, assignments)
+            cur = ranks[member, keys & ((1 << m) - 1)][:, None]
+            w = np.packbits(alt >= cur, axis=1)[inv]
+            s = np.packbits(alt > cur, axis=1)[inv]
+            if weak is None:
+                weak, strict = w, s
+            else:
+                weak &= w
+                strict |= s
+        weak &= strict
+        rows = np.flatnonzero(weak.any(axis=1))
+        if rows.size:
+            row = weak[rows[0]]
+            k = int(np.flatnonzero(row)[0])
+            # packbits is big-endian: assignment 8k + t sits at bit 7 - t of byte k.
+            a = 8 * k + 8 - int(row[k]).bit_length()
+            return lo + int(rows[0]), tuple(int(x) for x in am[a])
+    return None
 
 
 def control_violation(table: np.ndarray, cls: PreferenceClass, n: int):

@@ -150,6 +150,7 @@ def mechanism_from_json(obj: dict) -> Mechanism:
         cls = class_from_json(obj["class"])
         alloc = tuple(tuple(int(b) for b in row) for row in obj["alloc"])
         n = int(obj.get("n", len(alloc[0]) if alloc else 0))
+        _validate_table(alloc, cls, n)
         return TableMechanism(n, cls.m, cls, alloc)
     if kind == "round_robin":
         n, m = int(obj["n"]), int(obj["m"])
@@ -167,6 +168,22 @@ def mechanism_from_json(obj: dict) -> Mechanism:
         cls = class_from_json(obj.get("class", "lex"), m)
         return CounterNonNeutral(n, m, cls, int(obj["a"]), int(obj["b"]))
     raise ValueError(f"unknown mechanism kind {kind!r}")
+
+
+def _validate_table(alloc, cls: PreferenceClass, n: int) -> None:
+    """Every row holds n pairwise disjoint bundles in [0, 2^m); the row count
+    is checked by TableMechanism itself."""
+    size = 1 << cls.m
+    for idx, row in enumerate(alloc):
+        if len(row) != n:
+            raise ValueError(f"table row {idx} has {len(row)} bundles, expected {n}")
+        seen = 0
+        for b in row:
+            if not 0 <= b < size:
+                raise ValueError(f"table row {idx}: bundle {b} outside [0, {size})")
+            if seen & b:
+                raise ValueError(f"table row {idx}: bundles overlap")
+            seen |= b
 
 
 def instance_to_json(inst: CardinalInstance) -> dict:

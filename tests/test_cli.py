@@ -52,6 +52,26 @@ def test_check_rejects_quota_overflow(mech_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _table_json(row):
+    # lex over 2 goods has 2 members, so a 2-agent table has 4 profiles.
+    return {"kind": "table", "class": {"tag": "lex", "m": 2}, "n": 2, "alloc": [row] * 4}
+
+
+def test_check_rejects_overlapping_table_bundles(mech_file, capsys):
+    code = main(["check", "--mech", mech_file(_table_json([3, 3])),
+                 "--axioms", "truthful,nonbossy,neutral,partition", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: table row 0: bundles overlap\n"
+
+
+def test_check_rejects_out_of_range_table_bundle(mech_file, capsys):
+    code = main(["check", "--mech", mech_file(_table_json([7, 0])), "--no-timestamp"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: table row 0: bundle 7 outside [0, 4)\n"
+
+
 def test_check_rejects_unknown_axiom(mech_file):
     assert main(["check", "--mech", mech_file(SQ_JSON), "--axioms", "anonymity"]) == 2
 
@@ -108,6 +128,17 @@ def test_fairness_ef1_violation_witness(capsys):
     # violations expected for an infeasible quota, so expectations are met
     assert code == 0
     assert "witness" in out
+
+
+@pytest.mark.parametrize("audit", ["mms", "ef1"])
+def test_fairness_without_instances_is_usage_error(audit, capsys):
+    # The targeted family builds nothing for this vector.
+    code = main(["fairness", audit, "--q", "1,1,4", "--m", "6", "--family",
+                 "targeted", "--count", "5", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: families targeted generated no instances\n"
 
 
 def test_fairness_rejects_mismatched_n():

@@ -49,7 +49,10 @@ from serialquota import (
     strongly_desires,
     verify_blocking,
 )
-from serialquota.mechanisms import TableMechanism
+from serialquota import engine
+from serialquota.mechanisms import SerialQuota, TableMechanism, profile_index
+from serialquota.prefs import permute_preference
+from serialquota.search import _choice_masks, enumerate_q
 
 LEX2 = lex_class(2)
 LEX3 = lex_class(3)
@@ -147,7 +150,81 @@ def test_counter_non_neutral_fails_exactly_neutrality():
     mech = CounterNonNeutral(3, 3, LEX3, a=0, b=1)
     assert check_truthful(mech).holds
     assert check_non_bossy(mech).holds
-    assert not check_neutral(mech).holds
+    report = check_neutral(mech)
+    assert not report.holds
+    # The witness names the generator (0 1), the first one that breaks.
+    assert report.witness == {"profile_index": 0, "perm": [1, 0, 2]}
+
+
+# ------------------------------------------------------------ neutrality
+
+def full_group_neutral(table, cls, n):
+    """Covariance under every one of the m! permutations, scanned directly."""
+    c = len(cls)
+    digits = engine.digit_array(c, n)
+    powers = engine.radix_powers(c, n)
+    for pi in all_permutations(cls.m):
+        image = np.asarray(cls.perm_action(pi))[digits] @ powers
+        moved = np.array([pi.apply_mask(s) for s in range(1 << cls.m)])[table]
+        if (table[image] != moved).any():
+            return False
+    return True
+
+
+def relabel_orbit(table, cls, n, idx, row, perms):
+    """Copy of table with pi(row) written at pi's image of profile idx."""
+    out = table.copy()
+    profile = index_to_profile(idx, cls, n)
+    for pi in perms:
+        image = profile_index(tuple(permute_preference(p, pi) for p in profile), cls)
+        out[image] = [pi.apply_mask(int(b)) for b in row]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,m,mutants", [(2, 3, 8), (3, 3, 8), (2, 4, 6), (3, 4, 6), (2, 5, 2)]
+)
+def test_generator_neutrality_matches_full_group(n, m, mutants):
+    """Two generators decide neutrality exactly as all m! permutations do.
+
+    Cases: quota tables, single-cell mutants, mutants relabelled over a
+    whole orbit (neutral) and over the orbit under the permutations fixing
+    the last good only (covariant under the swap (0 1), so only the cycle
+    can expose them).
+    """
+    cls = lex_class(m)
+    rng = np.random.default_rng(100 * n + m)
+    choices = _choice_masks(n, m, partition_only=False)
+    group = list(all_permutations(m))
+    fixing_last = [pi for pi in group if pi.map[-1] == m - 1]
+    family = enumerate_q(n, m)
+    verdicts = []
+    for k in rng.choice(len(family), size=3, replace=False):
+        table = engine.allocation_table(SerialQuota(n, m, cls, family[k]))
+        cases = [table]
+        for _ in range(mutants):
+            idx = int(rng.integers(table.shape[0]))
+            row = choices[int(rng.integers(choices.shape[0]))]
+            single = table.copy()
+            single[idx] = row
+            cases.append(single)
+            cases.append(relabel_orbit(table, cls, n, idx, row, group))
+            cases.append(relabel_orbit(table, cls, n, idx, row, fixing_last))
+        for case in cases:
+            fast = engine.neutrality_violation(case, cls, n) is None
+            assert fast == full_group_neutral(case, cls, n)
+            verdicts.append(fast)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_neutrality_perms_are_the_two_generators():
+    assert engine.neutrality_perms(0) == []
+    assert engine.neutrality_perms(1) == []
+    assert [pi.map for pi in engine.neutrality_perms(2)] == [(1, 0)]
+    for m in (3, 5, 8):
+        swap, cycle = engine.neutrality_perms(m)
+        assert swap.map == (1, 0) + tuple(range(2, m))
+        assert cycle.map == tuple(range(1, m)) + (0,)
 
 
 def test_counterexamples_all_break_the_control_claim():
@@ -208,6 +285,77 @@ def test_wasteful_mechanism_is_not_pareto_efficient():
     report = check_pareto_efficient(mech)
     assert not report.holds
     assert replay_witness(mech, report)
+
+
+def first_scalar_blocker(mech):
+    """(profile index, blocker) of the first profile that pareto_blocking
+    finds dominated, scanning profiles in index order through apply."""
+    for idx in range(len(mech.domain) ** mech.n):
+        profile = index_to_profile(idx, mech.domain, mech.n)
+        blocker = pareto_blocking(apply(mech, profile), profile)
+        if blocker is not None:
+            return idx, blocker
+    return None
+
+
+def pareto_cases(n, m, rng):
+    """Quota tables plus mutants: random assignments at one profile, and
+    rows taken from another partition quota at the same profile."""
+    cls = lex_class(m)
+    choices = _choice_masks(n, m, partition_only=False)
+    family = enumerate_q(n, m)
+    partitions = enumerate_q(n, m, partition_only=True)
+    picks = sorted(set(rng.choice(len(family), size=min(4, len(family)), replace=False)))
+    for k in picks:
+        table = engine.allocation_table(SerialQuota(n, m, cls, family[k]))
+        yield table
+        for _ in range(3):
+            idx = int(rng.integers(table.shape[0]))
+            mutant = table.copy()
+            mutant[idx] = choices[int(rng.integers(choices.shape[0]))]
+            yield mutant
+            other = partitions[int(rng.integers(len(partitions)))]
+            swapped = table.copy()
+            swapped[idx] = engine.allocation_table(SerialQuota(n, m, cls, other))[idx]
+            yield swapped
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3)])
+def test_pareto_witness_matches_scalar_scan(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    verdicts = []
+    for table in pareto_cases(n, m, rng):
+        mech = TableMechanism(n, m, lex_class(m), tuple(map(tuple, table.tolist())))
+        report = check_pareto_efficient(mech)
+        expected = first_scalar_blocker(mech)
+        if expected is None:
+            assert report.holds and report.witness is None
+        else:
+            idx, blocker = expected
+            assert report.witness == {
+                "profile_index": idx,
+                "blocking_bundles": list(blocker),
+            }
+        verdicts.append(report.holds)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_pareto_blocks_give_the_same_witness():
+    """Blocks of a few profiles find the witness that one block finds,
+    including one that lies past the first block boundary."""
+    n, m = 2, 3
+    cls = LEX3
+    rng = np.random.default_rng(5)
+    tables = list(pareto_cases(n, m, rng))
+    late = engine.allocation_table(serial_quota((1, 2), (0, 1), cls)).copy()
+    late[-1] = (0, 0)
+    tables.append(late)
+    assignments = (n + 1) ** m
+    for table in tables:
+        whole = engine.pareto_violation(table, cls, n)
+        for rows in (1, 5):
+            assert engine.pareto_violation(table, cls, n, cells=rows * assignments) == whole
+    assert engine.pareto_violation(late, cls, n, cells=5 * assignments)[0] == len(late) - 1
 
 
 def test_intro_instance_blocked_by_bundle_swap():
