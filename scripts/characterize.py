@@ -4,8 +4,7 @@ print one verdict line per (n, m, class, mode)."""
 
 import argparse
 
-from serialquota import MechanismSpace, lex_class, strict_monotone_class, verify_characterization
-from serialquota.search import ENUMERATION_CAP
+from serialquota import TooLarge, lex_class, strict_monotone_class, verify_characterization
 
 
 def classes_for(m: int):
@@ -20,10 +19,10 @@ def run(max_n: int, max_m: int) -> int:
         for m in range(1, max_m + 1):
             for cls in classes_for(m):
                 for partition_only in (True, False):
-                    space = MechanismSpace(n, m, cls, partition_only)
-                    if space.size > ENUMERATION_CAP:
+                    try:
+                        report = verify_characterization(n, m, cls, partition_only)
+                    except TooLarge:
                         continue
-                    report = verify_characterization(n, m, cls, partition_only)
                     mode = "partition" if partition_only else "allocation"
                     print(
                         f"n={n} m={m} class={cls.tag} {mode}: {report.verdict} "

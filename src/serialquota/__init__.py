@@ -98,7 +98,6 @@ from .properties import (
     check_partition,
     check_push_up_invariance,
     check_truthful,
-    axiom_reports,
     controls,
     find_improving_cycle,
     pareto_blocking,
@@ -107,9 +106,7 @@ from .properties import (
 )
 from .search import (
     CharacterizationReport,
-    MechanismSpace,
     enumerate_q,
-    mutate_and_falsify,
     recognize_serial_quota,
     verify_characterization,
 )

@@ -33,7 +33,7 @@ from .properties import (
     check_push_up_invariance,
     check_truthful,
 )
-from .search import mutate_and_falsify, verify_characterization
+from .search import mutate_with_log, verify_characterization
 from .serialize import (
     audit_to_json,
     characterization_to_json,
@@ -46,7 +46,6 @@ from .serialize import (
 AXIOM_CHECKS = {
     "truthful": check_truthful,
     "nonbossy": check_non_bossy,
-    "non_bossy": check_non_bossy,
     "neutral": check_neutral,
     "partition": check_partition,
     "pareto": check_pareto_efficient,
@@ -109,7 +108,7 @@ def cmd_verify(args) -> int:
     q = _ints(args.q) if args.q else (1,) * (args.n - 1) + (args.m - args.n + 1,)
     p = _ints(args.p) if args.p else tuple(range(args.n))
     base = canonicalize(q, p, args.m)
-    report = mutate_and_falsify(base, cls, args.trials, args.seed)
+    report = mutate_with_log(base, cls, args.trials, args.seed)[0]
     status = "pass" if report.holds else "FAIL"
     print(
         f"mutation falsification: {status} "
@@ -130,6 +129,7 @@ def cmd_fairness(args) -> int:
     mech = serial_quota(q, p, additive_class(args.m))
     families = tuple(x.strip() for x in args.family.split(",") if x.strip())
     spec = GeneratorSpec(n, args.m, families, args.count, args.seed)
+    bound = rho_bound(n, args.m) if args.audit == "mms" else None
     audit = (rho_mms_audit if args.audit == "mms" else ef1_audit)(mech, spec)
     if not audit.instances_tested:
         raise ValueError(f"families {','.join(families)} generated no instances")
@@ -142,11 +142,10 @@ def cmd_fairness(args) -> int:
         guarantee = (1,) * (n - 1) + (args.m - n + 1,)
         ok = True
         if mech.quota.q == guarantee:
-            bound = rho_bound(n, args.m)
             ok = ratio >= bound
             print(f"floor 1/{bound.denominator}: {'met' if ok else 'BROKEN'}")
         payload = audit_to_json(audit)
-        payload["floor"] = fraction_to_json(rho_bound(n, args.m))
+        payload["floor"] = fraction_to_json(bound)
         _emit(payload, args)
         return 0 if ok else 1
     feasible = ef1_quota_feasibility(mech.quota.q)

@@ -24,6 +24,7 @@ from .prefs import (
     Ordering,
     Permutation,
     Preference,
+    PreferenceClass,
     compare,
     full_mask,
     goods_of,
@@ -40,6 +41,15 @@ PARTITION = "partition"
 PARETO = "pareto_efficient"
 PUSH_UP = "push_up_invariance"
 CONTROL_CLAIM = "control_claim"
+
+AXIOMS = (TRUTHFUL, NON_BOSSY, NEUTRAL)
+_KERNELS = {
+    TRUTHFUL: "truthful_violation",
+    NON_BOSSY: "nonbossy_violation",
+    NEUTRAL: "neutrality_violation",
+    PARETO: "pareto_violation",
+    CONTROL_CLAIM: "control_violation",
+}
 
 PARETO_MAX_AGENTS = 3
 PARETO_MAX_GOODS = 6
@@ -69,33 +79,71 @@ def _require_enumerable(mech: Mechanism) -> int:
     return len(mech.domain) ** mech.n
 
 
+def _witness(
+    prop: str, table: np.ndarray, cls: PreferenceClass, n: int
+) -> dict[str, Any] | None:
+    """The lowest-indexed violation of one property in an allocation table,
+    as a witness of plain ints, or None when the property holds.
+
+    Kernels are looked up on `engine` at each call, so wrappers installed on
+    that module after import see every call.
+    """
+    if prop == PARTITION:
+        idx = engine.partition_violation(table, cls.m)
+        if idx is None:
+            return None
+        return {"profile_index": idx, "union": int(np.bitwise_or.reduce(table[idx]))}
+    hit = getattr(engine, _KERNELS[prop])(table, cls, n)
+    if hit is None:
+        return None
+    if prop in (TRUTHFUL, NON_BOSSY):
+        idx, agent, alt = hit
+        witness = {"profile_index": idx, "agent": agent, "alt_index": alt}
+        if prop == TRUTHFUL:
+            witness["true_bundle"] = int(table[idx, agent])
+        return witness
+    if prop == NEUTRAL:
+        idx, pos = hit
+        pi = engine.neutrality_perms(cls.m)[pos]
+        return {"profile_index": idx, "perm": list(pi.map)}
+    if prop == PARETO:
+        idx, bundles = hit
+        return {"profile_index": idx, "blocking_bundles": list(bundles)}
+    s, agent, trig, viol = hit
+    return {
+        "s": s,
+        "agent": agent,
+        "trigger_profile_index": trig,
+        "violating_profile_index": viol,
+    }
+
+
+def _check(prop: str, mech: Mechanism) -> PropertyReport:
+    total = _require_enumerable(mech)
+    witness = _witness(prop, engine.allocation_table(mech), mech.domain, mech.n)
+    return PropertyReport(prop, witness is None, witness, total)
+
+
+def first_axiom_violation(
+    table: np.ndarray, cls: PreferenceClass, n: int
+) -> tuple[str, dict[str, Any]] | None:
+    """The first characterization axiom the table breaks, tried in the order
+    truthful, non-bossy, neutral, with its witness; None if all three hold."""
+    for prop in AXIOMS:
+        witness = _witness(prop, table, cls, n)
+        if witness is not None:
+            return prop, witness
+    return None
+
+
 def check_truthful(mech: Mechanism) -> PropertyReport:
     """No agent can strictly gain by misreporting, at any profile."""
-    total = _require_enumerable(mech)
-    table = engine.allocation_table(mech)
-    hit = engine.truthful_violation(table, mech.domain, mech.n)
-    witness = None
-    if hit is not None:
-        idx, agent, alt = hit
-        witness = {
-            "profile_index": idx,
-            "agent": agent,
-            "alt_index": alt,
-            "true_bundle": int(table[idx, agent]),
-        }
-    return PropertyReport(TRUTHFUL, hit is None, witness, total)
+    return _check(TRUTHFUL, mech)
 
 
 def check_non_bossy(mech: Mechanism) -> PropertyReport:
     """No report change can move others' bundles while one's own stays fixed."""
-    total = _require_enumerable(mech)
-    table = engine.allocation_table(mech)
-    hit = engine.nonbossy_violation(table, mech.domain, mech.n)
-    witness = None
-    if hit is not None:
-        idx, agent, alt = hit
-        witness = {"profile_index": idx, "agent": agent, "alt_index": alt}
-    return PropertyReport(NON_BOSSY, hit is None, witness, total)
+    return _check(NON_BOSSY, mech)
 
 
 def check_neutral(mech: Mechanism) -> PropertyReport:
@@ -106,29 +154,12 @@ def check_neutral(mech: Mechanism) -> PropertyReport:
     generators is covariance under the whole group.  A witness names the
     generator that breaks.
     """
-    total = _require_enumerable(mech)
-    table = engine.allocation_table(mech)
-    hit = engine.neutrality_violation(table, mech.domain, mech.n)
-    witness = None
-    if hit is not None:
-        idx, pos = hit
-        pi = engine.neutrality_perms(mech.m)[pos]
-        witness = {"profile_index": idx, "perm": list(pi.map)}
-    return PropertyReport(NEUTRAL, hit is None, witness, total)
+    return _check(NEUTRAL, mech)
 
 
 def check_partition(mech: Mechanism) -> PropertyReport:
     """Every good is allocated at every profile."""
-    total = _require_enumerable(mech)
-    table = engine.allocation_table(mech)
-    idx = engine.partition_violation(table, mech.m)
-    witness = None
-    if idx is not None:
-        witness = {
-            "profile_index": idx,
-            "union": int(np.bitwise_or.reduce(table[idx])),
-        }
-    return PropertyReport(PARTITION, idx is None, witness, total)
+    return _check(PARTITION, mech)
 
 
 def check_pareto_efficient(mech: Mechanism) -> PropertyReport:
@@ -142,33 +173,14 @@ def check_pareto_efficient(mech: Mechanism) -> PropertyReport:
         raise TooLarge(
             f"pareto scan needs n <= {PARETO_MAX_AGENTS}, m <= {PARETO_MAX_GOODS}"
         )
-    total = _require_enumerable(mech)
-    table = engine.allocation_table(mech)
-    hit = engine.pareto_violation(table, mech.domain, mech.n)
-    witness = None
-    if hit is not None:
-        idx, bundles = hit
-        witness = {"profile_index": idx, "blocking_bundles": list(bundles)}
-    return PropertyReport(PARETO, hit is None, witness, total)
+    return _check(PARETO, mech)
 
 
 def check_control_claim(mech: Mechanism) -> PropertyReport:
     """Control transfers from one profile to all: if some profile has every
     agent strongly desiring S and agent i receiving all of S, then i must
     receive all of S whenever she strongly desires it."""
-    total = _require_enumerable(mech)
-    table = engine.allocation_table(mech)
-    hit = engine.control_violation(table, mech.domain, mech.n)
-    witness = None
-    if hit is not None:
-        s, agent, trig, viol = hit
-        witness = {
-            "s": s,
-            "agent": agent,
-            "trigger_profile_index": trig,
-            "violating_profile_index": viol,
-        }
-    return PropertyReport(CONTROL_CLAIM, hit is None, witness, total)
+    return _check(CONTROL_CLAIM, mech)
 
 
 def controls(mech: Mechanism, agent: int, s: int) -> bool:
@@ -228,14 +240,12 @@ def check_push_up_invariance(
     mech: Mechanism,
     trials: int = 200,
     rng_seed: int = 0,
-    exhaustive: bool = False,
 ) -> PropertyReport:
     """Allocation is unchanged when agents push their own bundles up.
 
     A push-up of agent i's report keeps everything she ranked weakly below
-    her assigned bundle weakly below it.  In sampled mode each trial draws a
-    random profile and a random push-up per agent; exhaustive mode walks
-    every profile and every combination of in-class push-ups.
+    her assigned bundle weakly below it.  Each trial draws a random profile
+    and a random in-class push-up per agent.
     """
     cls = mech.domain
     _require_enumerable(mech)
@@ -249,36 +259,20 @@ def check_push_up_invariance(
 
     checked = 0
     witness = None
-    if exhaustive:
-        for idx in range(c**n):
-            digits = tuple(int(x) for x in engine.digit_array(c, n)[idx])
-            bundles = table[idx]
-            cand_lists = [
-                _push_up_candidates(cls, digits[j], int(bundles[j])) for j in range(n)
-            ]
-            for alt in product(*cand_lists):
-                checked += 1
-                jdx = row(alt)
-                if not np.array_equal(table[jdx], bundles):
-                    witness = {"profile_index": idx, "push_profile_index": jdx}
-                    break
-            if witness:
-                break
-    else:
-        rng = np.random.default_rng(rng_seed)
-        for _ in range(trials):
-            digits = tuple(int(x) for x in rng.integers(0, c, size=n))
-            idx = row(digits)
-            bundles = table[idx]
-            alt = []
-            for j in range(n):
-                cands = _push_up_candidates(cls, digits[j], int(bundles[j]))
-                alt.append(cands[int(rng.integers(0, len(cands)))])
-            checked += 1
-            jdx = row(tuple(alt))
-            if not np.array_equal(table[jdx], bundles):
-                witness = {"profile_index": idx, "push_profile_index": jdx}
-                break
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(trials):
+        digits = tuple(int(x) for x in rng.integers(0, c, size=n))
+        idx = row(digits)
+        bundles = table[idx]
+        alt = []
+        for j in range(n):
+            cands = _push_up_candidates(cls, digits[j], int(bundles[j]))
+            alt.append(cands[int(rng.integers(0, len(cands)))])
+        checked += 1
+        jdx = row(tuple(alt))
+        if not np.array_equal(table[jdx], bundles):
+            witness = {"profile_index": idx, "push_profile_index": jdx}
+            break
     return PropertyReport(PUSH_UP, witness is None, witness, checked)
 
 
@@ -432,12 +426,3 @@ def replay_witness(mech: Mechanism, report: PropertyReport) -> bool:
         return apply(mech, viol).bundles[i] & s != s
     raise ValueError(f"unknown property {prop!r}")
 
-
-def axiom_reports(mech: Mechanism) -> dict[str, PropertyReport]:
-    """The three characterization axioms plus the partition check."""
-    return {
-        TRUTHFUL: check_truthful(mech),
-        NON_BOSSY: check_non_bossy(mech),
-        NEUTRAL: check_neutral(mech),
-        PARTITION: check_partition(mech),
-    }

@@ -24,36 +24,13 @@ from .mechanisms import (
     canonicalize,
 )
 from .prefs import PreferenceClass, full_mask
-from .properties import NEUTRAL, NON_BOSSY, TRUTHFUL, PropertyReport
+from .properties import PropertyReport, first_axiom_violation
 
 ENUMERATION_CAP = 10**7
 MUTATION = "mutation_falsification"
 
 VERDICT_EQUAL = "sets-equal"
 VERDICT_COUNTEREXAMPLE = "counterexample-found"
-
-
-@dataclass(frozen=True)
-class MechanismSpace:
-    """Size bookkeeping for full mechanism-table enumeration."""
-
-    n: int
-    m: int
-    cls: PreferenceClass
-    partition_only: bool
-
-    @property
-    def profile_count(self) -> int:
-        return len(self.cls) ** self.n
-
-    @property
-    def choices(self) -> int:
-        base = self.n if self.partition_only else self.n + 1
-        return base**self.m
-
-    @property
-    def size(self) -> int:
-        return self.choices**self.profile_count
 
 
 @dataclass(frozen=True)
@@ -125,14 +102,6 @@ def _choice_masks(n: int, m: int, partition_only: bool) -> np.ndarray:
     return am[np.bitwise_or.reduce(am, axis=1) == full_mask(m)]
 
 
-def _passes_axioms(table: np.ndarray, cls: PreferenceClass, n: int) -> bool:
-    if engine.truthful_violation(table, cls, n) is not None:
-        return False
-    if engine.nonbossy_violation(table, cls, n) is not None:
-        return False
-    return engine.neutrality_violation(table, cls, n) is None
-
-
 def verify_characterization(
     n: int,
     m: int,
@@ -142,20 +111,24 @@ def verify_characterization(
     """Enumerate every allocation table, keep those passing the three axioms
     (partition mode restricts choices to full partitions), and compare the
     survivors against the canonical quota family."""
-    space = MechanismSpace(n, m, cls, partition_only)
-    if space.size > ENUMERATION_CAP:
+    p_count = len(cls) ** n
+    n_choices = (n if partition_only else n + 1) ** m
+    # Gate without building n_choices**p_count, which can have hundreds of
+    # millions of bits: with two or more choices, p_count >= bit_length(cap)
+    # alone puts the count over the cap.
+    if n_choices > 1 and (
+        p_count >= ENUMERATION_CAP.bit_length() or n_choices**p_count > ENUMERATION_CAP
+    ):
         raise TooLarge(
-            f"{space.choices}^{space.profile_count} tables exceed the "
-            f"enumeration cap; use mutation mode"
+            f"{n_choices}^{p_count} tables exceed the enumeration cap; use mutation mode"
         )
     choices = _choice_masks(n, m, partition_only)
-    p_count = space.profile_count
     satisfying = []
     recognized = []
     counterexample = None
-    for rows in product(range(space.choices), repeat=p_count):
+    for rows in product(range(n_choices), repeat=p_count):
         table = choices[list(rows)]
-        if not _passes_axioms(table, cls, n):
+        if first_axiom_violation(table, cls, n) is not None:
             continue
         mech = TableMechanism(
             n, m, cls, tuple(tuple(int(b) for b in row) for row in table)
@@ -174,26 +147,13 @@ def verify_characterization(
         m=m,
         class_tag=cls.tag,
         partition_only=partition_only,
-        tables_enumerated=space.size,
+        tables_enumerated=n_choices**p_count,
         satisfying=tuple(satisfying),
         recognized=tuple(recognized),
         family=tuple(family),
         verdict=VERDICT_EQUAL if ok else VERDICT_COUNTEREXAMPLE,
         counterexample=counterexample,
     )
-
-
-def mutate_and_falsify(
-    base: QuotaOrdering,
-    cls: PreferenceClass,
-    trials: int,
-    seed: int = 0,
-) -> PropertyReport:
-    """Overwrite one random profile's allocation with a random different
-    partition and confirm each mutant breaks truthfulness, non-bossiness, or
-    neutrality.  Passes iff no mutant survives all three."""
-    report, _ = mutate_with_log(base, cls, trials, seed, log_size=0)
-    return report
 
 
 def mutate_with_log(
@@ -203,8 +163,11 @@ def mutate_with_log(
     seed: int = 0,
     log_size: int = 0,
 ) -> tuple[PropertyReport, list[dict]]:
-    """mutate_and_falsify plus the first log_size mutants with the axiom each
-    one failed and its witness, for independent replay."""
+    """Overwrite one random profile's allocation with a random different
+    partition and confirm each mutant breaks truthfulness, non-bossiness, or
+    neutrality; the report passes iff no mutant survives all three.  Also
+    returns the first log_size mutants with the axiom each one failed and
+    its witness, for independent replay."""
     n = len(base.q)
     m = cls.m
     if base.total != m:
@@ -226,59 +189,18 @@ def mutate_with_log(
             new = int(rng.integers(n_choices))
         mutant = table.copy()
         mutant[idx] = choices[new]
-        failed = None
-        hit = engine.truthful_violation(mutant, cls, n)
-        if hit is not None:
-            failed = (
-                TRUTHFUL,
-                {"profile_index": hit[0], "agent": hit[1], "alt_index": hit[2]},
-            )
+        entry = {
+            "trial": trial,
+            "profile_index": idx,
+            "replacement": [int(b) for b in choices[new]],
+        }
+        failed = first_axiom_violation(mutant, cls, n)
         if failed is None:
-            hit = engine.nonbossy_violation(mutant, cls, n)
-            if hit is not None:
-                failed = (
-                    NON_BOSSY,
-                    {"profile_index": hit[0], "agent": hit[1], "alt_index": hit[2]},
-                )
-        if failed is None:
-            hit = engine.neutrality_violation(mutant, cls, n)
-            if hit is not None:
-                perms = engine.neutrality_perms(m)
-                failed = (
-                    NEUTRAL,
-                    {"profile_index": hit[0], "perm": list(perms[hit[1]].map)},
-                )
-        if failed is None:
-            survivor = {
-                "trial": trial,
-                "profile_index": idx,
-                "replacement": [int(b) for b in choices[new]],
-            }
+            survivor = entry
             break
         if len(log) < log_size:
-            log.append(
-                {
-                    "trial": trial,
-                    "profile_index": idx,
-                    "replacement": [int(b) for b in choices[new]],
-                    "failed_axiom": failed[0],
-                    "axiom_witness": failed[1],
-                }
-            )
+            entry.update(failed_axiom=failed[0], axiom_witness=failed[1])
+            log.append(entry)
     report = PropertyReport(MUTATION, survivor is None, survivor, trials)
     return report, log
 
-
-def identical_profile_quota(mech: Mechanism) -> QuotaOrdering | None:
-    """Canonical pair matching mech on every identical-preferences profile."""
-    cls = mech.domain
-    c = len(cls)
-    n = mech.n
-    table = engine.allocation_table(mech)
-    idxs = [d * (c**n - 1) // (c - 1) if c > 1 else 0 for d in range(c)]
-    rows = table[idxs]
-    for qo in enumerate_q(mech.n, mech.m):
-        sq = SerialQuota(mech.n, mech.m, mech.domain, qo)
-        if np.array_equal(engine.allocation_table(sq)[idxs], rows):
-            return qo
-    return None

@@ -41,18 +41,21 @@ def fraction_to_json(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def fraction_from_json(x: Any) -> Fraction:
-    if isinstance(x, bool):
+    """An exact rational from an int, a "p/q" or decimal string, or an
+    [int, int] pair.  Floats are rejected, since a JSON float is already
+    rounded to binary, and so are non-integer pair entries."""
+    is_pair = isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_int, x))
+    if not (_is_int(x) or isinstance(x, str) or is_pair):
         raise ValueError(f"not a rational: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    if isinstance(x, float):
-        return Fraction(x)
-    raise ValueError(f"not a rational: {x!r}")
+    try:
+        return Fraction(*x) if is_pair else Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {x!r}") from None
 
 
 def preference_to_json(pref: Preference) -> dict:

@@ -104,6 +104,18 @@ def test_verify_exhaustive_over_cap_is_usage_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_verify_exhaustive_gate_does_not_build_the_table_count(capsys):
+    # 3^7 choices at each of 5040^2 profiles: the table count alone would
+    # take about 2.8 * 10^8 bits.
+    start = time.perf_counter()
+    code = main(["verify", "--n", "2", "--m", "7", "--class", "lex",
+                 "--mode", "exhaustive", "--allocations", "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "cap" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_fairness_mms_identical_family(capsys):
     code = main(["fairness", "mms", "--q", "1,3", "--n", "2", "--m", "4",
                  "--family", "identical", "--no-timestamp"])
@@ -143,6 +155,15 @@ def test_fairness_without_instances_is_usage_error(audit, capsys):
 
 def test_fairness_rejects_mismatched_n():
     assert main(["fairness", "mms", "--q", "1,2", "--n", "3", "--m", "3"]) == 2
+
+
+def test_fairness_mms_with_more_agents_than_goods_prints_nothing(capsys):
+    code = main(["fairness", "mms", "--q", "1,1,0", "--m", "2",
+                 "--family", "identical", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need 1 <= n <= m\n"
 
 
 def test_fairness_rejects_too_many_goods_before_building_instances(capsys):

@@ -11,12 +11,10 @@ import pytest
 
 from serialquota import (
     CounterNonTruthful,
-    MechanismSpace,
     QuotaOrdering,
     TooLarge,
     enumerate_q,
     lex_class,
-    mutate_and_falsify,
     recognize_serial_quota,
     serial_quota,
     strict_monotone_class,
@@ -26,7 +24,6 @@ from serialquota.mechanisms import SerialQuota, TableMechanism, apply
 from serialquota.search import (
     VERDICT_COUNTEREXAMPLE,
     VERDICT_EQUAL,
-    identical_profile_quota,
     mutate_with_log,
 )
 
@@ -109,6 +106,7 @@ def test_characterization_with_unallocated_goods():
     assert report.verdict == VERDICT_EQUAL
     assert len(report.satisfying) == 7
     assert set(report.recognized) == set(enumerate_q(2, 2))
+    assert report.tables_enumerated == 9**4  # 3^2 choices with a "nobody" option
 
 
 def test_characterization_cap():
@@ -116,25 +114,16 @@ def test_characterization_cap():
         verify_characterization(2, 3, lex_class(3))
 
 
-def test_mechanism_space_counts():
-    space = MechanismSpace(2, 2, lex_class(2), partition_only=True)
-    assert space.profile_count == 4
-    assert space.choices == 4  # 2^2 ownership vectors
-    assert space.size == 256
-    loose = MechanismSpace(2, 2, lex_class(2), partition_only=False)
-    assert loose.choices == 9  # 3^2 with a "nobody" option
-    assert loose.size == 9**4
-
-
 def test_mutants_always_break_an_axiom():
-    report = mutate_and_falsify(QuotaOrdering((1, 2), (0, 1)), lex_class(3), 300, seed=3)
+    report, _ = mutate_with_log(QuotaOrdering((1, 2), (0, 1)), lex_class(3), 300, seed=3)
     assert report.holds
     assert report.profiles_checked == 300
     assert report.witness is None
 
 
 def test_mutation_log_replays_by_hand():
-    """Rebuild each logged mutant and confirm the logged axiom fails."""
+    """Rebuild each logged mutant and confirm the logged axiom fails with the
+    witness its property checker reports."""
     from serialquota import (
         check_neutral,
         check_non_bossy,
@@ -161,12 +150,14 @@ def test_mutation_log_replays_by_hand():
         mutated[entry["profile_index"]] = tuple(entry["replacement"])
         mutant = TableMechanism(2, 3, cls, tuple(mutated))
         assert mutated[entry["profile_index"]] != rows[entry["profile_index"]]
-        assert not checkers[entry["failed_axiom"]](mutant).holds
+        check = checkers[entry["failed_axiom"]](mutant)
+        assert not check.holds
+        assert entry["axiom_witness"] == check.witness
 
 
 def test_mutation_requires_partition_base():
     with pytest.raises(ValueError):
-        mutate_and_falsify(QuotaOrdering((1, 1), (0, 1)), lex_class(3), 10)
+        mutate_with_log(QuotaOrdering((1, 1), (0, 1)), lex_class(3), 10)
 
 
 def test_mutation_deterministic_per_seed():
@@ -174,13 +165,6 @@ def test_mutation_deterministic_per_seed():
     _, log_a = mutate_with_log(base, lex_class(3), 40, seed=9, log_size=40)
     _, log_b = mutate_with_log(base, lex_class(3), 40, seed=9, log_size=40)
     assert log_a == log_b
-
-
-def test_identical_profile_quota_recovers_the_pair():
-    cls = lex_class(3)
-    for qo in enumerate_q(2, 3, partition_only=True):
-        mech = SerialQuota(2, 3, cls, qo)
-        assert identical_profile_quota(mech) == qo
 
 
 def test_verdict_constants():

@@ -51,12 +51,27 @@ def test_fraction_forms():
     assert fraction_from_json(3) == 3
     assert fraction_from_json("7/2") == Fraction(7, 2)
     assert fraction_from_json([3, 4]) == Fraction(3, 4)
-    assert fraction_from_json(0.5) == Fraction(1, 2)
     assert fraction_from_json(fraction_to_json(Fraction(-3, 7))) == Fraction(-3, 7)
     with pytest.raises(ValueError):
         fraction_from_json(True)
     with pytest.raises(ValueError):
         fraction_from_json({"num": 1})
+
+
+def test_fraction_rejects_json_floats():
+    # 0.1 has no exact binary form; it used to load as 3602879701896397/2^55.
+    with pytest.raises(ValueError):
+        fraction_from_json(0.1)
+    with pytest.raises(ValueError):
+        instance_from_json({"valuations": [[0.1]]})
+
+
+@pytest.mark.parametrize("pair", [[0.5, 1], [1, 2.0], [True, 2], ["1", 2], [1, 0], "1/0"])
+def test_fraction_rejects_inexact_or_undefined_pairs(pair):
+    # [0.5, 1] used to be truncated by int() to 0, and a zero denominator
+    # escaped as ZeroDivisionError.
+    with pytest.raises(ValueError):
+        fraction_from_json(pair)
 
 
 @pytest.mark.parametrize(
