@@ -78,7 +78,6 @@ from .prefs import (
     induce,
     is_push_up,
     lex_class,
-    lexicographic_consistent_with,
     mask_of,
     permute_preference,
     rank_table,
@@ -93,9 +92,9 @@ from .properties import (
     check_control_claim,
     check_neutral,
     check_non_bossy,
-    check_own_bundle_push_up,
     check_pareto_efficient,
     check_partition,
+    check_push_up_exhaustive,
     check_push_up_invariance,
     check_truthful,
     controls,

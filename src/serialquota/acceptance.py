@@ -51,8 +51,8 @@ from .properties import (
     check_control_claim,
     check_neutral,
     check_non_bossy,
-    check_own_bundle_push_up,
     check_pareto_efficient,
+    check_push_up_exhaustive,
     check_push_up_invariance,
     check_truthful,
     pareto_blocking,
@@ -286,7 +286,7 @@ def ac7() -> tuple[bool, str]:
 
 def ac8() -> tuple[bool, str]:
     """Push-up reports never move the allocation: seeded sampled pairs plus
-    the exhaustive own-bundle lexicographic push-ups."""
+    the exhaustive push-up check at every profile."""
     sampled = 0
     for (n, m), seed in (((2, 3), 81), ((3, 3), 83)):
         cls = lex_class(m)
@@ -301,13 +301,13 @@ def ac8() -> tuple[bool, str]:
                     f"q={qo.q} p={qo.p}: {report.witness}"
                 )
             sampled += report.profiles_checked
-            own = check_own_bundle_push_up(mech)
-            if not own.holds:
+            exhaustive = check_push_up_exhaustive(mech)
+            if not exhaustive.holds:
                 return False, (
-                    f"own-bundle push-up moved allocation at ({n},{m}) "
-                    f"q={qo.q} p={qo.p}: {own.witness}"
+                    f"exhaustive push-up moved allocation at ({n},{m}) "
+                    f"q={qo.q} p={qo.p}: {exhaustive.witness}"
                 )
-    return True, f"{sampled} sampled pairs plus exhaustive own-bundle sweeps"
+    return True, f"{sampled} sampled pairs plus exhaustive push-up sweeps"
 
 
 def ac9() -> tuple[bool, str]:

@@ -30,7 +30,7 @@ from .properties import (
     check_non_bossy,
     check_pareto_efficient,
     check_partition,
-    check_push_up_invariance,
+    check_push_up_exhaustive,
     check_truthful,
 )
 from .search import mutate_with_log, verify_characterization
@@ -50,7 +50,7 @@ AXIOM_CHECKS = {
     "partition": check_partition,
     "pareto": check_pareto_efficient,
     "control": check_control_claim,
-    "pushup": check_push_up_invariance,
+    "pushup": check_push_up_exhaustive,
 }
 
 

@@ -137,64 +137,106 @@ def allocation_table(mech: Mechanism) -> np.ndarray:
     return out
 
 
-def _agent_views(table: np.ndarray, c: int, n: int, agent: int):
-    """Per-column tables reshaped to (rest, c) with the agent's digit last.
-
-    Returns (views, idx_view) where views[j][r, d] is agent j's bundle in the
-    profile whose agent digit is d and whose other digits encode r, and
-    idx_view[r, d] is that profile's index.
-    """
-    grid_shape = (c,) * n
-    views = []
-    for j in range(n):
-        g = table[:, j].reshape(grid_shape)
-        views.append(np.moveaxis(g, agent, -1).reshape(-1, c))
-    idx = np.moveaxis(np.arange(table.shape[0]).reshape(grid_shape), agent, -1).reshape(-1, c)
-    return views, idx
+@lru_cache(maxsize=None)
+def deviation_index(c: int, n: int, agent: int) -> np.ndarray:
+    """idx[r, d] = index of the profile whose other agents' digits encode r
+    (mixed radix, lowest agent most significant) and whose `agent` digit is
+    d; shape (c^(n-1), c).  Row r lists every report `agent` can make while
+    the others stay fixed."""
+    grid = np.arange(c**n, dtype=np.int64).reshape((c,) * n)
+    out = np.moveaxis(grid, agent, -1).reshape(-1, c)
+    out.setflags(write=False)
+    return out
 
 
-def _lowest(candidates):
-    """Deterministic pick: smallest witness tuple or None."""
-    return min(candidates) if candidates else None
+def _columns_move(table: np.ndarray, idx: np.ndarray, cols) -> np.ndarray:
+    """moved[r, t, d]: some column in cols (at least one) differs between
+    profiles idx[r, t] and idx[r, d]."""
+    moved = None
+    for j in cols:
+        b = table[:, j][idx]
+        diff = b[:, :, None] != b[:, None, :]
+        if moved is None:
+            moved = diff
+        else:
+            moved |= diff
+    return moved
+
+
+def _lowest_deviation(viol: np.ndarray, idx: np.ndarray, c: int, agent: int):
+    """Lowest (profile, agent, alt) over viol[r, t, d], the profile being
+    idx[r, t] and alt the deviation d; None when nothing is set."""
+    if not viol.any():
+        return None
+    r, t, d = np.nonzero(viol)
+    key = int((idx[r, t] * c + d).min())
+    return key // c, agent, key % c
 
 
 def truthful_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (profile_idx, agent, alt_member) where the deviation strictly gains."""
     c = len(cls)
-    ranks = rank_matrix(cls)
-    found = []
+    by_subset = np.ascontiguousarray(rank_matrix(cls).T)  # [s, t]: t's rank of s
+    diag = np.arange(c)
+    hits = []
     for i in range(n):
-        views, idx = _agent_views(table, c, n, i)
-        bi = views[i]  # (R, c)
-        rt = ranks[:, bi]  # (c_true, R, c_dev)
-        own = rt[np.arange(c), :, np.arange(c)]  # (c_true, R)
-        viol = rt > own[:, :, None]
-        if viol.any():
-            t, r, d = np.nonzero(viol)
-            prof = idx[r, t]
-            found.append(_lowest(zip(prof.tolist(), [i] * len(d), d.tolist())))
-    return _lowest(found)
+        idx = deviation_index(c, n, i)
+        rt = by_subset[table[:, i][idx]]  # [r, d, t]: t's rank of d's bundle
+        gain = rt > rt[:, diag, diag][:, None, :]
+        hits.append(_lowest_deviation(gain.transpose(0, 2, 1), idx, c, i))
+    return min(filter(None, hits), default=None)
 
 
 def nonbossy_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (profile_idx, agent, alt_member) where own bundle holds but others move."""
+    if n < 2:
+        return None  # no one else to move
     c = len(cls)
-    found = []
+    hits = []
     for i in range(n):
-        views, idx = _agent_views(table, c, n, i)
-        bi = views[i]
-        same = bi[:, :, None] == bi[:, None, :]  # [r, t, d]
-        differ = np.zeros_like(same)
-        for j in range(n):
-            if j != i:
-                bj = views[j]
-                differ |= bj[:, :, None] != bj[:, None, :]
-        viol = same & differ
-        if viol.any():
-            r, t, d = np.nonzero(viol)
-            prof = idx[r, t]
-            found.append(_lowest(zip(prof.tolist(), [i] * len(d), d.tolist())))
-    return _lowest(found)
+        idx = deviation_index(c, n, i)
+        b = table[:, i][idx]
+        viol = b[:, :, None] == b[:, None, :]
+        viol &= _columns_move(table, idx, [j for j in range(n) if j != i])
+        hits.append(_lowest_deviation(viol, idx, c, i))
+    return min(filter(None, hits), default=None)
+
+
+@lru_cache(maxsize=None)
+def push_up_matrix(cls: PreferenceClass) -> np.ndarray:
+    """up[t, s, d]: member d is a push-up of member t with respect to subset s,
+    i.e. every subset weakly below s under t stays weakly below s under d;
+    shape (C, 2^m, C)."""
+    ranks = rank_matrix(cls)
+    c, size = ranks.shape
+    out = np.empty((c, size, c), dtype=bool)
+    for s in range(size):
+        below = (ranks <= ranks[:, s, None]).astype(np.float32)  # below[t, z]
+        # escapes[t, d]: subsets weakly below s under t but above it under d.
+        out[:, s, :] = below @ (1 - below).T == 0
+    out.setflags(write=False)
+    return out
+
+
+def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
+    """Lowest (profile_idx, agent, alt_member) where the agent pushes her
+    bundle up (alt_member is a push-up of her report with respect to it)
+    and the allocation moves.
+
+    Single-agent push-ups decide push-up invariance exactly: if none moves
+    the allocation, pushing up several agents at once moves nothing either,
+    since the agents can be pushed up one at a time and every step keeps
+    the allocation, hence each bundle the later push-ups refer to.
+    """
+    c = len(cls)
+    up = push_up_matrix(cls)
+    diag = np.arange(c)
+    hits = []
+    for i in range(n):
+        idx = deviation_index(c, n, i)
+        viol = up[diag, table[:, i][idx]] & _columns_move(table, idx, range(n))
+        hits.append(_lowest_deviation(viol, idx, c, i))
+    return min(filter(None, hits), default=None)
 
 
 def neutrality_violation(table: np.ndarray, cls: PreferenceClass, n: int):

@@ -25,7 +25,6 @@ from .errors import (
     EnumerationTooLarge,
     IdenticalSets,
     InvalidDomain,
-    InvalidPartition,
     NotEnumerable,
     NotInClass,
     QuotaExceedsPool,
@@ -197,6 +196,8 @@ class AdditiveStrict:
         object.__setattr__(self, "values", vals)
         if any(v < 0 for v in vals):
             raise ValueError("values must be non-negative")
+        if len(vals) > MAX_GOODS:
+            raise ValueError(f"{len(vals)} goods above the {MAX_GOODS}-good cap")
         sums = _subset_sums(vals)
         if len(set(sums)) != len(sums):
             raise TieDetected(f"subset-sum collision in {vals}")
@@ -335,27 +336,6 @@ def is_push_up(candidate: Preference, base: Preference, s: Mask) -> bool:
         if rb[z] <= ts_base and rc[z] > ts_cand:
             return False
     return True
-
-
-def lexicographic_consistent_with(blocks, m: int | None = None) -> Lexicographic:
-    """A lexicographic preference listing block 1's goods first, then block 2's, ...
-
-    Goods inside one block are taken in ascending index order.  Blocks must
-    partition the universe.
-    """
-    union = 0
-    for b in blocks:
-        if union & b:
-            raise InvalidPartition("blocks overlap")
-        union |= b
-    if m is None:
-        m = union.bit_length()
-    if union != full_mask(m):
-        raise InvalidPartition("blocks do not cover the universe")
-    order = []
-    for b in blocks:
-        order.extend(goods_of(b))
-    return Lexicographic(tuple(order))
 
 
 def _linear_extensions(m: int):

@@ -10,7 +10,6 @@ be replayed through the pure-Python `mechanisms.apply` path by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Any
 
@@ -29,7 +28,6 @@ from .prefs import (
     full_mask,
     goods_of,
     is_push_up,
-    lexicographic_consistent_with,
     permute_preference,
     strongly_desires,
 )
@@ -48,6 +46,7 @@ _KERNELS = {
     NON_BOSSY: "nonbossy_violation",
     NEUTRAL: "neutrality_violation",
     PARETO: "pareto_violation",
+    PUSH_UP: "push_up_violation",
     CONTROL_CLAIM: "control_violation",
 }
 
@@ -96,6 +95,12 @@ def _witness(
     hit = getattr(engine, _KERNELS[prop])(table, cls, n)
     if hit is None:
         return None
+    if prop == PUSH_UP:
+        idx, agent, alt = hit
+        c = len(cls)
+        digit = int(engine.digit_array(c, n)[idx, agent])
+        push = idx + (alt - digit) * int(engine.radix_powers(c, n)[agent])
+        return {"profile_index": idx, "push_profile_index": push}
     if prop in (TRUTHFUL, NON_BOSSY):
         idx, agent, alt = hit
         witness = {"profile_index": idx, "agent": agent, "alt_index": alt}
@@ -228,52 +233,54 @@ def find_improving_cycle(alloc: Allocation, profile) -> TradingCycle | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _push_up_candidates(cls, member_idx: int, bundle: int) -> tuple[int, ...]:
-    base = cls.members[member_idx]
-    return tuple(
-        k for k, cand in enumerate(cls.members) if is_push_up(cand, base, bundle)
-    )
-
-
 def check_push_up_invariance(
     mech: Mechanism,
     trials: int = 200,
     rng_seed: int = 0,
 ) -> PropertyReport:
-    """Allocation is unchanged when agents push their own bundles up.
+    """Allocation is unchanged when agents push their own bundles up, sampled.
 
     A push-up of agent i's report keeps everything she ranked weakly below
     her assigned bundle weakly below it.  Each trial draws a random profile
-    and a random in-class push-up per agent.
+    and a random in-class push-up per agent; profiles_checked counts the
+    pairs drawn.  `check_push_up_exhaustive` covers every profile.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     cls = mech.domain
     _require_enumerable(mech)
     c = len(cls)
     n = mech.n
     table = engine.allocation_table(mech)
-    powers = [c ** (n - 1 - j) for j in range(n)]
-
-    def row(members: tuple[int, ...]) -> int:
-        return sum(d * w for d, w in zip(members, powers))
-
+    up = engine.push_up_matrix(cls)
+    powers = engine.radix_powers(c, n)
     checked = 0
     witness = None
     rng = np.random.default_rng(rng_seed)
     for _ in range(trials):
-        digits = tuple(int(x) for x in rng.integers(0, c, size=n))
-        idx = row(digits)
+        digits = rng.integers(0, c, size=n)
+        idx = int(digits @ powers)
         bundles = table[idx]
         alt = []
         for j in range(n):
-            cands = _push_up_candidates(cls, digits[j], int(bundles[j]))
+            cands = np.flatnonzero(up[digits[j], bundles[j]])
             alt.append(cands[int(rng.integers(0, len(cands)))])
         checked += 1
-        jdx = row(tuple(alt))
+        jdx = int(np.array(alt) @ powers)
         if not np.array_equal(table[jdx], bundles):
             witness = {"profile_index": idx, "push_profile_index": jdx}
             break
     return PropertyReport(PUSH_UP, witness is None, witness, checked)
+
+
+def check_push_up_exhaustive(mech: Mechanism) -> PropertyReport:
+    """Push-up invariance at every profile, for every in-class push-up of
+    every agent's report.
+
+    Pushing up one agent at a time is enough (see
+    `engine.push_up_violation`); a witness pushes up one agent.
+    """
+    return _check(PUSH_UP, mech)
 
 
 def verify_blocking(alloc: Allocation, profile, bundles) -> bool:
@@ -307,43 +314,6 @@ def pareto_blocking(alloc: Allocation, profile) -> tuple[int, ...] | None:
         if verify_blocking(alloc, profile, bundles):
             return bundles
     return None
-
-
-def own_bundle_push_up(pref: Preference, bundle: int, m: int) -> Lexicographic:
-    """The lexicographic order listing the bundle's goods first (ascending),
-    then the rest; always a push-up of pref with respect to the bundle."""
-    return lexicographic_consistent_with([bundle, full_mask(m) & ~bundle], m)
-
-
-def check_own_bundle_push_up(mech: Mechanism) -> PropertyReport:
-    """Exhaustive variant of push-up invariance using the canonical
-    lexicographic push-up built from each agent's own bundle: replacing any
-    one report, or all of them, must not move the allocation."""
-    cls = mech.domain
-    _require_enumerable(mech)
-    c = len(cls)
-    n = mech.n
-    table = engine.allocation_table(mech)
-    powers = [c ** (n - 1 - j) for j in range(n)]
-    checked = 0
-    for idx in range(c**n):
-        digits = [int(x) for x in engine.digit_array(c, n)[idx]]
-        bundles = table[idx]
-        repl = []
-        for j in range(n):
-            cand = own_bundle_push_up(cls.members[digits[j]], int(bundles[j]), mech.m)
-            if not is_push_up(cand, cls.members[digits[j]], int(bundles[j])):
-                raise AssertionError("own-bundle order failed push-up validation")
-            repl.append(cls.index_of(cand))
-        variants = [[*digits[:j], repl[j], *digits[j + 1 :]] for j in range(n)]
-        variants.append(repl)
-        for alt in variants:
-            checked += 1
-            jdx = sum(d * w for d, w in zip(alt, powers))
-            if not np.array_equal(table[jdx], bundles):
-                witness = {"profile_index": idx, "push_profile_index": jdx}
-                return PropertyReport(PUSH_UP, False, witness, checked)
-    return PropertyReport(PUSH_UP, True, None, checked)
 
 
 def check_consecutive(alloc: Allocation, pref: Preference) -> bool:

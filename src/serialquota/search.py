@@ -2,9 +2,10 @@
 exhaust tiny mechanism spaces, and falsify single-cell mutants.
 
 The reverse direction of the characterization (axioms imply serial-quota) is
-verified literally at (n=2, m=2) by enumerating every allocation table; at
-larger sizes the space is astronomically big, so the module instead mutates
-one profile's allocation at a time and confirms each mutant breaks an axiom.
+verified literally by enumerating every allocation table at each size whose
+table count is at most ENUMERATION_CAP; beyond it the space is
+astronomically big, so the module instead mutates one profile's allocation
+at a time and confirms each mutant breaks an axiom.
 """
 
 from __future__ import annotations
@@ -168,6 +169,8 @@ def mutate_with_log(
     neutrality; the report passes iff no mutant survives all three.  Also
     returns the first log_size mutants with the axiom each one failed and
     its witness, for independent replay."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     n = len(base.q)
     m = cls.m
     if base.total != m:

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from serialquota import PropertyReport, replay_witness
 from serialquota.cli import main
+from serialquota.serialize import mechanism_from_json
 
 SQ_JSON = {
     "kind": "serial_quota",
@@ -43,6 +45,29 @@ def test_check_reports_violation_with_witness(mech_file, capsys):
     assert code == 1
     assert "non_bossy: FAIL" in out
     assert "witness" in out
+
+
+def test_check_pushup_is_exhaustive(mech_file, capsys):
+    code = main(["check", "--mech", mech_file(SQ_JSON), "--axioms", "pushup",
+                 "--no-timestamp"])
+    assert code == 0
+    # lex over 3 goods has 6 members: 6^2 profiles, every one checked.
+    assert capsys.readouterr().out == "push_up_invariance: pass (36 profiles)\n"
+
+
+def test_check_pushup_witness_replays(mech_file, tmp_path, capsys):
+    payload = {"kind": "counter_non_truthful", "n": 2, "class": {"tag": "lex", "m": 2}}
+    out = tmp_path / "report.json"
+    code = main(["check", "--mech", mech_file(payload), "--axioms", "pushup",
+                 "--out", str(out), "--no-timestamp"])
+    assert code == 1
+    assert "push_up_invariance: FAIL (4 profiles)" in capsys.readouterr().out
+    (entry,) = json.loads(out.read_text())["reports"]
+    report = PropertyReport(
+        entry["property"], entry["holds"], entry["witness"], entry["profiles_checked"]
+    )
+    assert set(report.witness) == {"profile_index", "push_profile_index"}
+    assert replay_witness(mechanism_from_json(payload), report)
 
 
 def test_check_rejects_quota_overflow(mech_file, capsys):
@@ -95,6 +120,16 @@ def test_verify_mutation_zero_survivors(capsys):
                  "mutate", "--trials", "200", "--seed", "7", "--no-timestamp"])
     assert code == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_mutation_rejects_non_positive_trials(trials, capsys):
+    code = main(["verify", "--n", "2", "--m", "3", "--class", "lex", "--mode",
+                 "mutate", "--trials", trials, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: trials must be at least 1, got {trials}\n"
 
 
 def test_verify_exhaustive_over_cap_is_usage_error(capsys):

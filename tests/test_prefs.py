@@ -17,7 +17,6 @@ from serialquota import (
     EnumerationTooLarge,
     IdenticalSets,
     InvalidDomain,
-    InvalidPartition,
     Lexicographic,
     NotEnumerable,
     NotInClass,
@@ -38,7 +37,6 @@ from serialquota import (
     induce,
     is_push_up,
     lex_class,
-    lexicographic_consistent_with,
     mask_of,
     permute_preference,
     rank_table,
@@ -46,6 +44,7 @@ from serialquota import (
     strongly_desires,
     submasks,
 )
+from serialquota.prefs import MAX_GOODS
 
 LEX012 = Lexicographic((0, 1, 2))
 INTRO_VALS = (Fraction(11), Fraction(1001, 100), Fraction(10))
@@ -119,6 +118,12 @@ def test_compare_identical_sets_rejected():
 def test_compare_additive_by_subset_sums():
     pref = AdditiveStrict(INTRO_VALS)
     assert compare(pref, mask_of([0]), mask_of([1, 2])) is Ordering.LESS
+
+
+def test_additive_rejects_more_goods_than_the_cap():
+    assert AdditiveStrict(tuple(Fraction(2**g) for g in range(MAX_GOODS))).m == MAX_GOODS
+    with pytest.raises(ValueError, match="cap"):
+        AdditiveStrict(tuple(Fraction(2**g) for g in range(MAX_GOODS + 1)))
 
 
 def test_additive_rejects_subset_sum_collision():
@@ -267,16 +272,6 @@ def test_is_push_up_examples():
     for cand in lex_class(2).members:
         assert is_push_up(cand, base, full_mask(2))
     assert not is_push_up(Lexicographic((1, 0)), base, mask_of([0]))
-
-
-def test_lexicographic_consistent_with():
-    assert lexicographic_consistent_with([0b011, 0b100]) == Lexicographic((0, 1, 2))
-    assert lexicographic_consistent_with([0b100, 0b011]) == Lexicographic((2, 0, 1))
-    assert lexicographic_consistent_with([0b111]) == Lexicographic((0, 1, 2))
-    with pytest.raises(InvalidPartition):
-        lexicographic_consistent_with([0b011, 0b110])
-    with pytest.raises(InvalidPartition):
-        lexicographic_consistent_with([0b001], 2)
 
 
 def test_class_membership_and_index():

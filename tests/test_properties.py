@@ -32,15 +32,17 @@ from serialquota import (
     check_control_claim,
     check_neutral,
     check_non_bossy,
-    check_own_bundle_push_up,
     check_pareto_efficient,
     check_partition,
+    check_push_up_exhaustive,
     check_push_up_invariance,
     check_truthful,
+    class_from_tag,
     compare,
     controls,
     find_improving_cycle,
     index_to_profile,
+    is_push_up,
     lex_class,
     mask_of,
     pareto_blocking,
@@ -128,6 +130,88 @@ def test_checkers_agree_on_known_good_mechanisms():
         assert check_non_bossy(mech).holds
         assert check_neutral(mech).holds
         assert check_partition(mech).holds == (sum(q) == 3)
+
+
+# ------------------------------------------------ single-agent deviations
+
+def table_cases(n, m, cls, rng, quotas=3, mutants=3, randoms=3):
+    """Quota tables, single-cell mutants of them (any assignment, partition
+    or not, written at one profile) and random partition tables."""
+    choices = _choice_masks(n, m, partition_only=False)
+    family = enumerate_q(n, m)
+    for k in rng.choice(len(family), size=min(quotas, len(family)), replace=False):
+        table = engine.allocation_table(SerialQuota(n, m, cls, family[k]))
+        yield table
+        for _ in range(mutants):
+            mutant = table.copy()
+            mutant[int(rng.integers(table.shape[0]))] = choices[
+                int(rng.integers(choices.shape[0]))
+            ]
+            yield mutant
+    for _ in range(randoms):
+        yield np.array(random_partition_table(rng, n, m, cls).table, dtype=np.int32)
+
+
+def scalar_deviations(table, cls, n):
+    """Every (profile, agent, alt, true report, true row, deviated row) in
+    (profile, agent, alt) order; profiles are enumerated by their digits,
+    agent 0 most significant."""
+    c = len(cls)
+    rows = [tuple(r) for r in table.tolist()]
+    for idx, digits in enumerate(product(range(c), repeat=n)):
+        for i in range(n):
+            weight = c ** (n - 1 - i)
+            for d in range(c):
+                jdx = idx + (d - digits[i]) * weight
+                yield idx, i, d, cls.members[digits[i]], rows[idx], rows[jdx]
+
+
+def scalar_deviation_witnesses(table, cls, n):
+    """Lowest (profile, agent, alt) breaking truthfulness, and the lowest
+    breaking non-bossiness, judged by compare; None where one holds."""
+    truthful = bossy = None
+    for idx, i, d, pref, base, out in scalar_deviations(table, cls, n):
+        if truthful is not None and bossy is not None:
+            break
+        if out[i] != base[i]:
+            if truthful is None and compare(pref, base[i], out[i]) is Ordering.LESS:
+                truthful = (idx, i, d)
+        elif out != base and bossy is None:
+            bossy = (idx, i, d)
+    return truthful, bossy
+
+
+@pytest.mark.parametrize(
+    "tag,n,m,randoms",
+    [("lex", 2, 3, 6), ("lex", 3, 3, 6), ("strict_monotone_all", 2, 3, 2)],
+)
+def test_deviation_witnesses_match_scalar_scan(tag, n, m, randoms):
+    cls = class_from_tag(tag, m)
+    rng = np.random.default_rng(7 * n + m)
+    verdicts = []
+    for table in table_cases(n, m, cls, rng, randoms=randoms):
+        truthful, bossy = scalar_deviation_witnesses(table, cls, n)
+        assert engine.truthful_violation(table, cls, n) == truthful
+        assert engine.nonbossy_violation(table, cls, n) == bossy
+        verdicts += [truthful is None, bossy is None]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_deviation_index_lists_one_agents_reports():
+    for c, n in [(2, 3), (3, 3), (6, 2), (4, 1)]:
+        digits = engine.digit_array(c, n)
+        for agent in range(n):
+            idx = engine.deviation_index(c, n, agent)
+            assert idx.shape == (c ** (n - 1), c)
+            assert not idx.flags.writeable
+            assert sorted(idx.ravel().tolist()) == list(range(c**n))
+            others = np.delete(digits, agent, axis=1)
+            for r in range(idx.shape[0]):
+                assert (digits[idx[r], agent] == np.arange(c)).all()
+                assert (others[idx[r]] == others[idx[r, 0]]).all()
+            # Rows follow the other agents' digits in mixed-radix order.
+            first = others[idx[:, 0]]
+            assert first.tolist() == sorted(first.tolist())
 
 
 # ------------------------------------------------------ counterexample matrix
@@ -429,7 +513,75 @@ def test_controls_definition_by_hand():
 def test_push_up_invariance_for_serial_quota():
     mech = serial_quota((1, 2), (0, 1), LEX3)
     assert check_push_up_invariance(mech, trials=100, rng_seed=3).holds
-    assert check_own_bundle_push_up(mech).holds
+    report = check_push_up_exhaustive(mech)
+    assert report.holds and report.witness is None
+    assert report.profiles_checked == len(LEX3) ** 2
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sampled_push_up_rejects_non_positive_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        check_push_up_invariance(serial_quota((1, 2), (0, 1), LEX3), trials=trials)
+
+
+@pytest.mark.parametrize("tag,m", [("lex", 2), ("lex", 3), ("lex", 4), ("strict_monotone_all", 3)])
+def test_push_up_matrix_matches_is_push_up(tag, m):
+    cls = class_from_tag(tag, m)
+    up = engine.push_up_matrix(cls)
+    assert up.shape == (len(cls), 1 << m, len(cls)) and not up.flags.writeable
+    for t, base in enumerate(cls.members):
+        for s in range(1 << m):
+            expected = [is_push_up(cand, base, s) for cand in cls.members]
+            assert up[t, s].tolist() == expected
+
+
+def scalar_push_up_witness(table, cls, n):
+    """Lowest (profile, agent, alt) where alt is a push-up of the agent's
+    report with respect to her bundle, by is_push_up, and the row moves."""
+    for idx, i, d, pref, base, out in scalar_deviations(table, cls, n):
+        if out != base and is_push_up(cls.members[d], pref, base[i]):
+            return idx, i, d
+    return None
+
+
+def multi_agent_push_up_holds(table, cls, n):
+    """Whether no profile's allocation moves when any set of agents push
+    their reports up at once (an agent not pushed keeps her report, which
+    is_push_up counts as a push-up of itself)."""
+    rows = [tuple(r) for r in table.tolist()]
+    for idx in range(len(rows)):
+        profile = index_to_profile(idx, cls, n)
+        options = [
+            [q for q in cls.members if is_push_up(q, p, rows[idx][j])]
+            for j, p in enumerate(profile)
+        ]
+        for pushed in product(*options):
+            if rows[profile_index(pushed, cls)] != rows[idx]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+def test_push_up_kernel_matches_scalar_oracles(n, m):
+    cls = lex_class(m)
+    rng = np.random.default_rng(3 * n + m)
+    verdicts = []
+    for table in table_cases(n, m, cls, rng, quotas=4, mutants=4, randoms=4):
+        expected = scalar_push_up_witness(table, cls, n)
+        assert engine.push_up_violation(table, cls, n) == expected
+        assert multi_agent_push_up_holds(table, cls, n) == (expected is None)
+        mech = TableMechanism(n, m, cls, tuple(map(tuple, table.tolist())))
+        report = check_push_up_exhaustive(mech)
+        assert report.holds == (expected is None)
+        if expected is not None:
+            idx, agent, alt = expected
+            pushed = list(index_to_profile(idx, cls, n))
+            pushed[agent] = cls.members[alt]
+            push = profile_index(tuple(pushed), cls)
+            assert report.witness == {"profile_index": idx, "push_profile_index": push}
+            assert replay_witness(mech, report)
+        verdicts.append(report.holds)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_push_up_moves_allocation_for_manipulable_mechanism():

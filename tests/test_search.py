@@ -160,6 +160,12 @@ def test_mutation_requires_partition_base():
         mutate_with_log(QuotaOrdering((1, 1), (0, 1)), lex_class(3), 10)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_mutation_rejects_non_positive_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        mutate_with_log(QuotaOrdering((1, 2), (0, 1)), lex_class(3), trials)
+
+
 def test_mutation_deterministic_per_seed():
     base = QuotaOrdering((1, 2), (0, 1))
     _, log_a = mutate_with_log(base, lex_class(3), 40, seed=9, log_size=40)

@@ -1,6 +1,7 @@
 """JSON round-trips for preferences, mechanisms, instances, and reports."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,14 @@ def test_instance_round_trip():
 def test_instance_rejects_ragged_rows():
     with pytest.raises(ValueError):
         instance_from_json({"valuations": [[[4, 1], [2, 1]], [[1, 1]]]})
+
+
+def test_instance_rejects_too_many_goods_before_building_subset_sums():
+    # 2^19 subset sums would take about a second to build.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="16-good cap"):
+        instance_from_json({"valuations": [[2**g for g in range(19)]]})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_report_json_shape():
