@@ -40,8 +40,8 @@ from .mechanisms import (
     serial_quota,
 )
 from .prefs import (
+    AdditiveStrict,
     additive_class,
-    goods_of,
     lex_class,
     rank_table,
     strict_monotone_class,
@@ -322,14 +322,12 @@ def ac9() -> tuple[bool, str]:
     for mech in mechs:
         n, m = mech.n, mech.m
         for t in range(334):
-            rows = strict_integer_rows(rng, n, m)
-            base = [tuple(Fraction(int(v)) for v in row) for row in rows]
+            inst1 = CardinalInstance.from_values(strict_integer_rows(rng, n, m).tolist())
             if t % 2 == 0:
                 c = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
-                other = [tuple(c * v for v in row) for row in base]
+                other = [tuple(c * v for v in val.values) for val in inst1.valuations]
             else:
-                other = [_perturb_row(row, rng) for row in base]
-            inst1 = CardinalInstance.from_values(base)
+                other = [_perturb_row(val, rng) for val in inst1.valuations]
             inst2 = CardinalInstance.from_values(other)
             for a, b in zip(inst1.valuations, inst2.valuations):
                 if rank_table(a) != rank_table(b):
@@ -337,22 +335,19 @@ def ac9() -> tuple[bool, str]:
             if cardinal_apply(mech, inst1) != cardinal_apply(mech, inst2):
                 return False, (
                     f"allocation moved under ordinally equal valuations: "
-                    f"{base} vs {other}"
+                    f"{inst1} vs {inst2}"
                 )
             pairs += 1
     return True, f"{pairs} ordinally equal pairs, identical allocations"
 
 
-def _perturb_row(row: tuple[Fraction, ...], rng) -> tuple[Fraction, ...]:
+def _perturb_row(val: AdditiveStrict, rng) -> tuple[Fraction, ...]:
     """Shift each value by less than half the smallest subset-sum gap so the
     subset ranking cannot change."""
-    m = len(row)
-    sums = sorted(
-        sum((row[g] for g in goods_of(s)), Fraction(0)) for s in range(1 << m)
-    )
-    gap = min(b - a for a, b in zip(sums, sums[1:]))
+    m = val.m
+    gap = Fraction(int(np.diff(np.sort(val.subset_sums())).min()), val.scale)
     return tuple(
-        v + gap * int(rng.integers(0, 1000)) / (1000 * 4 * m) for v in row
+        v + gap * int(rng.integers(0, 1000)) / (1000 * 4 * m) for v in val.values
     )
 
 

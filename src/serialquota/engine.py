@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import mechanisms as mech_mod
+from .errors import TooLarge
 from .mechanisms import Mechanism, SerialQuota, TableMechanism
 from .prefs import (
     Permutation,
@@ -26,6 +27,8 @@ from .prefs import (
     rank_table,
     strongly_desires,
 )
+
+PROFILE_CAP = 10**7
 
 
 @lru_cache(maxsize=None)
@@ -114,10 +117,15 @@ def perm_image_index(cls: PreferenceClass, n: int, pi: Permutation) -> np.ndarra
 
 
 def allocation_table(mech: Mechanism) -> np.ndarray:
-    """Bundle bitmask per (profile index, agent); shape (C^n, n)."""
+    """Bundle bitmask per (profile index, agent); shape (C^n, n).
+
+    Raises TooLarge above PROFILE_CAP profiles, before any table is built.
+    """
     cls = mech.domain
     c = len(cls)
     n = mech.n
+    if c**n > PROFILE_CAP:
+        raise TooLarge(f"{c}^{n} profiles exceed the {PROFILE_CAP}-profile cap")
     if isinstance(mech, TableMechanism):
         return np.array(mech.table, dtype=np.int32)
     if isinstance(mech, SerialQuota):

@@ -1,17 +1,17 @@
 """Fairness audits: exact maximin shares, EF1 checks, and quota feasibility.
 
 MMS is brute-forced over labeled n-part partitions.  The audits and sweeps
-run on batched int64 kernels over exactly scaled values, tested against the
-rational reference `mms`, `bundle_value` and `check_ef1` (value ties are fine
-there; strictness only matters once a mechanism consumes the instance).
-Audits draw instances from named deterministic families ("identical",
-"targeted") plus a seeded random family, so every reported number is
-reproducible bit for bit.
+run on batched int64 kernels over the integer rows each AdditiveStrict
+stores, tested against the rational reference `mms`, `bundle_value` and
+`check_ef1` (value ties are fine there; strictness only matters once a
+mechanism consumes the instance).  Audits draw instances from named
+deterministic families ("identical", "targeted") plus a seeded random family
+that breaks subset-sum ties instead of redrawing, so every reported number is
+reproducible bit for bit and every m <= MAX_GOODS finishes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, TieDetected, TooLarge
+from .errors import DomainError, TooLarge
 from .mechanisms import (
     Allocation,
     CardinalInstance,
@@ -28,15 +28,16 @@ from .mechanisms import (
     SerialQuota,
     apply_serial_quota,
 )
-from .prefs import MAX_GOODS, AdditiveStrict, Ordering, compare, goods_of
+from .prefs import MAX_GOODS, AdditiveStrict, Ordering, compare, goods_of, tied_rows
 from .properties import PropertyReport
 
 EF1 = "ef1"
 MMS_ASSIGNMENT_CAP = 10**7
 
-# Perturbation used by the deterministic families: good g gets an extra
-# eps * 2^g.  Subset sums stay distinct (integer and eps parts decompose
-# uniquely) while eps * (2^m - 1) < 1, which m <= MAX_GOODS guarantees.
+# Perturbation used by the deterministic families and to break ties in random
+# rows: good g gets an extra eps * 2^g.  Subset sums stay distinct (integer
+# and eps parts decompose uniquely) while eps * (2^m - 1) < 1, which
+# m <= MAX_GOODS guarantees.  Rows carrying it are stored scaled by 1/eps.
 EPS = Fraction(1, 10**6)
 
 
@@ -152,12 +153,9 @@ def ef1_quota_feasibility(q: Sequence[int]) -> bool:
 
 def identical_instance(n: int, m: int) -> CardinalInstance:
     """Near-identical goods: value 1 + eps*2^g, shared by every agent."""
-    row = tuple(1 + EPS * 2**g for g in range(m))
-    return CardinalInstance.from_values([row] * n)
-
-
-def _descending_row(m: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(2 ** (m - g)) for g in range(m))
+    scale = EPS.denominator
+    row = AdditiveStrict(tuple(scale + 2**g for g in range(m)), scale)
+    return CardinalInstance((row,) * n)
 
 
 def targeted_instances(mech: Mechanism) -> list[CardinalInstance]:
@@ -172,19 +170,19 @@ def targeted_instances(mech: Mechanism) -> list[CardinalInstance]:
         return []
     q, p = mech.quota.q, mech.quota.p
     n, m = mech.n, mech.m
-    base = _descending_row(m)
+    base = AdditiveStrict(tuple(2 ** (m - g) for g in range(m)))
+    scale = EPS.denominator
     out = []
     for pos in range(n - 1):
         if q[pos] < 2:
             continue
-        profile = tuple(AdditiveStrict(base) for _ in range(n))
-        target = apply_serial_quota(mech.quota, profile, m).bundles[p[pos]]
+        target = apply_serial_quota(mech.quota, (base,) * n, m).bundles[p[pos]]
         special = tuple(
-            base[g] if target >> g & 1 else EPS * 2**g for g in range(m)
+            base.row[g] * scale if target >> g & 1 else 2**g for g in range(m)
         )
         rows = [base] * n
-        rows[p[-1]] = special
-        out.append(CardinalInstance.from_values(rows))
+        rows[p[-1]] = AdditiveStrict(special, scale)
+        out.append(CardinalInstance(tuple(rows)))
     return out
 
 
@@ -192,19 +190,10 @@ def targeted_instances(mech: Mechanism) -> list[CardinalInstance]:
 def random_instances(
     n: int, m: int, count: int, seed: int
 ) -> tuple[CardinalInstance, ...]:
-    """Uniform integer values in [1, 1000], rows resampled on subset-sum ties."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        rows = []
-        while len(rows) < n:
-            vals = tuple(int(v) for v in rng.integers(1, 1001, size=m))
-            try:
-                rows.append(AdditiveStrict(vals))
-            except TieDetected:
-                continue
-        out.append(CardinalInstance(tuple(rows)))
-    return tuple(out)
+    """Rows from `strict_integer_rows`: uniform integer values in [1, 1000],
+    a tied row broken to value * 10^6 + 2^g."""
+    rows = strict_integer_rows(np.random.default_rng(seed), count * n, m)
+    return tuple(map(CardinalInstance.from_values, rows.reshape(count, n, m).tolist()))
 
 
 def generate_instances(mech: Mechanism, spec: GeneratorSpec) -> list[CardinalInstance]:
@@ -224,20 +213,17 @@ def _descriptor(mech: SerialQuota) -> str:
 
 
 def _integer_values(instances: Sequence[CardinalInstance], n: int, m: int) -> np.ndarray:
-    """Exact int64 values of the instances, shape (count, n, m).
+    """Exact int64 values of the instances, shape (count, n, m): the stored
+    integer rows.
 
-    Each valuation row is scaled by the LCM of its denominators.  A positive
-    per-agent factor changes neither that agent's MMS ratio nor its EF1
-    comparisons, and keeps its subset sums distinct.  Generated rows at
-    m <= MAX_GOODS sum to less than 2^40, far inside int64.
+    Dropping a row's scale multiplies that agent's values by a positive
+    factor, which changes neither its MMS ratio nor its EF1 comparisons.
+    AdditiveStrict keeps every row sum below 2^62, inside int64.
     """
-    rows = []
     for inst in instances:
         if (inst.n, inst.m) != (n, m):
             raise DomainError(f"instance is ({inst.n},{inst.m}), mechanism is ({n},{m})")
-        for valuation in inst.valuations:
-            scale = math.lcm(*(v.denominator for v in valuation.values))
-            rows.append([int(v * scale) for v in valuation.values])
+    rows = [valuation.row for inst in instances for valuation in inst.valuations]
     return np.array(rows, dtype=np.int64).reshape(len(instances), n, m)
 
 
@@ -268,23 +254,17 @@ def ef1_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
     return FairnessAudit(_descriptor(mech), len(instances), None, violations)
 
 
-def _subset_bit_matrix(m: int) -> np.ndarray:
-    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int64)
-
-
 def strict_integer_rows(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
-    """Value rows drawn uniformly from [1, 1000], redrawn until every row has
-    all-distinct subset sums."""
-    bits = _subset_bit_matrix(m)
-    out = rng.integers(1, 1001, size=(rows, m)).astype(np.int64)
-    while True:
-        sums = out @ bits.T
-        sums.sort(axis=1)
-        bad = (np.diff(sums, axis=1) == 0).any(axis=1)
-        count = int(bad.sum())
-        if not count:
-            return out
-        out[bad] = rng.integers(1, 1001, size=(count, m))
+    """int64 value rows with all-distinct subset sums, shape (rows, m).
+
+    One draw, uniform in [1, 1000].  A row whose subset sums tie becomes
+    row * 10^6 + 2^g at good g, which is row + eps*2^g scaled by 1/eps; no
+    further numbers are drawn, so the generator finishes at every m.
+    """
+    out = rng.integers(1, 1001, size=(rows, m), dtype=np.int64)
+    tied = tied_rows(out)
+    out[tied] = out[tied] * EPS.denominator + (1 << np.arange(m))
+    return out
 
 
 def _apply_quota_int(q, p, vals: np.ndarray) -> np.ndarray:
@@ -398,7 +378,7 @@ def rho_floor_sweep(
     first = None
     if not holds:
         i = int(np.nonzero(viol.any(axis=1))[0][0])
-        first = CardinalInstance.from_values([tuple(int(v) for v in row) for row in vals[i]])
+        first = CardinalInstance.from_values(vals[i].tolist())
     return holds, _worst_ratio(got, shares), first
 
 
@@ -418,7 +398,7 @@ def ef1_random_sweep(
     if not bad.size:
         return 0, None
     k = int(bad[0])
-    inst = CardinalInstance.from_values([tuple(int(v) for v in row) for row in vals[k]])
+    inst = CardinalInstance.from_values(vals[k].tolist())
     i, j = int(first_pair[k, 0]), int(first_pair[k, 1])
     return int(bad.size), (inst, i, j)
 

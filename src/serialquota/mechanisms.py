@@ -10,7 +10,6 @@ one of truthfulness / non-bossiness / neutrality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -139,7 +138,8 @@ class CardinalInstance:
 
     @classmethod
     def from_values(cls, rows) -> "CardinalInstance":
-        return cls(tuple(AdditiveStrict(tuple(Fraction(v) for v in row)) for row in rows))
+        """One AdditiveStrict per row of exact rationals."""
+        return cls(tuple(AdditiveStrict(tuple(row)) for row in rows))
 
 
 @dataclass(frozen=True)

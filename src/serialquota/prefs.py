@@ -7,8 +7,10 @@ on all 2^m subsets that extends set inclusion.  Three representations:
 * RankTable: explicit rank per subset, rank 0 = worst.
 * Lexicographic: determined by an ordering of the goods; the first good (in
   that ordering) present in exactly one of two sets decides the comparison.
-* AdditiveStrict: exact-rational values per good with all subset sums
-  distinct; subsets compare by total value.
+* AdditiveStrict: an integer row and a positive scale, good g being worth
+  row[g] / scale, with all subset sums distinct; subsets compare by total
+  value.  Rational inputs are brought to this one exact integer form on
+  construction, and subset sums are int64 products with the bitmask table.
 
 All values are immutable and hashable; every operation is a pure function.
 """
@@ -16,10 +18,14 @@ All values are immutable and hashable; every operation is a pure function.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations as _permutations
+
+import numpy as np
 
 from .errors import (
     EnumerationTooLarge,
@@ -39,6 +45,8 @@ STRICT_ADDITIVE = "strict_additive"
 EXPLICIT = "explicit"
 
 MAX_GOODS = 16
+# AdditiveStrict rows sum below this, so every int64 subset sum is exact.
+ROW_SUM_CAP = 1 << 62
 LEX_ENUM_CAP = 8
 STRICT_MONOTONE_ENUM_CAP = 3
 
@@ -178,39 +186,75 @@ class Lexicographic:
         return r
 
 
-def _subset_sums(values: tuple[Fraction, ...]) -> list[Fraction]:
-    sums = [Fraction(0)]
-    for v in values:
-        sums += [s + v for s in sums]
-    return sums
+@lru_cache(maxsize=None)
+def subset_bits(m: int) -> np.ndarray:
+    """bits[s, g] = 1 iff good g is in subset s; int64, shape (2^m, m)."""
+    out = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    out.setflags(write=False)
+    return out
+
+
+def tied_rows(rows: np.ndarray) -> np.ndarray:
+    """Whether each int64 value row (shape (count, m)) has two equal subset
+    sums.  Rows go in chunks of about 2^22 sums (32 MB), so a batch at
+    m = 16 never holds all its sums at once."""
+    count, m = rows.shape
+    bits = subset_bits(m).T
+    step = max(1, (1 << 22) >> m)
+    out = np.zeros(count, dtype=bool)
+    for lo in range(0, count, step):
+        sums = rows[lo : lo + step] @ bits
+        sums.sort(axis=1)
+        out[lo : lo + step] = (np.diff(sums, axis=1) == 0).any(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
 class AdditiveStrict:
-    """Additive valuation with pairwise-distinct subset sums (exact rationals)."""
+    """Additive valuation with pairwise-distinct subset sums: good g is worth
+    row[g] / scale.
 
-    values: tuple[Fraction, ...]
+    Any rationals given as row (and an integer scale) are stored in canonical
+    form: non-negative ints, a positive scale and gcd(scale, *row) == 1, so
+    equal valuations compare and hash equal.
+    """
+
+    row: tuple[int, ...]
+    scale: int = 1
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if any(v < 0 for v in vals):
+        if not all(isinstance(v, numbers.Rational) for v in self.row):
+            raise ValueError(f"values must be exact rationals: {self.row}")
+        if not isinstance(self.scale, numbers.Integral) or self.scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {self.scale!r}")
+        den = math.lcm(*(int(v.denominator) for v in self.row))
+        ints = [int(v.numerator) * (den // int(v.denominator)) for v in self.row]
+        scale = int(self.scale) * den
+        g = math.gcd(scale, *ints)
+        row = tuple(v // g for v in ints)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "scale", scale // g)
+        if any(v < 0 for v in row):
             raise ValueError("values must be non-negative")
-        if len(vals) > MAX_GOODS:
-            raise ValueError(f"{len(vals)} goods above the {MAX_GOODS}-good cap")
-        sums = _subset_sums(vals)
-        if len(set(sums)) != len(sums):
-            raise TieDetected(f"subset-sum collision in {vals}")
+        if len(row) > MAX_GOODS:
+            raise ValueError(f"{len(row)} goods above the {MAX_GOODS}-good cap")
+        if sum(row) >= ROW_SUM_CAP:
+            raise ValueError(f"scaled values sum to 2^62 or more: {row}")
+        if tied_rows(np.array([row], dtype=np.int64))[0]:
+            raise TieDetected(f"subset-sum collision in {self.values}")
 
     @property
     def m(self) -> int:
-        return len(self.values)
+        return len(self.row)
 
-    def value_of(self, s: Mask) -> Fraction:
-        total = Fraction(0)
-        for g in goods_of(s):
-            total += self.values[g]
-        return total
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The exact value of each good."""
+        return tuple(Fraction(v, self.scale) for v in self.row)
+
+    def subset_sums(self) -> np.ndarray:
+        """sums[s] = scale times the value of subset s; int64, shape (2^m,)."""
+        return subset_bits(self.m) @ np.array(self.row, dtype=np.int64)
 
     def rank_of(self, s: Mask) -> int:
         return rank_table(self)[s]
@@ -227,12 +271,10 @@ def rank_table(pref: Preference) -> tuple[int, ...]:
         return pref.rank
     if isinstance(pref, Lexicographic):
         return tuple(pref.rank_of(s) for s in range(1 << m))
-    sums = _subset_sums(pref.values)
-    order = sorted(range(1 << m), key=lambda s: sums[s])
-    rank = [0] * (1 << m)
-    for pos, s in enumerate(order):
-        rank[s] = pos
-    return tuple(rank)
+    order = np.argsort(pref.subset_sums())
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return tuple(rank.tolist())
 
 
 def compare(pref: Preference, s: Mask, t: Mask) -> Ordering:
@@ -243,7 +285,9 @@ def compare(pref: Preference, s: Mask, t: Mask) -> Ordering:
     if s == t:
         raise IdenticalSets(f"compare({s}, {s})")
     if isinstance(pref, AdditiveStrict):
-        return Ordering.LESS if pref.value_of(s) < pref.value_of(t) else Ordering.GREATER
+        row = pref.row
+        gain = sum(row[g] for g in goods_of(t)) - sum(row[g] for g in goods_of(s))
+        return Ordering.LESS if gain > 0 else Ordering.GREATER
     return Ordering.LESS if pref.rank_of(s) < pref.rank_of(t) else Ordering.GREATER
 
 
@@ -265,7 +309,7 @@ def demand(pref: Preference, pool: Mask, k: int) -> Mask:
                     break
         return out
     if isinstance(pref, AdditiveStrict):
-        top = sorted(goods_of(pool), key=lambda g: pref.values[g], reverse=True)
+        top = sorted(goods_of(pool), key=lambda g: pref.row[g], reverse=True)
         return mask_of(top[:k])
     best = 0
     rank = rank_table(pref)
@@ -280,10 +324,10 @@ def permute_preference(pref: Preference, pi: Permutation) -> Preference:
     if isinstance(pref, Lexicographic):
         return Lexicographic(tuple(pi.map[g] for g in pref.order))
     if isinstance(pref, AdditiveStrict):
-        vals = [Fraction(0)] * pref.m
-        for i, v in enumerate(pref.values):
-            vals[pi.map[i]] = v
-        return AdditiveStrict(tuple(vals))
+        row = [0] * pref.m
+        for i, v in enumerate(pref.row):
+            row[pi.map[i]] = v
+        return AdditiveStrict(tuple(row), pref.scale)
     old = pref.rank
     rank = [0] * len(old)
     for s in range(len(old)):
@@ -298,7 +342,7 @@ def induce(pref: Preference, w: Mask) -> Preference:
         remap = {g: i for i, g in enumerate(goods)}
         return Lexicographic(tuple(remap[g] for g in pref.order if g in remap))
     if isinstance(pref, AdditiveStrict):
-        return AdditiveStrict(tuple(pref.values[g] for g in goods))
+        return AdditiveStrict(tuple(pref.row[g] for g in goods), pref.scale)
     mm = len(goods)
     spread = []
     for s in range(1 << mm):
@@ -393,11 +437,24 @@ class PreferenceClass:
             raise NotEnumerable(self.tag)
         return len(self.members)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Hashing the members walks all C of them; the class is frozen, so
+        # the caches keyed on it pay that once.
+        return hash((self.tag, self.m, self.members))
+
+    @cached_property
+    def _member_index(self) -> dict[tuple[int, ...], int]:
+        return {rank_table(p): i for i, p in enumerate(self.members)}
+
     def index_of(self, pref: Preference) -> int:
         """Index of the member order-identical to pref."""
         if not self.enumerable:
             raise NotEnumerable(self.tag)
-        idx = _member_index(self).get(rank_table(pref))
+        idx = self._member_index.get(rank_table(pref))
         if idx is None:
             raise NotInClass(f"preference not in class {self.tag}(m={self.m})")
         return idx
@@ -405,7 +462,7 @@ class PreferenceClass:
     def __contains__(self, pref) -> bool:
         if not self.enumerable:
             return isinstance(pref, AdditiveStrict) and pref.m == self.m
-        return rank_table(pref) in _member_index(self)
+        return rank_table(pref) in self._member_index
 
     def perm_action(self, pi: Permutation) -> tuple[int, ...]:
         """action[i] = index of member i's image under pi (closure required)."""
@@ -413,16 +470,11 @@ class PreferenceClass:
 
 
 @lru_cache(maxsize=None)
-def _member_index(cls: PreferenceClass) -> dict[tuple[int, ...], int]:
-    return {rank_table(p): i for i, p in enumerate(cls.members)}
-
-
-@lru_cache(maxsize=None)
 def _perm_action(cls: PreferenceClass, pi: Permutation) -> tuple[int, ...]:
     out = []
     for p in cls.members:
         image = permute_preference(p, pi)
-        idx = _member_index(cls).get(rank_table(image))
+        idx = cls._member_index.get(rank_table(image))
         if idx is None:
             raise InvalidDomain(f"class {cls.tag} not closed under {pi.map}")
         out.append(idx)

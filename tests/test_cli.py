@@ -1,10 +1,15 @@
 """Exit-code contract and report determinism for the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import serialquota
 from serialquota import PropertyReport, replay_witness
 from serialquota.cli import main
 from serialquota.serialize import mechanism_from_json
@@ -209,6 +214,66 @@ def test_fairness_rejects_too_many_goods_before_building_instances(capsys):
     assert code == 2
     assert "m <= 16" in capsys.readouterr().err
     assert elapsed < 1.0
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, killed after 60 s so a hang fails."""
+    src = str(Path(serialquota.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "serialquota", *args], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize("args", [
+    "fairness ef1 --q 1,9 --m 10 --family random --count 1",
+    "fairness ef1 --q 1,1,14 --m 16",
+    "fairness mms --q 1,15 --m 16",
+])
+def test_fairness_random_family_finishes_at_large_m(args):
+    # Most random rows tie at m = 10 and every row ties from m = 14 on.
+    done = run_cli(*args.split(), "--no-timestamp")
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stderr == ""
+
+
+def test_fairness_mms_above_the_partition_cap_is_one_line():
+    done = run_cli("fairness", "mms", "--q", "1,1,14", "--m", "16", "--no-timestamp")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: 3^16 partitions exceed the brute-force cap\n"
+
+
+def test_check_rejects_values_past_the_int64_guard(mech_file, capsys):
+    member = {"kind": "additive", "values": [[4611686018427387904, 1], [1, 1]]}
+    payload = {
+        "kind": "serial_quota", "q": [1, 1], "p": [0, 1], "m": 2,
+        "class": {"tag": "explicit", "m": 2, "members": [
+            {"kind": "lex", "order": [0, 1]}, {"kind": "lex", "order": [1, 0]}, member,
+        ]},
+    }
+    code = main(["check", "--mech", mech_file(payload), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "2^62" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--mech", None],
+    ["verify", "--mode", "mutate", "--n", "2", "--m", "8"],
+])
+def test_profile_cap_stops_before_building_tables(args, mech_file, capsys):
+    # lex over 8 goods has 40320 members: 1.6 * 10^9 profiles at n = 2.
+    big = {"kind": "serial_quota", "q": [1, 7], "p": [0, 1], "m": 8}
+    args = [mech_file(big) if a is None else a for a in args]
+    start = time.perf_counter()
+    code = main([*args, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: 40320^2 profiles exceed the 10000000-profile cap\n"
+    assert time.perf_counter() - start < 5
 
 
 def test_reports_are_byte_identical_without_timestamp(tmp_path, capsys):

@@ -1,14 +1,20 @@
 """Fairness layer: maximin shares, EF1, the quota feasibility rule, and the
 seeded integer sweeps (checked against the generic exact-rational route)."""
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import serialquota
 from serialquota import (
     CardinalInstance,
     DomainError,
@@ -302,6 +308,58 @@ def test_strict_integer_rows_have_distinct_subset_sums():
         assert len(sums) == 1 << 5
 
 
+def distinct_subset_sums(row) -> bool:
+    sums = {sum(int(row[g]) for g in range(len(row)) if s >> g & 1) for s in range(1 << len(row))}
+    return len(sums) == 1 << len(row)
+
+
+def test_strict_integer_rows_break_ties_without_drawing_again():
+    """Untied rows are the first draw; a tied row becomes first * 10^6 + 2^g
+    (first + eps * 2^g scaled by 1/eps) and nothing more is drawn."""
+    rows, m = 200, 6
+    first = np.random.default_rng(3).integers(1, 1001, size=(rows, m))
+    rng = np.random.default_rng(3)
+    out = strict_integer_rows(rng, rows, m)
+    tied = [not distinct_subset_sums(row) for row in first]
+    assert 0 < sum(tied) < rows
+    for row, draw, was_tied in zip(out, first, tied):
+        if was_tied:
+            assert row.tolist() == [int(v) * 10**6 + 2**g for g, v in enumerate(draw)]
+            assert distinct_subset_sums(row)
+        else:
+            assert row.tolist() == draw.tolist()
+    follow = np.random.default_rng(3)
+    follow.integers(1, 1001, size=(rows, m))
+    assert rng.integers(1 << 30) == follow.integers(1 << 30)
+
+
+def test_random_instances_are_the_generator_rows():
+    n, m, count, seed = 2, 6, 50, 5
+    rows = strict_integer_rows(np.random.default_rng(seed), count * n, m)
+    insts = random_instances(n, m, count, seed)
+    assert [v.values for inst in insts for v in inst.valuations] == [
+        tuple(int(v) for v in row) for row in rows
+    ]
+    assert (rows > 1000).any()  # some rows had ties to break
+
+
+@given(st.lists(st.lists(st.fractions(1, 60, max_denominator=12), min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_integer_values_match_lcm_scaling(rows):
+    """The stored integer rows are each row scaled by the LCM of its denominators."""
+    try:
+        inst = CardinalInstance.from_values(rows)
+    except serialquota.TieDetected:
+        return
+    from serialquota.fairness import _integer_values
+
+    expected = []
+    for row in rows:
+        scale = math.lcm(*(v.denominator for v in row))
+        expected.append([int(v * scale) for v in row])
+    assert _integer_values([inst], len(rows), 3).tolist() == [expected]
+
+
 def test_quota_sweep_matches_generic_application():
     """The argsort-top-k fast path agrees with apply_serial_quota."""
     rng = np.random.default_rng(7)
@@ -359,6 +417,17 @@ def test_ef1_random_sweep_matches_check_ef1():
 
     clean_quota = canonicalize((1, 1, 1), (0, 1, 2), 3)
     assert ef1_random_sweep(clean_quota, 3, 60, seed=5) == (0, None)
+
+
+def test_rho_floor_sweep_finishes_where_every_row_ties():
+    # From m = 14 on, 2^m subsets share at most 1000 m + 1 sums, so every
+    # drawn row ties; a generator that redraws never returns.
+    src = str(Path(serialquota.__file__).resolve().parents[1])
+    code = "from serialquota.fairness import rho_floor_sweep; print(rho_floor_sweep(2, 14, 1, 0)[0])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
 
 
 # ---------------------------------------------------------------- bound formula

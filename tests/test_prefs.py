@@ -131,6 +131,59 @@ def test_additive_rejects_subset_sum_collision():
         AdditiveStrict((Fraction(1), Fraction(2), Fraction(3)))
 
 
+def test_additive_stores_one_canonical_integer_form():
+    pref = AdditiveStrict(INTRO_VALS)
+    assert (pref.row, pref.scale) == ((1100, 1001, 1000), 100)
+    assert pref.values == INTRO_VALS
+    same = AdditiveStrict((2200, 2002, 2000), 200)
+    assert same == pref and hash(same) == hash(pref)
+    assert AdditiveStrict((4, 2, 1), 2) == AdditiveStrict((2, 1, Fraction(1, 2)))
+    with pytest.raises(ValueError):
+        AdditiveStrict((1, 2), 0)
+    with pytest.raises(ValueError):
+        AdditiveStrict((0.5, 2))
+
+
+def test_additive_rejects_rows_past_the_int64_guard():
+    top = AdditiveStrict((2**62 - 2, 1))
+    assert rank_table(top) == (0, 2, 1, 3)
+    with pytest.raises(ValueError, match="2\\^62"):
+        AdditiveStrict((2**62 - 1, 1))
+    with pytest.raises(ValueError, match="2\\^62"):
+        AdditiveStrict((Fraction(2**62, 3), Fraction(1, 3)))
+
+
+def fraction_subset_sums(values):
+    """Subset sums in exact rationals, indexed by bitmask."""
+    return [
+        sum((v for g, v in enumerate(values) if s >> g & 1), Fraction(0))
+        for s in range(1 << len(values))
+    ]
+
+
+@given(st.lists(st.fractions(0, 60, max_denominator=12), max_size=6))
+def test_integer_rank_table_matches_fraction_sort(values):
+    """The int64 subset sums rank subsets exactly as rational sums do, and
+    reject a row exactly when two rational sums tie."""
+    sums = fraction_subset_sums(values)
+    if len(set(sums)) < len(sums):
+        with pytest.raises(TieDetected):
+            AdditiveStrict(tuple(values))
+        return
+    pref = AdditiveStrict(tuple(values))
+    assert pref.values == tuple(values)
+    order = sorted(range(len(sums)), key=lambda s: sums[s])
+    expected = [0] * len(sums)
+    for pos, s in enumerate(order):
+        expected[s] = pos
+    assert rank_table(pref) == tuple(expected)
+    for s in range(len(sums)):
+        for t in range(len(sums)):
+            if s != t:
+                less = sums[s] < sums[t]
+                assert (compare(pref, s, t) is Ordering.LESS) == less
+
+
 def test_strictness_totality_m3():
     """Exactly one direction is Greater, for every enumerated pref and pair."""
     pairs = list(combinations(range(8), 2))
@@ -272,6 +325,12 @@ def test_is_push_up_examples():
     for cand in lex_class(2).members:
         assert is_push_up(cand, base, full_mask(2))
     assert not is_push_up(Lexicographic((1, 0)), base, mask_of([0]))
+
+
+def test_class_hash_is_cached_and_equal_for_equal_classes():
+    a, b = lex_class(4), lex_class(4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert b.index_of(a.members[17]) == 17
 
 
 def test_class_membership_and_index():

@@ -160,6 +160,24 @@ def test_instance_rejects_too_many_goods_before_building_subset_sums():
     assert time.perf_counter() - start < 0.5
 
 
+def test_additive_preference_rejects_values_past_the_int64_guard():
+    with pytest.raises(ValueError, match="2\\^62"):
+        preference_from_json({"kind": "additive", "values": [[4611686018427387904, 1]]})
+    below = preference_from_json({"kind": "additive", "values": [[4611686018427387903, 1]]})
+    assert below.row == (4611686018427387903,)
+
+
+def test_instance_json_is_unchanged_by_integer_storage():
+    inst = CardinalInstance.from_values(
+        ((Fraction(11), Fraction(1001, 100), Fraction(10)), (Fraction(1, 3), 2, Fraction(5, 6)))
+    )
+    assert instance_to_json(inst)["valuations"] == [
+        [[11, 1], [1001, 100], [10, 1]],
+        [[1, 3], [2, 1], [5, 6]],
+    ]
+    assert instance_from_json(through_json(instance_to_json(inst))) == inst
+
+
 def test_report_json_shape():
     mech = serial_quota((1, 1), (0, 1), lex_class(2))
     payload = through_json(report_to_json(check_truthful(mech)))
