@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Sweep the exhaustive characterization over every size under the cap and
-print one verdict line per (n, m, class, mode)."""
+"""Sweep the exhaustive characterization over every (n, m, class, mode) up
+to --max-n and --max-m and print one line each: the verdict, or the cap
+that stopped the search at that size."""
 
 import argparse
 
@@ -19,11 +20,12 @@ def run(max_n: int, max_m: int) -> int:
         for m in range(1, max_m + 1):
             for cls in classes_for(m):
                 for partition_only in (True, False):
+                    mode = "partition" if partition_only else "allocation"
                     try:
                         report = verify_characterization(n, m, cls, partition_only)
-                    except TooLarge:
+                    except TooLarge as exc:
+                        print(f"n={n} m={m} class={cls.tag} {mode}: skipped, {exc}")
                         continue
-                    mode = "partition" if partition_only else "allocation"
                     print(
                         f"n={n} m={m} class={cls.tag} {mode}: {report.verdict} "
                         f"({len(report.satisfying)} tables = {len(report.family)} pairs)"

@@ -390,6 +390,22 @@ def ac10() -> tuple[bool, str]:
     return True, f"{replayed} witnesses replayed, all confirmed"
 
 
+def ac11() -> tuple[bool, str]:
+    """Exhaustive search past the product loop's reach: at (2,3) lex in both
+    modes and (3,3) lex partition, exactly the quota family survives."""
+    parts = []
+    for n, m, partition_only in ((2, 3, True), (2, 3, False), (3, 3, True)):
+        report = verify_characterization(n, m, lex_class(m), partition_only)
+        mode = "partition" if partition_only else "allocation"
+        if report.verdict != "sets-equal" or len(report.satisfying) != len(report.family):
+            return False, (
+                f"({n},{m}) {mode}: verdict={report.verdict}, "
+                f"{len(report.satisfying)} satisfying vs family {len(report.family)}"
+            )
+        parts.append(f"({n},{m}) {mode} {len(report.satisfying)} in {report.nodes} nodes")
+    return True, "sets-equal at " + ", ".join(parts)
+
+
 CRITERIA = (
     ("AC1", "axioms hold for every quota mechanism (exhaustive)", ac1),
     ("AC2", "only quota mechanisms satisfy the axioms at (2,2)", ac2),
@@ -401,6 +417,7 @@ CRITERIA = (
     ("AC8", "push-up reports never move the allocation", ac8),
     ("AC9", "cardinal wrapper depends only on induced preferences", ac9),
     ("AC10", "all emitted witnesses replay standalone", ac10),
+    ("AC11", "only quota mechanisms satisfy the axioms at (2,3) and (3,3)", ac11),
 )
 
 

@@ -76,14 +76,22 @@ def _values_of(valuation) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in valuation)
 
 
+def _partition_gate(n: int, m: int) -> int:
+    """n^m, the labeled partitions an MMS brute force scans; raises TooLarge
+    above MMS_ASSIGNMENT_CAP."""
+    total = n**m
+    if total > MMS_ASSIGNMENT_CAP:
+        raise TooLarge(f"{n}^{m} partitions exceed the brute-force cap")
+    return total
+
+
 def mms(valuation: AdditiveStrict | Sequence, n: int) -> Fraction:
     """Maximin share over labeled partitions of all goods into n parts."""
     if n < 1:
         raise ValueError("need at least one part")
     values = _values_of(valuation)
     m = len(values)
-    if n**m > MMS_ASSIGNMENT_CAP:
-        raise TooLarge(f"{n}^{m} partitions exceed the brute-force cap")
+    _partition_gate(n, m)
     best = None
     for owners in product(range(n), repeat=m):
         parts = [Fraction(0)] * n
@@ -233,6 +241,7 @@ def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
     Each agent's ratio is capped at 1 (the guarantee is fully met); MMS = 0
     makes the bound vacuous, also scored 1.
     """
+    _partition_gate(mech.n, mech.m)  # before any instance is built
     instances = generate_instances(mech, spec)
     worst = None
     if instances:
@@ -296,9 +305,7 @@ def _mms_int_batch(rows: np.ndarray, n: int, block=1 << 16, cells=1 << 22) -> np
     intermediate holds much more than `cells` (row, partition) sums.
     """
     count, m = rows.shape
-    total = n**m
-    if total > MMS_ASSIGNMENT_CAP:
-        raise TooLarge(f"{n}^{m} partitions exceed the brute-force cap")
+    total = _partition_gate(n, m)
     step = min(total, block)
     chunk = max(1, cells // step)
     place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)

@@ -1,17 +1,21 @@
 """Characterization checks: enumerate the quota family, recognize members,
-exhaust tiny mechanism spaces, and falsify single-cell mutants.
+search tiny mechanism spaces exhaustively, and falsify single-cell mutants.
 
 The reverse direction of the characterization (axioms imply serial-quota) is
-verified literally by enumerating every allocation table at each size whose
-table count is at most ENUMERATION_CAP; beyond it the space is
-astronomically big, so the module instead mutates one profile's allocation
+verified literally by a depth-first search over allocation tables: profiles
+are assigned in index order, and each profile only tries the choices that
+agree with the cells already assigned under the pairwise constraints that
+make up truthfulness, non-bossiness and neutrality.  Survivors come out in
+the order of a plain product over all tables, and each one still passes
+through `first_axiom_violation`.  The search stops at NODE_CAP cell
+assignments; beyond it the module instead mutates one profile's allocation
 at a time and confirms each mutant breaks an axiom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .mechanisms import (
 from .prefs import PreferenceClass, full_mask
 from .properties import PropertyReport, first_axiom_violation
 
-ENUMERATION_CAP = 10**7
+NODE_CAP = 10**5
 MUTATION = "mutation_falsification"
 
 VERDICT_EQUAL = "sets-equal"
@@ -46,6 +50,8 @@ class CharacterizationReport:
     family: tuple[QuotaOrdering, ...]
     verdict: str
     counterexample: TableMechanism | None
+    nodes: int
+    prunes: int
 
 
 def enumerate_q(n: int, m: int, partition_only: bool = False) -> list[QuotaOrdering]:
@@ -103,32 +109,166 @@ def _choice_masks(n: int, m: int, partition_only: bool) -> np.ndarray:
     return am[np.bitwise_or.reduce(am, axis=1) == full_mask(m)]
 
 
+def _bit_rows(bits: np.ndarray) -> list:
+    """Python int bitsets over the last axis (bit j set iff bits[..., j]),
+    as nested lists of shape bits.shape[:-1]."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    buf = packed.tobytes()
+    flat = [int.from_bytes(buf[j : j + width], "little") for j in range(0, len(buf), width)]
+    return np.array(flat, dtype=object).reshape(bits.shape[:-1]).tolist()
+
+
+def search_tables(
+    n: int, cls: PreferenceClass, choices: np.ndarray
+) -> tuple[list[list[int]], int, int]:
+    """Every table of choice indices (one per profile) that meets the
+    pairwise constraints making up truthfulness, non-bossiness and
+    neutrality, in `itertools.product` order, with the search's node count
+    (cell assignments) and prune count (profiles left with no candidate).
+
+    Profiles are assigned in index order and choices in ascending order.  A
+    profile's candidates agree with every assigned cell it shares a
+    constraint with:
+
+    - Truthful and non-bossy, between profiles q < p on one row of
+      `engine.deviation_index(c, n, i)`, agent i reporting t at q and d at
+      p: p's agent-i bundle is strictly below q's under t and strictly above
+      it under d, or p repeats q's choice.  The earlier cells of a row fold
+      into a running AND of their t-masks and the set of their bundles, so
+      a profile costs O(n * bundles seen) rather than O(n * c).
+    - Neutral, between p and its image under each generator pi of
+      `engine.neutrality_perms`: the image holds pi applied to p's choice.
+      No profile is its own image, since every member is a strict order and
+      pi.P = P would make pi fix every subset; so there is no unary case.
+
+    Raises TooLarge once the search passes NODE_CAP nodes.
+    """
+    c = len(cls)
+    p_count = c**n
+    k_count = choices.shape[0]
+    full = (1 << k_count) - 1
+    ranks = engine.rank_matrix(cls)  # [member, subset]
+    owners = choices.T.tolist()  # owners[i][k]: agent i's bundle under choice k
+    # below[i][t][k]: choices whose agent-i bundle member t ranks strictly
+    # below choice k's, plus k itself.  above[i][d][s]: choices whose
+    # agent-i bundle member d ranks weakly above subset s.
+    below, above = [], []
+    same = np.eye(k_count, dtype=bool)
+    for i in range(n):
+        r = ranks[:, choices[:, i]]  # [member, choice]
+        below.append(_bit_rows((r[:, None, :] < r[:, :, None]) | same))
+        above.append(_bit_rows(r[:, None, :] >= ranks[:, :, None]))
+    row_of = {tuple(row): k for k, row in enumerate(choices.tolist())}
+    neutral = []  # (image, preimage, bits of pi(k), bits of pi^-1(k))
+    for pi in engine.neutrality_perms(cls.m):
+        renamed = engine.mask_perm_table(pi)[choices].tolist()
+        moved = [row_of[tuple(row)] for row in renamed]
+        back = [0] * k_count
+        for k, j in enumerate(moved):
+            back[j] = 1 << k
+        image = engine.perm_image_index(cls, n, pi)
+        neutral.append(
+            (image.tolist(), np.argsort(image).tolist(), [1 << j for j in moved], back)
+        )
+    weights = engine.radix_powers(c, n).tolist()
+    digits = engine.digit_array(c, n).tolist()
+    agents = list(zip(range(n), weights, below, above, owners))
+    lo_run = [[0] * p_count for _ in range(n)]
+    seen_run = [[0] * p_count for _ in range(n)]
+    ks = [0] * p_count
+
+    def candidates(p: int) -> int:
+        cand = full
+        row = digits[p]
+        for i, w, _, hi, _ in agents:
+            d = row[i]
+            if d:
+                cand &= lo_run[i][p - w]
+                seen = seen_run[i][p - w]
+                while seen:
+                    low = seen & -seen
+                    cand &= hi[d][low.bit_length() - 1]
+                    seen ^= low
+        for image, pre, fwd, back in neutral:
+            q = image[p]
+            if q < p:
+                cand &= back[ks[q]]
+            q = pre[p]
+            if q < p:
+                cand &= fwd[ks[q]]
+        return cand
+
+    rest = [0] * p_count  # untried candidates per assigned profile
+    found = []
+    nodes = 0
+    p = 0
+    cand = candidates(0)
+    prunes = int(not cand)
+    while True:
+        while not cand:
+            p -= 1
+            if p < 0:
+                return found, nodes, prunes
+            cand = rest[p]
+        low = cand & -cand
+        rest[p] = cand ^ low
+        k = low.bit_length() - 1
+        ks[p] = k
+        nodes += 1
+        if nodes > NODE_CAP:
+            raise TooLarge(f"search passed the {NODE_CAP}-node cap; use mutation mode")
+        row = digits[p]
+        for i, w, lo, _, own in agents:
+            if row[i]:
+                lo_run[i][p] = lo_run[i][p - w] & lo[row[i]][k]
+                seen_run[i][p] = seen_run[i][p - w] | 1 << own[k]
+            else:
+                lo_run[i][p] = lo[0][k]
+                seen_run[i][p] = 1 << own[k]
+        if p + 1 == p_count:
+            found.append(list(ks))
+            cand = rest[p]
+        else:
+            p += 1
+            cand = candidates(p)
+            prunes += not cand
+
+
 def verify_characterization(
     n: int,
     m: int,
     cls: PreferenceClass,
     partition_only: bool = True,
 ) -> CharacterizationReport:
-    """Enumerate every allocation table, keep those passing the three axioms
-    (partition mode restricts choices to full partitions), and compare the
-    survivors against the canonical quota family."""
-    p_count = len(cls) ** n
+    """Search every allocation table that passes the three axioms (partition
+    mode restricts choices to full partitions) and compare the survivors
+    against the canonical quota family.
+
+    Raises TooLarge before building anything when the class has more than
+    NODE_CAP profiles or the search's rank masks would number more than
+    NODE_CAP, and during the search once it passes NODE_CAP nodes.
+    """
+    c = len(cls)
     n_choices = (n if partition_only else n + 1) ** m
-    # Gate without building n_choices**p_count, which can have hundreds of
-    # millions of bits: with two or more choices, p_count >= bit_length(cap)
-    # alone puts the count over the cap.
-    if n_choices > 1 and (
-        p_count >= ENUMERATION_CAP.bit_length() or n_choices**p_count > ENUMERATION_CAP
-    ):
+    # With two or more members, n >= bit_length(cap) alone puts c^n over the
+    # cap, so c^n is never built for a huge n.
+    if c > 1 and (n >= NODE_CAP.bit_length() or c**n > NODE_CAP):
         raise TooLarge(
-            f"{n_choices}^{p_count} tables exceed the enumeration cap; use mutation mode"
+            f"{c}^{n} profiles exceed the {NODE_CAP}-node search cap; use mutation mode"
+        )
+    masks = n * c * (n_choices + (1 << m))  # the below and above tables
+    if masks > NODE_CAP:
+        raise TooLarge(
+            f"{masks} rank masks exceed the search cap of {NODE_CAP}; use mutation mode"
         )
     choices = _choice_masks(n, m, partition_only)
+    found, nodes, prunes = search_tables(n, cls, choices)
     satisfying = []
     recognized = []
     counterexample = None
-    for rows in product(range(n_choices), repeat=p_count):
-        table = choices[list(rows)]
+    for ks in found:
+        table = choices[ks]
         if first_axiom_violation(table, cls, n) is not None:
             continue
         mech = TableMechanism(
@@ -148,12 +288,14 @@ def verify_characterization(
         m=m,
         class_tag=cls.tag,
         partition_only=partition_only,
-        tables_enumerated=n_choices**p_count,
+        tables_enumerated=n_choices ** (c**n),
         satisfying=tuple(satisfying),
         recognized=tuple(recognized),
         family=tuple(family),
         verdict=VERDICT_EQUAL if ok else VERDICT_COUNTEREXAMPLE,
         counterexample=counterexample,
+        nodes=nodes,
+        prunes=prunes,
     )
 
 

@@ -8,6 +8,7 @@ loads as its unique canonical twin and an overflowing one raises.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -234,13 +235,25 @@ def audit_to_json(audit: FairnessAudit) -> dict:
     }
 
 
+def _count_to_json(count: int) -> int | str:
+    """count, or its decimal string when CPython refuses to print an int
+    that long (over 4,300 digits by default); Decimal has no such limit."""
+    try:
+        str(count)
+    except ValueError:
+        return str(Decimal(count))
+    return count
+
+
 def characterization_to_json(report: CharacterizationReport) -> dict:
     out: dict[str, Any] = {
         "n": report.n,
         "m": report.m,
         "class": report.class_tag,
         "partition_only": report.partition_only,
-        "tables_enumerated": report.tables_enumerated,
+        "tables_enumerated": _count_to_json(report.tables_enumerated),
+        "nodes": report.nodes,
+        "prunes": report.prunes,
         "satisfying_count": len(report.satisfying),
         "recognized": [quota_to_json(qo) for qo in report.recognized],
         "family": [quota_to_json(qo) for qo in report.family],

@@ -22,6 +22,7 @@ BUDGET_SECONDS = {
     "AC8": 30,
     "AC9": 10,
     "AC10": None,  # no stated budget
+    "AC11": 10,
 }
 
 

@@ -138,10 +138,13 @@ def test_verify_mutation_rejects_non_positive_trials(trials, capsys):
 
 
 def test_verify_exhaustive_over_cap_is_usage_error(capsys):
-    code = main(["verify", "--n", "2", "--m", "3", "--class", "lex",
+    # 120^2 profiles pass the profile gate; the search passes its node cap.
+    code = main(["verify", "--n", "2", "--m", "5", "--class", "lex",
                  "--mode", "exhaustive", "--no-timestamp"])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "cap" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "node cap" in captured.err
 
 
 def test_verify_exhaustive_gate_does_not_build_the_table_count(capsys):

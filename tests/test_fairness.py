@@ -101,6 +101,16 @@ def test_mms_brute_force_cap():
         mms((1, 2), 0)
 
 
+def test_rho_audit_checks_the_cap_before_building_instances(monkeypatch):
+    def no_instances(*args):
+        raise AssertionError("instances were generated")
+
+    monkeypatch.setattr(serialquota.fairness, "generate_instances", no_instances)
+    mech = serial_quota((1, 1, 14), (0, 1, 2), additive_class(16))
+    with pytest.raises(TooLarge, match="3\\^16 partitions"):
+        rho_mms_audit(mech, GeneratorSpec(3, 16))
+
+
 def test_bundle_value():
     assert bundle_value((4, 2, 1), 0b101) == 5
     assert bundle_value((4, 2, 1), 0) == 0

@@ -1,11 +1,14 @@
 """Characterization machinery: the canonical quota family, recognition,
-exhaustive table enumeration at (2,2), and mutation falsification.
+the exhaustive profile search against a brute-force product oracle, and
+mutation falsification.
 
 Frozen family sizes were derived by hand from the counting identity
 |Q(n,m)| = sum over k of m!/(m-k)! restricted compositions; the partition
 column is the compositions of m into at most n positive parts times the
 arrangements of their owners.
 """
+
+from itertools import product
 
 import pytest
 
@@ -20,11 +23,17 @@ from serialquota import (
     strict_monotone_class,
     verify_characterization,
 )
+from serialquota import search
+from serialquota.engine import neutrality_perms
 from serialquota.mechanisms import SerialQuota, TableMechanism, apply
+from serialquota.prefs import class_from_tag
+from serialquota.properties import first_axiom_violation
 from serialquota.search import (
     VERDICT_COUNTEREXAMPLE,
     VERDICT_EQUAL,
+    _choice_masks,
     mutate_with_log,
+    search_tables,
 )
 
 FAMILY_SIZES = {
@@ -82,8 +91,6 @@ def test_recognition_rejects_non_quota_mechanisms():
 def test_table_disguise_is_still_recognized():
     cls = lex_class(2)
     sq = serial_quota((1, 1), (1, 0), cls)
-    from itertools import product
-
     rows = tuple(
         apply(sq, profile).bundles for profile in product(cls.members, repeat=2)
     )
@@ -109,9 +116,86 @@ def test_characterization_with_unallocated_goods():
     assert report.tables_enumerated == 9**4  # 3^2 choices with a "nobody" option
 
 
-def test_characterization_cap():
-    with pytest.raises(TooLarge):
-        verify_characterization(2, 3, lex_class(3))
+def test_characterization_cap(monkeypatch):
+    report = verify_characterization(2, 3, lex_class(3))
+    assert report.verdict == VERDICT_EQUAL
+    assert len(report.satisfying) == 6
+
+    # 48^3 = 110,592 profiles are refused before the search runs.
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "search_tables", no_search)
+    with pytest.raises(TooLarge, match="48\\^3 profiles exceed .* cap"):
+        verify_characterization(3, 3, strict_monotone_class(3))
+    # 5040 profiles, but 5040 * (128 + 128) rank masks at (1,7) allocation.
+    with pytest.raises(TooLarge, match="rank masks exceed .* cap"):
+        verify_characterization(1, 7, lex_class(7), partition_only=False)
+    monkeypatch.undo()
+    with pytest.raises(TooLarge, match="node cap"):
+        verify_characterization(3, 3, lex_class(3), partition_only=False)
+
+
+# (n, m, tag, partition_only, survivors, nodes): sizes the product loop's
+# 10^7-table cap refused.
+SEARCH_VERDICTS = [
+    (2, 3, "lex", True, 6, 388),
+    (2, 3, "lex", False, 13, 2698),
+    (3, 3, "lex", True, 21, 67742),
+    (2, 4, "lex", True, 8, 34546),
+    (2, 3, "strict_monotone_all", True, 6, 33331),
+]
+
+
+@pytest.mark.parametrize("n,m,tag,partition_only,survivors,nodes", SEARCH_VERDICTS)
+def test_search_verdicts_past_the_product_cap(n, m, tag, partition_only, survivors, nodes):
+    report = verify_characterization(n, m, class_from_tag(tag, m), partition_only)
+    assert report.verdict == VERDICT_EQUAL
+    assert len(report.satisfying) == len(report.family) == survivors
+    assert report.nodes == nodes
+    assert report.prunes > 0
+
+
+def _oracle_sizes(limit=10**4):
+    """Every (n <= 3, m <= 3, class, mode) whose product loop runs at most
+    `limit` tables."""
+    out = []
+    for n, m, tag, partition_only in product(
+        (1, 2, 3), (1, 2, 3), ("lex", "strict_monotone_all"), (True, False)
+    ):
+        choices = (n if partition_only else n + 1) ** m
+        profiles = len(class_from_tag(tag, m)) ** n
+        if choices ** profiles <= limit:
+            out.append((n, m, tag, partition_only))
+    return out
+
+
+@pytest.mark.parametrize("n,m,tag,partition_only", _oracle_sizes())
+def test_search_matches_the_product_oracle(n, m, tag, partition_only):
+    """The search's complete tables, before the final axiom check, are
+    exactly the tables a product loop over every table keeps, in its order."""
+    cls = class_from_tag(tag, m)
+    choices = _choice_masks(n, m, partition_only)
+    oracle = [
+        list(rows)
+        for rows in product(range(len(choices)), repeat=len(cls) ** n)
+        if first_axiom_violation(choices[list(rows)], cls, n) is None
+    ]
+    found, _, _ = search_tables(n, cls, choices)
+    assert found == oracle
+    report = verify_characterization(n, m, cls, partition_only)
+    tables = [tuple(map(tuple, choices[rows].tolist())) for rows in oracle]
+    assert [mech.table for mech in report.satisfying] == tables
+
+
+@pytest.mark.parametrize("tag,m", [("lex", 2), ("lex", 3), ("lex", 4),
+                                   ("strict_monotone_all", 3)])
+def test_no_member_is_fixed_by_a_neutrality_generator(tag, m):
+    """Why the search has no unary neutral constraint: no profile is its
+    own image, because no member is."""
+    cls = class_from_tag(tag, m)
+    for pi in neutrality_perms(m):
+        assert all(image != i for i, image in enumerate(cls.perm_action(pi)))
 
 
 def test_mutants_always_break_an_axiom():
@@ -135,8 +219,6 @@ def test_mutation_log_replays_by_hand():
     report, log = mutate_with_log(base, cls, 25, seed=11, log_size=25)
     assert report.holds and len(log) == 25
     sq = serial_quota(base.q, base.p, cls)
-    from itertools import product
-
     rows = [
         apply(sq, profile).bundles for profile in product(cls.members, repeat=2)
     ]

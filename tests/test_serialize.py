@@ -1,7 +1,9 @@
 """JSON round-trips for preferences, mechanisms, instances, and reports."""
 
+import dataclasses
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -209,3 +211,13 @@ def test_characterization_json_lists_survivors():
     assert payload["satisfying_count"] == 4
     assert len(payload["recognized"]) == 4
     assert "counterexample" not in payload
+    assert payload["tables_enumerated"] == 4**4
+    assert payload["nodes"] > 0 and payload["prunes"] >= 0
+
+
+def test_characterization_json_prints_any_table_count():
+    # 32^14400 has 21,675 digits, past CPython's default int printing limit.
+    report = verify_characterization(2, 2, lex_class(2), partition_only=True)
+    huge = dataclasses.replace(report, tables_enumerated=32**14400)
+    payload = through_json(characterization_to_json(huge))
+    assert payload["tables_enumerated"] == str(Decimal(32**14400))
