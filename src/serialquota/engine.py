@@ -116,6 +116,16 @@ def perm_image_index(cls: PreferenceClass, n: int, pi: Permutation) -> np.ndarra
     return out
 
 
+@lru_cache(maxsize=None)
+def perm_preimage_index(cls: PreferenceClass, n: int, pi: Permutation) -> np.ndarray:
+    """pre[idx] = index of the profile whose image under pi is idx."""
+    image = perm_image_index(cls, n, pi)
+    out = np.empty_like(image)
+    out[image] = np.arange(image.size)
+    out.setflags(write=False)
+    return out
+
+
 def allocation_table(mech: Mechanism) -> np.ndarray:
     """Bundle bitmask per (profile index, agent); shape (C^n, n).
 
@@ -157,6 +167,16 @@ def deviation_index(c: int, n: int, agent: int) -> np.ndarray:
     return out
 
 
+def _deviation_rows(c: int, n: int, agent: int, at: int | None) -> np.ndarray:
+    """deviation_index(c, n, agent), or only its row holding profile `at`."""
+    idx = deviation_index(c, n, agent)
+    if at is None:
+        return idx
+    w = c ** (n - 1 - agent)  # agent's digit weight
+    r = at // (w * c) * w + at % w
+    return idx[r : r + 1]
+
+
 def _columns_move(table: np.ndarray, idx: np.ndarray, cols) -> np.ndarray:
     """moved[r, t, d]: some column in cols (at least one) differs between
     profiles idx[r, t] and idx[r, d]."""
@@ -181,28 +201,37 @@ def _lowest_deviation(viol: np.ndarray, idx: np.ndarray, c: int, agent: int):
     return key // c, agent, key % c
 
 
-def truthful_violation(table: np.ndarray, cls: PreferenceClass, n: int):
-    """Lowest (profile_idx, agent, alt_member) where the deviation strictly gains."""
+def truthful_violation(
+    table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
+):
+    """Lowest (profile_idx, agent, alt_member) where the deviation strictly gains.
+
+    With `at`, only each agent's deviation row holding profile `at` is
+    scanned; those rows hold every violation that involves `at`.
+    """
     c = len(cls)
     by_subset = np.ascontiguousarray(rank_matrix(cls).T)  # [s, t]: t's rank of s
     diag = np.arange(c)
     hits = []
     for i in range(n):
-        idx = deviation_index(c, n, i)
+        idx = _deviation_rows(c, n, i, at)
         rt = by_subset[table[:, i][idx]]  # [r, d, t]: t's rank of d's bundle
         gain = rt > rt[:, diag, diag][:, None, :]
         hits.append(_lowest_deviation(gain.transpose(0, 2, 1), idx, c, i))
     return min(filter(None, hits), default=None)
 
 
-def nonbossy_violation(table: np.ndarray, cls: PreferenceClass, n: int):
-    """Lowest (profile_idx, agent, alt_member) where own bundle holds but others move."""
+def nonbossy_violation(
+    table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
+):
+    """Lowest (profile_idx, agent, alt_member) where own bundle holds but
+    others move; with `at`, only on each agent's deviation row holding it."""
     if n < 2:
         return None  # no one else to move
     c = len(cls)
     hits = []
     for i in range(n):
-        idx = deviation_index(c, n, i)
+        idx = _deviation_rows(c, n, i, at)
         b = table[:, i][idx]
         viol = b[:, :, None] == b[:, None, :]
         viol &= _columns_move(table, idx, [j for j in range(n) if j != i])
@@ -247,17 +276,25 @@ def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     return min(filter(None, hits), default=None)
 
 
-def neutrality_violation(table: np.ndarray, cls: PreferenceClass, n: int):
+def neutrality_violation(
+    table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
+):
     """Lowest (profile_idx, perm_position) where renaming goods breaks covariance.
 
-    perm_position indexes neutrality_perms(cls.m).
+    perm_position indexes neutrality_perms(cls.m).  With `at`, only profile
+    `at` and its preimage under each generator are checked: the pairs of
+    (profile, image) that involve `at`.
     """
     best = None
     for pos, pi in enumerate(neutrality_perms(cls.m)):
-        expect = mask_perm_table(pi)[table]
-        bad = np.nonzero((table[perm_image_index(cls, n, pi)] != expect).any(axis=1))[0]
+        if at is None:
+            rows = slice(None)  # views: the full scan copies nothing extra
+        else:
+            rows = np.unique([at, perm_preimage_index(cls, n, pi)[at]])
+        image = perm_image_index(cls, n, pi)[rows]
+        bad = np.flatnonzero((table[image] != mask_perm_table(pi)[table[rows]]).any(axis=1))
         if bad.size:
-            cand = (int(bad[0]), pos)
+            cand = (int(bad[0] if at is None else rows[bad[0]]), pos)
             if best is None or cand < best:
                 best = cand
     return best

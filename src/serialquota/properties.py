@@ -79,10 +79,12 @@ def _require_enumerable(mech: Mechanism) -> int:
 
 
 def _witness(
-    prop: str, table: np.ndarray, cls: PreferenceClass, n: int
+    prop: str, table: np.ndarray, cls: PreferenceClass, n: int, at: int | None = None
 ) -> dict[str, Any] | None:
     """The lowest-indexed violation of one property in an allocation table,
-    as a witness of plain ints, or None when the property holds.
+    as a witness of plain ints, or None when the property holds.  `at`
+    restricts a characterization axiom's kernel to the violations that
+    involve that profile.
 
     Kernels are looked up on `engine` at each call, so wrappers installed on
     that module after import see every call.
@@ -92,7 +94,8 @@ def _witness(
         if idx is None:
             return None
         return {"profile_index": idx, "union": int(np.bitwise_or.reduce(table[idx]))}
-    hit = getattr(engine, _KERNELS[prop])(table, cls, n)
+    kernel = getattr(engine, _KERNELS[prop])
+    hit = kernel(table, cls, n) if at is None else kernel(table, cls, n, at=at)
     if hit is None:
         return None
     if prop == PUSH_UP:
@@ -130,12 +133,19 @@ def _check(prop: str, mech: Mechanism) -> PropertyReport:
 
 
 def first_axiom_violation(
-    table: np.ndarray, cls: PreferenceClass, n: int
+    table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
 ) -> tuple[str, dict[str, Any]] | None:
     """The first characterization axiom the table breaks, tried in the order
-    truthful, non-bossy, neutral, with its witness; None if all three hold."""
+    truthful, non-bossy, neutral, with its witness; None if all three hold.
+
+    With `at`, only the pairs of profiles that involve profile `at` are
+    scanned: its deviation row for each agent, and `at` with its image and
+    preimage under each neutrality generator.  When the table breaks no
+    axiom away from `at` (a valid table with `at` overwritten), every
+    violation involves `at`, so the answer is the full scan's.
+    """
     for prop in AXIOMS:
-        witness = _witness(prop, table, cls, n)
+        witness = _witness(prop, table, cls, n, at)
         if witness is not None:
             return prop, witness
     return None

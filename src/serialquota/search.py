@@ -9,7 +9,11 @@ make up truthfulness, non-bossiness and neutrality.  Survivors come out in
 the order of a plain product over all tables, and each one still passes
 through `first_axiom_violation`.  The search stops at NODE_CAP cell
 assignments; beyond it the module instead mutates one profile's allocation
-at a time and confirms each mutant breaks an axiom.
+of a serial-quota table at a time and confirms each mutant breaks an axiom.
+Since the base table breaks none, every violation involves the mutated
+profile, so a mutant is checked only on that profile's deviation rows and
+neutrality pairs; one that passes there is checked over the full table
+before it counts as a survivor.
 """
 
 from __future__ import annotations
@@ -167,9 +171,13 @@ def search_tables(
         back = [0] * k_count
         for k, j in enumerate(moved):
             back[j] = 1 << k
-        image = engine.perm_image_index(cls, n, pi)
         neutral.append(
-            (image.tolist(), np.argsort(image).tolist(), [1 << j for j in moved], back)
+            (
+                engine.perm_image_index(cls, n, pi).tolist(),
+                engine.perm_preimage_index(cls, n, pi).tolist(),
+                [1 << j for j in moved],
+                back,
+            )
         )
     weights = engine.radix_powers(c, n).tolist()
     digits = engine.digit_array(c, n).tolist()
@@ -310,7 +318,15 @@ def mutate_with_log(
     partition and confirm each mutant breaks truthfulness, non-bossiness, or
     neutrality; the report passes iff no mutant survives all three.  Also
     returns the first log_size mutants with the axiom each one failed and
-    its witness, for independent replay."""
+    its witness, for independent replay.
+
+    Each mutant is written into the base table in place and the old row put
+    back after its check.  The check is `first_axiom_violation` restricted
+    to the mutated profile (`at=`): the serial-quota base breaks no axiom,
+    so every violation of the mutant involves that profile and the local
+    witness is the full scan's.  A mutant the local check passes is checked
+    again over the full table before it is reported as a survivor, so the
+    verdict never rests on the base being valid."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     n = len(base.q)
@@ -332,14 +348,16 @@ def mutate_with_log(
         new = current
         while new == current:
             new = int(rng.integers(n_choices))
-        mutant = table.copy()
-        mutant[idx] = choices[new]
         entry = {
             "trial": trial,
             "profile_index": idx,
             "replacement": [int(b) for b in choices[new]],
         }
-        failed = first_axiom_violation(mutant, cls, n)
+        table[idx] = choices[new]
+        failed = first_axiom_violation(table, cls, n, at=idx)
+        if failed is None:
+            failed = first_axiom_violation(table, cls, n)
+        table[idx] = choices[current]
         if failed is None:
             survivor = entry
             break

@@ -228,6 +228,15 @@ def run_cli(*args):
     )
 
 
+def test_mutation_at_four_by_four_finishes():
+    # 24^4 profiles: each mutant is checked on its own deviation rows and
+    # neutrality pairs, not by a full-table scan.
+    done = run_cli("verify", "--n", "4", "--m", "4", "--class", "lex", "--mode",
+                   "mutate", "--trials", "10000", "--no-timestamp")
+    assert done.returncode == 0, done.stderr
+    assert "pass (10000 mutants" in done.stdout
+
+
 @pytest.mark.parametrize("args", [
     "fairness ef1 --q 1,9 --m 10 --family random --count 1",
     "fairness ef1 --q 1,1,14 --m 16",

@@ -10,6 +10,7 @@ arrangements of their owners.
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from serialquota import (
@@ -23,9 +24,9 @@ from serialquota import (
     strict_monotone_class,
     verify_characterization,
 )
-from serialquota import search
+from serialquota import engine, search
 from serialquota.engine import neutrality_perms
-from serialquota.mechanisms import SerialQuota, TableMechanism, apply
+from serialquota.mechanisms import CounterBossy, SerialQuota, TableMechanism, apply
 from serialquota.prefs import class_from_tag
 from serialquota.properties import first_axiom_violation
 from serialquota.search import (
@@ -235,6 +236,147 @@ def test_mutation_log_replays_by_hand():
         check = checkers[entry["failed_axiom"]](mutant)
         assert not check.holds
         assert entry["axiom_witness"] == check.witness
+
+
+def _mutants(n, m, tag, quotas=None, sample=None):
+    """Yield (cls, table, p): a serial-quota partition table with profile p
+    overwritten by another partition; the old row is put back when the
+    consumer asks for the next mutant.
+
+    Without `sample`, every mutant of every base (of one base per quota
+    vector in `quotas`, when given); with it, `sample` seeded mutants.
+    Every base is asserted to break no axiom under the full scan.
+    """
+    cls = class_from_tag(tag, m)
+    choices = _choice_masks(n, m, partition_only=True)
+    wanted = None if quotas is None else set(quotas)
+    bases = []
+    for qo in enumerate_q(n, m, partition_only=True):
+        if wanted is not None:
+            if qo.q not in wanted:
+                continue
+            wanted.remove(qo.q)
+        table = engine.allocation_table(SerialQuota(n, m, cls, qo))
+        assert first_axiom_violation(table, cls, n) is None
+        bases.append(table)
+    assert not wanted
+    if sample is None:
+        cells = [(t, p, row) for t in bases for p in range(t.shape[0]) for row in choices]
+    else:
+        rng = np.random.default_rng(5)
+        cells = [
+            (t, int(rng.integers(t.shape[0])), choices[rng.integers(len(choices))])
+            for t in (bases[rng.integers(len(bases))] for _ in range(sample))
+        ]
+    for table, p, row in cells:
+        if np.array_equal(row, table[p]):
+            continue
+        old = table[p].copy()
+        table[p] = row
+        yield cls, table, p
+        table[p] = old
+
+
+# (n, m, tag, quota vectors, seeded sample size or None for every mutant)
+LOCAL_CASES = [
+    (2, 3, "lex", None, None),
+    # All 21 bases x 216 profiles x 26 rows would be about 20 s of full
+    # scans, so (3,3) takes one base with three pickers and one with an
+    # agent who gets nothing.
+    (3, 3, "lex", {(1, 1, 1), (1, 2, 0)}, None),
+    (2, 4, "lex", None, 300),
+    (2, 3, "strict_monotone_all", None, 150),
+]
+
+
+@pytest.mark.parametrize("n,m,tag,quotas,sample", LOCAL_CASES)
+def test_scan_at_the_mutated_profile_matches_the_full_scan(n, m, tag, quotas, sample):
+    """On single-cell mutants of serial-quota tables, first_axiom_violation
+    restricted to the mutated profile gives the full scan's witness."""
+    for cls, table, p in _mutants(n, m, tag, quotas, sample):
+        full = first_axiom_violation(table, cls, n)
+        assert full is not None
+        assert first_axiom_violation(table, cls, n, at=p) == full
+
+
+@pytest.mark.parametrize("n,m,tag", [(2, 3, "lex"), (3, 3, "lex"), (2, 4, "lex"),
+                                     (2, 3, "strict_monotone_all")])
+def test_each_kernel_at_the_mutated_profile_matches_its_full_scan(n, m, tag):
+    """Each axiom kernel on its own, including the ones first_axiom_violation
+    never reaches because an earlier axiom already failed."""
+    kernels = (engine.truthful_violation, engine.nonbossy_violation,
+               engine.neutrality_violation)
+    for cls, table, p in _mutants(n, m, tag, sample=200):
+        for kernel in kernels:
+            assert kernel(table, cls, n, at=p) == kernel(table, cls, n)
+
+
+def test_scan_at_a_profile_sees_only_the_pairs_that_involve_it():
+    cls = lex_class(3)
+    digits = engine.digit_array(len(cls), 3)
+    bossy = engine.allocation_table(CounterBossy(3, 3, cls))
+    full = first_axiom_violation(bossy, cls, 3)
+    assert full is not None
+    assert first_axiom_violation(bossy, cls, 3, at=full[1]["profile_index"]) == full
+    # Agent 0's report moves the others at every profile, so every local
+    # scan finds a violation on one of the profile's deviation rows.
+    for p in range(bossy.shape[0]):
+        prop, witness = first_axiom_violation(bossy, cls, 3, at=p)
+        differ = digits[witness["profile_index"]] != digits[p]
+        assert prop == "non_bossy"
+        assert not np.delete(differ, witness["agent"]).any()
+
+    # One mutated cell q: a profile that shares no deviation row with q and
+    # is not q's image or preimage under a generator sees no violation.
+    base = QuotaOrdering((1, 2, 0), (2, 0, 1))
+    table = engine.allocation_table(SerialQuota(3, 3, cls, base))
+    q = 100
+    table[q] = _choice_masks(3, 3, partition_only=True)[0]
+    full = first_axiom_violation(table, cls, 3)
+    assert full is not None
+    assert first_axiom_violation(table, cls, 3, at=q) == full
+    paired = {q}
+    for pi in neutrality_perms(3):
+        paired.add(int(engine.perm_image_index(cls, 3, pi)[q]))
+        paired.add(int(engine.perm_preimage_index(cls, 3, pi)[q]))
+    apart = [
+        p for p in range(table.shape[0])
+        if (digits[p] != digits[q]).sum() >= 2 and p not in paired
+    ]
+    assert apart
+    for p in apart:
+        assert first_axiom_violation(table, cls, 3, at=p) is None
+
+
+def test_preimage_index_inverts_the_image_index():
+    cls = lex_class(3)
+    for pi in neutrality_perms(3):
+        image = engine.perm_image_index(cls, 2, pi)
+        pre = engine.perm_preimage_index(cls, 2, pi)
+        assert np.array_equal(image[pre], np.arange(image.size))
+        assert np.array_equal(pre, np.argsort(image))
+
+
+def test_mutant_passing_the_local_check_is_confirmed_by_the_full_scan(monkeypatch):
+    """A local check that misses every violation still reports no survivor:
+    each mutant goes on to the full scan, whose witnesses fill the log."""
+    base = QuotaOrdering((2, 1), (1, 0))
+    cls = lex_class(3)
+    _, expected = mutate_with_log(base, cls, 30, seed=4, log_size=30)
+    calls = []
+
+    def blind_locally(table, cls, n, *, at=None):
+        calls.append(at)
+        return None if at is not None else first_axiom_violation(table, cls, n)
+
+    monkeypatch.setattr(search, "first_axiom_violation", blind_locally)
+    report, log = mutate_with_log(base, cls, 30, seed=4, log_size=30)
+    assert report.holds and log == expected
+    assert calls.count(None) == 30
+
+    monkeypatch.setattr(search, "first_axiom_violation", lambda *a, **k: None)
+    report, _ = mutate_with_log(base, cls, 30, seed=4)
+    assert not report.holds and report.witness["trial"] == 0
 
 
 def test_mutation_requires_partition_base():
