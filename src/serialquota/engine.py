@@ -12,6 +12,7 @@ matching `mechanisms.profile_index`.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -139,19 +140,37 @@ def allocation_table(mech: Mechanism) -> np.ndarray:
     if isinstance(mech, TableMechanism):
         return np.array(mech.table, dtype=np.int32)
     if isinstance(mech, SerialQuota):
-        digits = digit_array(c, n)
-        dt = demand_tables(cls)
-        out = np.zeros((c**n, n), dtype=np.int32)
-        remaining = np.full(c**n, full_mask(mech.m), dtype=np.int32)
-        for k, agent in zip(mech.quota.q, mech.quota.p):
-            got = dt[k][digits[:, agent], remaining]
-            out[:, agent] = got
-            remaining &= ~got
-        return out
+        return _serial_quota_grid(mech, c, n).reshape(c**n, n)
     out = np.zeros((c**n, n), dtype=np.int32)
     for idx in range(c**n):
         profile = mech_mod.index_to_profile(idx, cls, n)
         out[idx] = mech_mod.apply(mech, profile).bundles
+    return out
+
+
+def _serial_quota_grid(mech: SerialQuota, c: int, n: int) -> np.ndarray:
+    """The serial-quota table as a (c,)*n + (n,) grid.
+
+    The t-th picker's bundle depends only on her report and the earlier
+    pickers', so it is computed on their c^(t+1) sub-grid (axes in picking
+    order), with the pool they left carried forward, and then broadcast over
+    the reports of everyone else.
+    """
+    dt = demand_tables(mech.domain)
+    out = np.zeros((c,) * n + (n,), dtype=np.int32)
+    remaining = np.array(full_mask(mech.m), dtype=np.int32)  # pool on the pickers' grid
+    pickers: list[int] = []
+    for k, agent in zip(mech.quota.q, mech.quota.p):
+        if k == 0:
+            break  # zero quotas form a suffix: those agents get nothing
+        got = dt[k][np.arange(c), remaining[..., None]]  # new last axis: agent's report
+        pickers.append(agent)
+        order = np.argsort(pickers)
+        shape = [1] * n
+        for a in pickers:
+            shape[a] = c
+        out[..., agent] = got.transpose(order).reshape(shape)
+        remaining = remaining[..., None] & ~got
     return out
 
 
@@ -167,14 +186,19 @@ def deviation_index(c: int, n: int, agent: int) -> np.ndarray:
     return out
 
 
-def _deviation_rows(c: int, n: int, agent: int, at: int | None) -> np.ndarray:
-    """deviation_index(c, n, agent), or only its row holding profile `at`."""
+def _deviation_blocks(
+    c: int, n: int, agent: int, at: int | None, cells: int
+) -> list[np.ndarray]:
+    """deviation_index(c, n, agent) in blocks of rows small enough that a
+    (rows, c, c) comparison holds at most `cells` entries (one row at
+    least); with `at`, only the row holding profile `at`."""
     idx = deviation_index(c, n, agent)
-    if at is None:
-        return idx
-    w = c ** (n - 1 - agent)  # agent's digit weight
-    r = at // (w * c) * w + at % w
-    return idx[r : r + 1]
+    if at is not None:
+        w = c ** (n - 1 - agent)  # agent's digit weight
+        r = at // (w * c) * w + at % w
+        return [idx[r : r + 1]]
+    step = max(1, cells // (c * c))
+    return [idx[lo : lo + step] for lo in range(0, idx.shape[0], step)]
 
 
 def _columns_move(table: np.ndarray, idx: np.ndarray, cols) -> np.ndarray:
@@ -196,47 +220,102 @@ def _lowest_deviation(viol: np.ndarray, idx: np.ndarray, c: int, agent: int):
     idx[r, t] and alt the deviation d; None when nothing is set."""
     if not viol.any():
         return None
-    r, t, d = np.nonzero(viol)
-    key = int((idx[r, t] * c + d).min())
-    return key // c, agent, key % c
+    # Each profile appears once in idx, so the lowest one fixes (r, t).
+    hit = np.flatnonzero(viol.any(axis=2))
+    r, t = divmod(int(hit[np.argmin(idx.ravel()[hit])]), c)
+    return int(idx[r, t]), agent, int(np.argmax(viol[r, t]))
 
 
 def truthful_violation(
-    table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
+    table: np.ndarray,
+    cls: PreferenceClass,
+    n: int,
+    *,
+    at: int | None = None,
+    cells: int = 1 << 22,
 ):
     """Lowest (profile_idx, agent, alt_member) where the deviation strictly gains.
 
-    With `at`, only each agent's deviation row holding profile `at` is
-    scanned; those rows hold every violation that involves `at`.
+    Each agent's deviation rows are scanned in blocks (`_deviation_blocks`).
+    A row holds a gain iff some report t ranks a bundle of the row's menu,
+    its distinct bundles, above t's own; that test costs O(u*c) for a menu
+    of u bundles, and only the rows that pass it are compared report by
+    report.  With `at`, only each agent's deviation row holding profile
+    `at` is scanned; those rows hold every violation that involves `at`.
     """
     c = len(cls)
-    by_subset = np.ascontiguousarray(rank_matrix(cls).T)  # [s, t]: t's rank of s
+    size = 1 << cls.m
+    by_subset = np.full((size + 1, c), -1, dtype=np.int32)  # [s, t]: t's rank of s
+    by_subset[:size] = rank_matrix(cls).T  # row `size` pads short menus
     diag = np.arange(c)
     hits = []
     for i in range(n):
-        idx = _deviation_rows(c, n, i, at)
-        rt = by_subset[table[:, i][idx]]  # [r, d, t]: t's rank of d's bundle
-        gain = rt > rt[:, diag, diag][:, None, :]
-        hits.append(_lowest_deviation(gain.transpose(0, 2, 1), idx, c, i))
+        for idx in _deviation_blocks(c, n, i, at, cells):
+            if at is None:
+                idx = idx[_gaining_rows(table[:, i][idx], by_subset)]
+            rt = by_subset[table[:, i][idx]]  # [r, d, t]: t's rank of d's bundle
+            gain = rt > rt[:, diag, diag][:, None, :]
+            hits.append(_lowest_deviation(gain.transpose(0, 2, 1), idx, c, i))
     return min(filter(None, hits), default=None)
 
 
+def _gaining_rows(b: np.ndarray, by_subset: np.ndarray) -> np.ndarray:
+    """Rows r of b[r, d], one agent's bundle when she reports d, where some
+    report t ranks a bundle of the row's menu (its distinct bundles) above
+    b[r, t]; by_subset[s, t] is t's rank of s, and its last row (-1) pads
+    the menus of rows with fewer distinct bundles."""
+    pad = by_subset.shape[0] - 1
+    menu = np.sort(b, axis=1)
+    new = menu[:, 1:] != menu[:, :-1]
+    menu[:, 1:][~new] = pad
+    menu.sort(axis=1)
+    best = by_subset[menu[:, : 1 + int(new.sum(axis=1).max())]].max(axis=1)  # [r, t]
+    return np.flatnonzero((best > by_subset[b, np.arange(b.shape[1])]).any(axis=1))
+
+
 def nonbossy_violation(
-    table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
+    table: np.ndarray,
+    cls: PreferenceClass,
+    n: int,
+    *,
+    at: int | None = None,
+    cells: int = 1 << 22,
 ):
     """Lowest (profile_idx, agent, alt_member) where own bundle holds but
-    others move; with `at`, only on each agent's deviation row holding it."""
+    others move; with `at`, only on each agent's deviation row holding it.
+
+    Each agent's deviation rows are scanned in blocks (`_deviation_blocks`).
+    Sorted by the agent's own bundle, a row is bossy iff two neighbours with
+    the same own bundle differ in another agent's bundle; only the rows that
+    are get the report-by-report comparison.
+    """
     if n < 2:
         return None  # no one else to move
     c = len(cls)
     hits = []
     for i in range(n):
-        idx = _deviation_rows(c, n, i, at)
-        b = table[:, i][idx]
-        viol = b[:, :, None] == b[:, None, :]
-        viol &= _columns_move(table, idx, [j for j in range(n) if j != i])
-        hits.append(_lowest_deviation(viol, idx, c, i))
+        others = [j for j in range(n) if j != i]
+        for idx in _deviation_blocks(c, n, i, at, cells):
+            if at is None:
+                idx = idx[_bossy_rows(table, idx, i, others)]
+            b = table[:, i][idx]
+            viol = b[:, :, None] == b[:, None, :]
+            viol &= _columns_move(table, idx, others)
+            hits.append(_lowest_deviation(viol, idx, c, i))
     return min(filter(None, hits), default=None)
+
+
+def _bossy_rows(table: np.ndarray, idx: np.ndarray, agent: int, others) -> np.ndarray:
+    """Rows of idx, deviation rows of `agent`, on which two reports give her
+    the same bundle but some agent in others a different one: sorted by her
+    own bundle, two neighbours with the same own bundle differ elsewhere."""
+    ranked = np.take_along_axis(idx, np.argsort(table[:, agent][idx], axis=1), axis=1)
+    own = table[:, agent][ranked]
+    moved = np.zeros(own[:, 1:].shape, dtype=bool)
+    for j in others:
+        b = table[:, j][ranked]
+        moved |= b[:, 1:] != b[:, :-1]
+    return np.flatnonzero((moved & (own[:, 1:] == own[:, :-1])).any(axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -255,10 +334,13 @@ def push_up_matrix(cls: PreferenceClass) -> np.ndarray:
     return out
 
 
-def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
+def push_up_violation(
+    table: np.ndarray, cls: PreferenceClass, n: int, *, cells: int = 1 << 22
+):
     """Lowest (profile_idx, agent, alt_member) where the agent pushes her
     bundle up (alt_member is a push-up of her report with respect to it)
-    and the allocation moves.
+    and the allocation moves.  Deviation rows are scanned in blocks
+    (`_deviation_blocks`).
 
     Single-agent push-ups decide push-up invariance exactly: if none moves
     the allocation, pushing up several agents at once moves nothing either,
@@ -270,9 +352,9 @@ def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     diag = np.arange(c)
     hits = []
     for i in range(n):
-        idx = deviation_index(c, n, i)
-        viol = up[diag, table[:, i][idx]] & _columns_move(table, idx, range(n))
-        hits.append(_lowest_deviation(viol, idx, c, i))
+        for idx in _deviation_blocks(c, n, i, None, cells):
+            viol = up[diag, table[:, i][idx]] & _columns_move(table, idx, range(n))
+            hits.append(_lowest_deviation(viol, idx, c, i))
     return min(filter(None, hits), default=None)
 
 
@@ -367,29 +449,51 @@ def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int, cells=1 <<
     return None
 
 
-def control_violation(table: np.ndarray, cls: PreferenceClass, n: int):
-    """Lowest (S, agent, trigger_idx, violating_idx) breaking the control claim."""
+def _lowest_on_subgrid(col: np.ndarray, axes, hit, cells: int) -> int | None:
+    """Lowest profile index on the sub-grid np.ix_(*axes) of col, one
+    agent's bundles as a (c,)*n grid, whose bundle satisfies hit; None if
+    none does.  Each axis index ascends, so the sub-grid lists profiles in
+    ascending order; it is scanned along its first axis in blocks of at most
+    `cells` entries (one slab at least)."""
+    step = max(1, cells // math.prod(len(a) for a in axes[1:]))
+    for lo in range(0, len(axes[0]), step):
+        block = np.take(col, axes[0][lo : lo + step], axis=0)
+        for k, a in enumerate(axes[1:], 1):
+            if len(a) < col.shape[k]:  # an axis listing every report needs no take
+                block = np.take(block, a, axis=k)
+        flat = np.flatnonzero(hit(block))
+        if flat.size:
+            pos = np.unravel_index(flat[0], block.shape)
+            digits = (axes[0][lo + pos[0]], *(a[k] for a, k in zip(axes[1:], pos[1:])))
+            return int(np.ravel_multi_index(digits, col.shape))
+    return None
+
+
+def control_violation(
+    table: np.ndarray, cls: PreferenceClass, n: int, *, cells: int = 1 << 22
+):
+    """Lowest (S, agent, trigger_idx, violating_idx) breaking the control claim.
+
+    For each S, let D be the members that strongly desire it.  Agent i's
+    triggers are the profiles on the D^n sub-grid where she gets all of S,
+    and her violations those with her report in D where she does not; both
+    are scanned in ascending profile order (`_lowest_on_subgrid`).
+    """
     c = len(cls)
-    digits = digit_array(c, n)
     sd = strong_desire_matrix(cls)
+    every = np.arange(c)
+    cols = [table[:, i].reshape((c,) * n) for i in range(n)]
     for s in range(1, 1 << cls.m):
-        desire = sd[:, s]
-        all_desire = np.ones(table.shape[0], dtype=bool)
-        for j in range(n):
-            all_desire &= desire[digits[:, j]]
-        if not all_desire.any():
+        desire = np.flatnonzero(sd[:, s])
+        if not desire.size:
             continue
-        contains = (table & s) == s
-        for i in range(n):
-            trig = all_desire & contains[:, i]
-            if not trig.any():
+        for i, col in enumerate(cols):
+            trig = _lowest_on_subgrid(col, [desire] * n, lambda b: (b & s) == s, cells)
+            if trig is None:
                 continue
-            viol = desire[digits[:, i]] & ~contains[:, i]
-            if viol.any():
-                return (
-                    s,
-                    i,
-                    int(np.nonzero(trig)[0][0]),
-                    int(np.nonzero(viol)[0][0]),
-                )
+            axes = [every] * n
+            axes[i] = desire
+            viol = _lowest_on_subgrid(col, axes, lambda b: (b & s) != s, cells)
+            if viol is not None:
+                return s, i, trig, viol
     return None

@@ -237,6 +237,16 @@ def test_mutation_at_four_by_four_finishes():
     assert "pass (10000 mutants" in done.stdout
 
 
+def test_deviation_checks_at_two_by_six_finish(mech_file):
+    # 720^2 profiles: a whole-table rank gather for truthfulness would be
+    # 720^3 int32 (about 1.5 GB); the blocked scans stay near 4M entries.
+    sq26 = {**SQ_JSON, "q": [2, 3], "p": [1, 0], "m": 6, "class": {"tag": "lex", "m": 6}}
+    done = run_cli("check", "--mech", mech_file(sq26), "--axioms",
+                   "truthful,nonbossy,pushup", "--no-timestamp")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count(": pass (518400 profiles)") == 3, done.stdout
+
+
 @pytest.mark.parametrize("args", [
     "fairness ef1 --q 1,9 --m 10 --family random --count 1",
     "fairness ef1 --q 1,1,14 --m 16",

@@ -5,6 +5,7 @@ is re-derived with plain Python loops on small random table mechanisms so a
 bug in the index gymnastics cannot hide.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -208,6 +209,25 @@ def test_allocation_table_gates_profiles_before_demand_tables():
     assert len(lex_class(4)) ** 4 <= engine.PROFILE_CAP
 
 
+@pytest.mark.parametrize(
+    "tag,n,m",
+    [("lex", 1, 4), ("lex", 2, 3), ("lex", 3, 3), ("lex", 2, 4), ("strict_monotone_all", 2, 3)],
+)
+def test_grid_allocation_table_matches_apply(tag, n, m):
+    """The serial-quota table built on the pickers' sub-grids equals the
+    scalar apply path at every profile, for every quota ordering."""
+    cls = class_from_tag(tag, m)
+    for qo in enumerate_q(n, m):
+        mech = SerialQuota(n, m, cls, qo)
+        table = engine.allocation_table(mech)
+        assert table.dtype == np.int32 and table.shape == (len(cls) ** n, n)
+        expected = [
+            list(apply(mech, index_to_profile(idx, cls, n)).bundles)
+            for idx in range(len(cls) ** n)
+        ]
+        assert table.tolist() == expected, qo
+
+
 def test_deviation_index_lists_one_agents_reports():
     for c, n in [(2, 3), (3, 3), (6, 2), (4, 1)]:
         digits = engine.digit_array(c, n)
@@ -223,6 +243,85 @@ def test_deviation_index_lists_one_agents_reports():
             # Rows follow the other agents' digits in mixed-radix order.
             first = others[idx[:, 0]]
             assert first.tolist() == sorted(first.tolist())
+
+
+def test_lowest_deviation_is_the_lowest_profile_not_the_first_row():
+    """Rows of a deviation block do not list profiles in ascending order
+    (agent 0's rows step through the last agent's digit), so the lowest hit
+    is found by profile, then by deviation."""
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        rows, c = (int(x) for x in rng.integers(1, 6, size=2))
+        idx = rng.permutation(rows * c).reshape(rows, c)
+        viol = rng.random((rows, c, c)) < 0.1
+        expected = min(
+            ((int(idx[r, t]), 3, int(d)) for r, t, d in zip(*np.nonzero(viol))),
+            default=None,
+        )
+        assert engine._lowest_deviation(viol, idx, c, 3) == expected
+
+
+BLOCKED_KERNELS = (
+    engine.truthful_violation,
+    engine.nonbossy_violation,
+    engine.push_up_violation,
+    engine.control_violation,
+)
+
+
+def test_blocked_scans_give_the_same_witness():
+    """One deviation row (or one slab of a control sub-grid) per block finds
+    the witness that one block finds, including witnesses that lie past the
+    first block."""
+    late = engine.allocation_table(serial_quota((1, 2), (0, 1), LEX3)).copy()
+    late[-1] = (1, 2)  # only the last profile changes
+    cases = [(2, 3, [late]), (3, 3, [])]
+    for n, m, extra in cases:
+        cls = lex_class(m)
+        c = len(cls)
+        rng = np.random.default_rng(4 * n + m)
+        for table in [*table_cases(n, m, cls, rng), *extra]:
+            for kernel in BLOCKED_KERNELS:
+                whole = kernel(table, cls, n)
+                for cells in (1, c * c + 1, 3 * c * c):
+                    assert kernel(table, cls, n, cells=cells) == whole, kernel.__name__
+    c = len(LEX3)
+    for kernel in BLOCKED_KERNELS[:3]:
+        idx, agent, _ = kernel(late, LEX3, 2)
+        rows = engine.deviation_index(c, 2, agent)
+        assert not (rows[0] == idx).any(), kernel.__name__
+    # Agent 0's violation scan starts at the first member desiring S.
+    s, agent, _, viol = engine.control_violation(late, LEX3, 2)
+    first = np.flatnonzero(engine.strong_desire_matrix(LEX3)[:, s])[0]
+    assert agent == 0 and engine.digit_array(c, 2)[viol, 0] > first
+
+
+def test_blocked_scans_stay_within_their_cells():
+    """At lex (2,5) the traced peak of each blocked scan stays within 16
+    bytes per entry of `cells`, while a whole scan's (c, c, c) rank gather
+    alone is about 6.9 MB."""
+    n, m = 2, 5
+    cls = lex_class(m)
+    c = len(cls)
+    cells = 4 * c * c  # four deviation rows per block
+    rng = np.random.default_rng(2)
+    # A random partition table, and one that may leave goods unallocated, so
+    # that the non-bossy comparison runs too.
+    partition, leftovers = [
+        rows[rng.integers(rows.shape[0], size=c**n)]
+        for rows in (_choice_masks(n, m, partition_only=True), engine.assignment_masks(n, m))
+    ]
+    for table in (partition, leftovers):
+        for kernel in BLOCKED_KERNELS:
+            kernel(table, cls, n, cells=cells)  # fill the engine's caches
+            tracemalloc.start()
+            try:
+                kernel(table, cls, n, cells=cells)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * cells, (kernel.__name__, peak)
+    assert engine.nonbossy_violation(leftovers, cls, n) is not None
 
 
 # ------------------------------------------------------ counterexample matrix
@@ -496,6 +595,44 @@ def test_pareto_blocking_cap():
 def test_serial_quota_satisfies_control_claim():
     for q, p in [((1, 2), (0, 1)), ((2, 1), (1, 0))]:
         assert check_control_claim(serial_quota(q, p, LEX3)).holds
+
+
+def scalar_control_witness(table, cls, n):
+    """Lowest (S, agent, trigger, violation) breaking the control claim, by
+    strongly_desires and the table rows: a trigger is a profile where every
+    agent strongly desires S and the agent gets all of S, a violation one
+    where she strongly desires S and does not."""
+    rows = [tuple(r) for r in table.tolist()]
+    profiles = list(product(cls.members, repeat=n))
+    for s in range(1, 1 << cls.m):
+        for i in range(n):
+            trig = next(
+                (
+                    idx
+                    for idx, profile in enumerate(profiles)
+                    if all(strongly_desires(p, s) for p in profile)
+                    and rows[idx][i] & s == s
+                ),
+                None,
+            )
+            if trig is None:
+                continue
+            for idx, profile in enumerate(profiles):
+                if strongly_desires(profile[i], s) and rows[idx][i] & s != s:
+                    return s, i, trig, idx
+    return None
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3)])
+def test_control_witness_matches_scalar_scan(n, m):
+    cls = lex_class(m)
+    rng = np.random.default_rng(6 * n + m)
+    verdicts = []
+    for table in table_cases(n, m, cls, rng):
+        expected = scalar_control_witness(table, cls, n)
+        assert engine.control_violation(table, cls, n) == expected
+        verdicts.append(expected is None)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_first_picker_controls_her_demand_sized_prefixes():
