@@ -23,7 +23,6 @@ from .errors import (
     TieDetected,
     TooLarge,
     TooSmall,
-    UnsupportedPreference,
 )
 from .fairness import (
     FairnessAudit,
@@ -50,7 +49,6 @@ from .mechanisms import (
     SerialQuota,
     TableMechanism,
     apply,
-    apply_counter_non_neutral,
     apply_serial_quota,
     canonicalize,
     cardinal_apply,
@@ -75,7 +73,6 @@ from .prefs import (
     explicit_class,
     full_mask,
     goods_of,
-    induce,
     is_push_up,
     lex_class,
     mask_of,
@@ -87,8 +84,6 @@ from .prefs import (
 )
 from .properties import (
     PropertyReport,
-    TradingCycle,
-    check_consecutive,
     check_control_claim,
     check_neutral,
     check_non_bossy,
@@ -97,8 +92,6 @@ from .properties import (
     check_push_up_exhaustive,
     check_push_up_invariance,
     check_truthful,
-    controls,
-    find_improving_cycle,
     pareto_blocking,
     replay_witness,
     verify_blocking,

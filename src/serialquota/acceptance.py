@@ -356,9 +356,9 @@ def ac10() -> tuple[bool, str]:
     replayed = 0
     for n, m, cls, qo, _per, _report, log in _mutation_runs():
         sq = SerialQuota(n, m, cls, qo)
-        base = engine.allocation_table(sq)
+        base = [tuple(row) for row in engine.allocation_table(sq).tolist()]
         for entry in log:
-            table = [tuple(int(b) for b in row) for row in base]
+            table = base.copy()
             table[entry["profile_index"]] = tuple(entry["replacement"])
             mutant = TableMechanism(n, m, cls, tuple(table))
             report = PropertyReport(

@@ -70,6 +70,8 @@ def _emit(payload: dict, args) -> None:
 def cmd_check(args) -> int:
     mech = mechanism_from_json(json.loads(Path(args.mech).read_text()))
     names = [x.strip() for x in args.axioms.split(",") if x.strip()]
+    if not names:
+        raise ValueError(f"no axioms given; choose from {sorted(AXIOM_CHECKS)}")
     unknown = [x for x in names if x not in AXIOM_CHECKS]
     if unknown:
         raise ValueError(f"unknown axioms {unknown}; choose from {sorted(AXIOM_CHECKS)}")

@@ -30,6 +30,9 @@ from .prefs import (
 )
 
 PROFILE_CAP = 10**7
+# Blocked scans size their blocks so that one block's intermediate holds at
+# most about this many entries; read at call time, so tests can lower it.
+CELLS = 1 << 22
 
 
 @lru_cache(maxsize=None)
@@ -186,18 +189,16 @@ def deviation_index(c: int, n: int, agent: int) -> np.ndarray:
     return out
 
 
-def _deviation_blocks(
-    c: int, n: int, agent: int, at: int | None, cells: int
-) -> list[np.ndarray]:
+def _deviation_blocks(c: int, n: int, agent: int, at: int | None) -> list[np.ndarray]:
     """deviation_index(c, n, agent) in blocks of rows small enough that a
-    (rows, c, c) comparison holds at most `cells` entries (one row at
-    least); with `at`, only the row holding profile `at`."""
+    (rows, c, c) comparison holds at most CELLS entries (one row at least);
+    with `at`, only the row holding profile `at`."""
     idx = deviation_index(c, n, agent)
     if at is not None:
         w = c ** (n - 1 - agent)  # agent's digit weight
         r = at // (w * c) * w + at % w
         return [idx[r : r + 1]]
-    step = max(1, cells // (c * c))
+    step = max(1, CELLS // (c * c))
     return [idx[lo : lo + step] for lo in range(0, idx.shape[0], step)]
 
 
@@ -227,12 +228,7 @@ def _lowest_deviation(viol: np.ndarray, idx: np.ndarray, c: int, agent: int):
 
 
 def truthful_violation(
-    table: np.ndarray,
-    cls: PreferenceClass,
-    n: int,
-    *,
-    at: int | None = None,
-    cells: int = 1 << 22,
+    table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
 ):
     """Lowest (profile_idx, agent, alt_member) where the deviation strictly gains.
 
@@ -250,7 +246,7 @@ def truthful_violation(
     diag = np.arange(c)
     hits = []
     for i in range(n):
-        for idx in _deviation_blocks(c, n, i, at, cells):
+        for idx in _deviation_blocks(c, n, i, at):
             if at is None:
                 idx = idx[_gaining_rows(table[:, i][idx], by_subset)]
             rt = by_subset[table[:, i][idx]]  # [r, d, t]: t's rank of d's bundle
@@ -274,12 +270,7 @@ def _gaining_rows(b: np.ndarray, by_subset: np.ndarray) -> np.ndarray:
 
 
 def nonbossy_violation(
-    table: np.ndarray,
-    cls: PreferenceClass,
-    n: int,
-    *,
-    at: int | None = None,
-    cells: int = 1 << 22,
+    table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
 ):
     """Lowest (profile_idx, agent, alt_member) where own bundle holds but
     others move; with `at`, only on each agent's deviation row holding it.
@@ -295,7 +286,7 @@ def nonbossy_violation(
     hits = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        for idx in _deviation_blocks(c, n, i, at, cells):
+        for idx in _deviation_blocks(c, n, i, at):
             if at is None:
                 idx = idx[_bossy_rows(table, idx, i, others)]
             b = table[:, i][idx]
@@ -334,9 +325,7 @@ def push_up_matrix(cls: PreferenceClass) -> np.ndarray:
     return out
 
 
-def push_up_violation(
-    table: np.ndarray, cls: PreferenceClass, n: int, *, cells: int = 1 << 22
-):
+def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (profile_idx, agent, alt_member) where the agent pushes her
     bundle up (alt_member is a push-up of her report with respect to it)
     and the allocation moves.  Deviation rows are scanned in blocks
@@ -352,7 +341,7 @@ def push_up_violation(
     diag = np.arange(c)
     hits = []
     for i in range(n):
-        for idx in _deviation_blocks(c, n, i, None, cells):
+        for idx in _deviation_blocks(c, n, i, None):
             viol = up[diag, table[:, i][idx]] & _columns_move(table, idx, range(n))
             hits.append(_lowest_deviation(viol, idx, c, i))
     return min(filter(None, hits), default=None)
@@ -405,7 +394,7 @@ def assignment_masks(n: int, m: int) -> np.ndarray:
     return out
 
 
-def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int, cells=1 << 22):
+def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (profile_idx, blocking bundle tuple); blocker has lowest assignment index.
 
     Whether an assignment is weakly or strictly better for agent j depends only
@@ -413,14 +402,14 @@ def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int, cells=1 <<
     over all assignments (bit a set: assignment a is weakly, resp. strictly,
     better).  A profile's blockers are the AND of its agents' weak rows and
     the OR of their strict rows.  Profiles are taken in blocks whose rank
-    comparisons hold at most `cells` entries.
+    comparisons hold at most CELLS entries.
     """
     c = len(cls)
     m = cls.m
     digits = digit_array(c, n)
     ranks = rank_matrix(cls)
     am = assignment_masks(n, m)
-    step = max(1, cells // am.shape[0])
+    step = max(1, CELLS // am.shape[0])
     for lo in range(0, table.shape[0], step):
         weak = strict = None
         for j in range(n):
@@ -449,13 +438,13 @@ def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int, cells=1 <<
     return None
 
 
-def _lowest_on_subgrid(col: np.ndarray, axes, hit, cells: int) -> int | None:
+def _lowest_on_subgrid(col: np.ndarray, axes, hit) -> int | None:
     """Lowest profile index on the sub-grid np.ix_(*axes) of col, one
     agent's bundles as a (c,)*n grid, whose bundle satisfies hit; None if
     none does.  Each axis index ascends, so the sub-grid lists profiles in
     ascending order; it is scanned along its first axis in blocks of at most
-    `cells` entries (one slab at least)."""
-    step = max(1, cells // math.prod(len(a) for a in axes[1:]))
+    CELLS entries (one slab at least)."""
+    step = max(1, CELLS // math.prod(len(a) for a in axes[1:]))
     for lo in range(0, len(axes[0]), step):
         block = np.take(col, axes[0][lo : lo + step], axis=0)
         for k, a in enumerate(axes[1:], 1):
@@ -469,9 +458,7 @@ def _lowest_on_subgrid(col: np.ndarray, axes, hit, cells: int) -> int | None:
     return None
 
 
-def control_violation(
-    table: np.ndarray, cls: PreferenceClass, n: int, *, cells: int = 1 << 22
-):
+def control_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (S, agent, trigger_idx, violating_idx) breaking the control claim.
 
     For each S, let D be the members that strongly desire it.  Agent i's
@@ -488,12 +475,12 @@ def control_violation(
         if not desire.size:
             continue
         for i, col in enumerate(cols):
-            trig = _lowest_on_subgrid(col, [desire] * n, lambda b: (b & s) == s, cells)
+            trig = _lowest_on_subgrid(col, [desire] * n, lambda b: (b & s) == s)
             if trig is None:
                 continue
             axes = [every] * n
             axes[i] = desire
-            viol = _lowest_on_subgrid(col, axes, lambda b: (b & s) != s, cells)
+            viol = _lowest_on_subgrid(col, axes, lambda b: (b & s) != s)
             if viol is not None:
                 return s, i, trig, viol
     return None

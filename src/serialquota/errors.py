@@ -60,6 +60,3 @@ class InvalidDomain(SerialQuotaError):
 class TooLarge(SerialQuotaError):
     """Brute-force search space above the supported cap."""
 
-
-class UnsupportedPreference(SerialQuotaError):
-    """Operation defined only for a structured preference kind."""

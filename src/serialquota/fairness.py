@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import engine
 from .errors import DomainError, TooLarge
 from .mechanisms import (
     Allocation,
@@ -33,6 +34,7 @@ from .properties import PropertyReport
 
 EF1 = "ef1"
 MMS_ASSIGNMENT_CAP = 10**7
+_MMS_BLOCK = 1 << 16  # labeled partitions per block of `_mms_int_batch`
 
 # Perturbation used by the deterministic families and to break ties in random
 # rows: good g gets an extra eps * 2^g.  Subset sums stay distinct (integer
@@ -298,16 +300,16 @@ def _apply_quota_int(q, p, vals: np.ndarray) -> np.ndarray:
     return bundles
 
 
-def _mms_int_batch(rows: np.ndarray, n: int, block=1 << 16, cells=1 << 22) -> np.ndarray:
+def _mms_int_batch(rows: np.ndarray, n: int) -> np.ndarray:
     """MMS per integer value row, vectorized over labeled partitions.
 
-    Partitions are taken `block` at a time and rows in chunks, so that no
-    intermediate holds much more than `cells` (row, partition) sums.
+    Partitions are taken _MMS_BLOCK at a time and rows in chunks, so that no
+    intermediate holds much more than engine.CELLS (row, partition) sums.
     """
     count, m = rows.shape
     total = _partition_gate(n, m)
-    step = min(total, block)
-    chunk = max(1, cells // step)
+    step = min(total, _MMS_BLOCK)
+    chunk = max(1, engine.CELLS // step)
     place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
     out = np.zeros(count, dtype=np.int64)
     for start in range(0, total, step):

@@ -226,28 +226,6 @@ def apply_serial_quota(sq: QuotaOrdering, profile: Profile, m: int | None = None
     return Allocation(m, tuple(bundles))
 
 
-def apply_counter_non_neutral(profile: Profile, a: int, b: int) -> Allocation:
-    n = len(profile)
-    m = profile[0].m
-    if n < 3 or m < 3:
-        raise TooSmall("needs n >= 3 and m >= 3")
-    if a == b:
-        raise ValueError("a and b must be distinct goods")
-    univ = full_mask(m)
-    x = demand(profile[0], univ & ~(1 << a), 1)
-    bundles = [0] * n
-    bundles[0] = x
-    if x == 1 << b:
-        y = demand(profile[1], univ & ~x, 1)
-        bundles[1] = y
-        bundles[2] = univ & ~x & ~y
-    else:
-        y = demand(profile[2], univ & ~x, 1)
-        bundles[2] = y
-        bundles[1] = univ & ~x & ~y
-    return Allocation(m, tuple(bundles))
-
-
 def _round_robin(profile: Profile, m: int) -> Allocation:
     n = len(profile)
     bundles = [0] * n
@@ -294,7 +272,13 @@ def apply(mech: Mechanism, profile: Profile) -> Allocation:
         bundles[2] = full_mask(mech.m) & ~x
         return Allocation(mech.m, tuple(bundles))
     if isinstance(mech, CounterNonNeutral):
-        return apply_counter_non_neutral(profile, mech.a, mech.b)
+        univ = full_mask(mech.m)
+        x = demand(profile[0], univ & ~(1 << mech.a), 1)
+        second, last = (1, 2) if x == 1 << mech.b else (2, 1)
+        y = demand(profile[second], univ & ~x, 1)
+        bundles = [0] * mech.n
+        bundles[0], bundles[second], bundles[last] = x, y, univ & ~x & ~y
+        return Allocation(mech.m, tuple(bundles))
     raise TypeError(f"unknown mechanism variant {type(mech).__name__}")
 
 

@@ -335,30 +335,6 @@ def permute_preference(pref: Preference, pi: Permutation) -> Preference:
     return RankTable(tuple(rank))
 
 
-def induce(pref: Preference, w: Mask) -> Preference:
-    """Restriction of pref to subsets of w, re-indexed to a dense universe."""
-    goods = goods_of(w)
-    if isinstance(pref, Lexicographic):
-        remap = {g: i for i, g in enumerate(goods)}
-        return Lexicographic(tuple(remap[g] for g in pref.order if g in remap))
-    if isinstance(pref, AdditiveStrict):
-        return AdditiveStrict(tuple(pref.row[g] for g in goods), pref.scale)
-    mm = len(goods)
-    spread = []
-    for s in range(1 << mm):
-        mask = 0
-        for j in range(mm):
-            if s >> j & 1:
-                mask |= 1 << goods[j]
-        spread.append(mask)
-    rank_full = rank_table(pref)
-    order = sorted(range(1 << mm), key=lambda s: rank_full[spread[s]])
-    rank = [0] * (1 << mm)
-    for pos, s in enumerate(order):
-        rank[s] = pos
-    return RankTable(tuple(rank))
-
-
 def strongly_desires(pref: Preference, s: Mask) -> bool:
     """True iff for every A strictly inside B inside s: A + (M \\ s) is worse than B."""
     rank = rank_table(pref)

@@ -10,23 +10,18 @@ be replayed through the pure-Python `mechanisms.apply` path by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
 from typing import Any
 
 import numpy as np
 
 from . import engine
-from .errors import NotEnumerable, TooLarge, UnsupportedPreference
+from .errors import NotEnumerable, TooLarge
 from .mechanisms import Allocation, Mechanism, apply, index_to_profile
 from .prefs import (
-    Lexicographic,
     Ordering,
     Permutation,
-    Preference,
     PreferenceClass,
     compare,
-    full_mask,
-    goods_of,
     is_push_up,
     permute_preference,
     strongly_desires,
@@ -56,20 +51,15 @@ PARETO_MAX_GOODS = 6
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of one axiom check over the full profile space."""
+    """Outcome of one property check.  profiles_checked counts what the check
+    covered: profiles for an exhaustive axiom check, sampled pairs for the
+    sampled push-up check, mutants for mutation falsification and instances
+    for a fairness audit."""
 
     property: str
     holds: bool
     witness: dict[str, Any] | None
     profiles_checked: int
-
-
-@dataclass(frozen=True)
-class TradingCycle:
-    """agents[j] passes goods[j] to agents[(j+1) % k]; every trader strictly gains."""
-
-    agents: tuple[int, ...]
-    goods: tuple[int, ...]
 
 
 def _require_enumerable(mech: Mechanism) -> int:
@@ -101,8 +91,8 @@ def _witness(
     if prop == PUSH_UP:
         idx, agent, alt = hit
         c = len(cls)
-        digit = int(engine.digit_array(c, n)[idx, agent])
-        push = idx + (alt - digit) * int(engine.radix_powers(c, n)[agent])
+        w = int(engine.radix_powers(c, n)[agent])  # agent's digit weight
+        push = idx + (alt - idx // w % c) * w
         return {"profile_index": idx, "push_profile_index": push}
     if prop in (TRUTHFUL, NON_BOSSY):
         idx, agent, alt = hit
@@ -198,51 +188,6 @@ def check_control_claim(mech: Mechanism) -> PropertyReport:
     return _check(CONTROL_CLAIM, mech)
 
 
-def controls(mech: Mechanism, agent: int, s: int) -> bool:
-    """Agent receives all of s at every profile where she strongly desires it."""
-    if not 0 <= agent < mech.n:
-        raise ValueError(f"agent {agent} out of range")
-    cls = mech.domain
-    _require_enumerable(mech)
-    table = engine.allocation_table(mech)
-    digits = engine.digit_array(len(cls), mech.n)
-    desire = engine.strong_desire_matrix(cls)[:, s]
-    relevant = desire[digits[:, agent]]
-    holds = (table[relevant, agent] & s) == s
-    return bool(holds.all())
-
-
-def find_improving_cycle(alloc: Allocation, profile) -> TradingCycle | None:
-    """First single-good trading cycle all of whose participants strictly gain.
-
-    Cycles are scanned by size, then lexicographically by agent tuple (the
-    smallest participant first) and good tuple; each trader gives one good
-    from her bundle to the next trader.  Intended for n <= 5.
-    """
-    n = alloc.n
-    if len(profile) != n:
-        raise ValueError("profile/allocation size mismatch")
-    for size in range(2, n + 1):
-        for subset in combinations(range(n), size):
-            if any(alloc.bundles[a] == 0 for a in subset):
-                continue
-            for tail in permutations(subset[1:]):
-                agents = (subset[0],) + tail
-                pools = [goods_of(alloc.bundles[a]) for a in agents]
-                for goods in product(*pools):
-                    ok = True
-                    for j, a in enumerate(agents):
-                        given = 1 << goods[j]
-                        received = 1 << goods[j - 1]
-                        new = (alloc.bundles[a] & ~given) | received
-                        if compare(profile[a], alloc.bundles[a], new) is not Ordering.LESS:
-                            ok = False
-                            break
-                    if ok:
-                        return TradingCycle(agents, goods)
-    return None
-
-
 def check_push_up_invariance(
     mech: Mechanism,
     trials: int = 200,
@@ -251,9 +196,12 @@ def check_push_up_invariance(
     """Allocation is unchanged when agents push their own bundles up, sampled.
 
     A push-up of agent i's report keeps everything she ranked weakly below
-    her assigned bundle weakly below it.  Each trial draws a random profile
-    and a random in-class push-up per agent; profiles_checked counts the
-    pairs drawn.  `check_push_up_exhaustive` covers every profile.
+    her assigned bundle weakly below it.  Each trial draws a uniform profile
+    and, per agent, a uniform in-class push-up; all trials are drawn in one
+    batch, and the first one that moves the allocation is the witness.
+    profiles_checked counts the pairs up to and including the witness, or
+    every pair when none moves.
+    `check_push_up_exhaustive` covers every profile.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -262,25 +210,20 @@ def check_push_up_invariance(
     c = len(cls)
     n = mech.n
     table = engine.allocation_table(mech)
-    up = engine.push_up_matrix(cls)
     powers = engine.radix_powers(c, n)
-    checked = 0
-    witness = None
     rng = np.random.default_rng(rng_seed)
-    for _ in range(trials):
-        digits = rng.integers(0, c, size=n)
-        idx = int(digits @ powers)
-        bundles = table[idx]
-        alt = []
-        for j in range(n):
-            cands = np.flatnonzero(up[digits[j], bundles[j]])
-            alt.append(cands[int(rng.integers(0, len(cands)))])
-        checked += 1
-        jdx = int(np.array(alt) @ powers)
-        if not np.array_equal(table[jdx], bundles):
-            witness = {"profile_index": idx, "push_profile_index": jdx}
-            break
-    return PropertyReport(PUSH_UP, witness is None, witness, checked)
+    digits = rng.integers(0, c, size=(trials, n))
+    idx = digits @ powers
+    bundles = table[idx]
+    cands = engine.push_up_matrix(cls)[digits, bundles]  # [trial, agent, member]
+    # The largest uniform key among the candidates picks one of them uniformly.
+    jdx = np.where(cands, rng.random(cands.shape), -1.0).argmax(axis=2) @ powers
+    moved = np.flatnonzero((table[jdx] != bundles).any(axis=1))
+    if not moved.size:
+        return PropertyReport(PUSH_UP, True, None, trials)
+    k = int(moved[0])
+    witness = {"profile_index": int(idx[k]), "push_profile_index": int(jdx[k])}
+    return PropertyReport(PUSH_UP, False, witness, k + 1)
 
 
 def check_push_up_exhaustive(mech: Mechanism) -> PropertyReport:
@@ -324,25 +267,6 @@ def pareto_blocking(alloc: Allocation, profile) -> tuple[int, ...] | None:
         if verify_blocking(alloc, profile, bundles):
             return bundles
     return None
-
-
-def check_consecutive(alloc: Allocation, pref: Preference) -> bool:
-    """Bundles occupy disjoint consecutive runs of the lexicographic order,
-    with any unallocated goods forming the trailing run."""
-    if not isinstance(pref, Lexicographic):
-        raise UnsupportedPreference("consecutiveness is defined for lexicographic orders")
-    pos = {g: i for i, g in enumerate(pref.order)}
-    m = pref.m
-    blocks = list(alloc.bundles)
-    for mask in blocks:
-        ps = sorted(pos[g] for g in goods_of(mask))
-        if ps and ps != list(range(ps[0], ps[-1] + 1)):
-            return False
-    rest = full_mask(m) & ~alloc.union
-    ps = sorted(pos[g] for g in goods_of(rest))
-    if ps and ps != list(range(m - len(ps), m)):
-        return False
-    return True
 
 
 def replay_witness(mech: Mechanism, report: PropertyReport) -> bool:

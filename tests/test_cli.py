@@ -75,6 +75,19 @@ def test_check_pushup_witness_replays(mech_file, tmp_path, capsys):
     assert replay_witness(mechanism_from_json(payload), report)
 
 
+@pytest.mark.parametrize("axioms", ["", ",", " , "])
+def test_check_rejects_an_empty_axiom_list(mech_file, tmp_path, axioms, capsys):
+    out = tmp_path / "report.json"
+    code = main(["check", "--mech", mech_file(SQ_JSON), "--axioms", axioms,
+                 "--out", str(out), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: no axioms given")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_check_rejects_quota_overflow(mech_file, capsys):
     bad = dict(SQ_JSON, q=[2, 2])
     code = main(["check", "--mech", mech_file(bad), "--no-timestamp"])

@@ -384,17 +384,21 @@ def test_quota_sweep_matches_generic_application():
         assert tuple(int(b) for b in fast[t]) == slow.bundles
 
 
-def test_mms_batch_matches_generic():
+def test_mms_batch_matches_generic(monkeypatch):
     rng = np.random.default_rng(8)
     rows = strict_integer_rows(rng, 30, 4)
+    from serialquota import engine, fairness
     from serialquota.fairness import _mms_int_batch
 
     fast = _mms_int_batch(rows, 2)
+    whole3 = _mms_int_batch(rows, 3)
     for t in range(30):
         assert int(fast[t]) == mms([int(v) for v in rows[t]], 2)
     # Partition blocks of 5 and two-row chunks give the same shares.
-    assert (_mms_int_batch(rows, 2, block=5, cells=10) == fast).all()
-    assert (_mms_int_batch(rows, 3, block=5, cells=10) == _mms_int_batch(rows, 3)).all()
+    monkeypatch.setattr(fairness, "_MMS_BLOCK", 5)
+    monkeypatch.setattr(engine, "CELLS", 10)
+    assert (_mms_int_batch(rows, 2) == fast).all()
+    assert (_mms_int_batch(rows, 3) == whole3).all()
 
 
 def test_rho_floor_sweep_agrees_with_exact_recomputation():

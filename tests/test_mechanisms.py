@@ -136,8 +136,11 @@ def test_first_picker_law():
 
 def test_first_pick_independence():
     """Fix the first picker; others may be swapped for any report that
-    induces the same preference on the leftover goods."""
-    from serialquota import induce, rank_table
+    induces the same preference on the leftover goods.  A lexicographic
+    order restricted to those goods is their sequence in its order."""
+
+    def induced(pref, rest):
+        return [g for g in pref.order if rest >> g & 1]
 
     for n in (2, 3):
         mech = serial_quota((1,) * (n - 1) + (3 - n + 1,), tuple(range(n)), LEX3)
@@ -146,9 +149,9 @@ def test_first_pick_independence():
             d = demand(profile[0], full_mask(3), mech.quota.q[0])
             rest = full_mask(3) & ~d
             for j in range(1, n):
-                key = rank_table(induce(profile[j], rest))
+                key = induced(profile[j], rest)
                 for alt in LEX3.members:
-                    if rank_table(induce(alt, rest)) != key:
+                    if induced(alt, rest) != key:
                         continue
                     swapped = (*profile[:j], alt, *profile[j + 1:])
                     assert apply(mech, swapped).bundles == base.bundles

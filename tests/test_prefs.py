@@ -34,7 +34,6 @@ from serialquota import (
     explicit_class,
     full_mask,
     goods_of,
-    induce,
     is_push_up,
     lex_class,
     mask_of,
@@ -268,37 +267,6 @@ def test_permute_definition_pointwise():
                     assert compare(moved, pi.apply_mask(s), pi.apply_mask(t)) is compare(
                         pref, s, t
                     )
-
-
-def test_induce_full_universe_is_order_isomorphic():
-    out = induce(LEX012, full_mask(3))
-    assert rank_table(out) == rank_table(LEX012)
-
-
-def test_induce_lexicographic_keeps_relative_order():
-    out = induce(LEX012, mask_of([1, 2]))
-    assert rank_table(out) == rank_table(Lexicographic((0, 1)))
-
-
-def test_induce_additive_restricts_values():
-    # (4,2,1) restricted to goods {0,2} orders subsets like additive (4,1)
-    out = induce(AdditiveStrict((Fraction(4), Fraction(2), Fraction(1))), mask_of([0, 2]))
-    assert rank_table(out) == rank_table(AdditiveStrict((Fraction(4), Fraction(1))))
-
-
-def test_induce_agreement_exhaustive_m3():
-    for pref in lex_class(3).members:
-        for w in range(1, 8):
-            goods = goods_of(w)
-            pos = {g: i for i, g in enumerate(goods)}
-            reduced = induce(pref, w)
-            for s in submasks(w):
-                for t in submasks(w):
-                    if s == t:
-                        continue
-                    rs = sum(1 << pos[g] for g in goods_of(s))
-                    rt = sum(1 << pos[g] for g in goods_of(t))
-                    assert compare(reduced, rs, rt) is compare(pref, s, t)
 
 
 def test_strongly_desires_prefixes_only():

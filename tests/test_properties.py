@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from serialquota import (
-    AdditiveStrict,
     Allocation,
     CardinalInstance,
     CounterBossy,
@@ -24,12 +23,9 @@ from serialquota import (
     PropertyReport,
     RoundRobin,
     TooLarge,
-    TradingCycle,
-    UnsupportedPreference,
     additive_class,
     all_permutations,
     apply,
-    check_consecutive,
     check_control_claim,
     check_neutral,
     check_non_bossy,
@@ -40,8 +36,6 @@ from serialquota import (
     check_truthful,
     class_from_tag,
     compare,
-    controls,
-    find_improving_cycle,
     index_to_profile,
     is_push_up,
     lex_class,
@@ -269,7 +263,7 @@ BLOCKED_KERNELS = (
 )
 
 
-def test_blocked_scans_give_the_same_witness():
+def test_blocked_scans_give_the_same_witness(monkeypatch):
     """One deviation row (or one slab of a control sub-grid) per block finds
     the witness that one block finds, including witnesses that lie past the
     first block."""
@@ -284,7 +278,9 @@ def test_blocked_scans_give_the_same_witness():
             for kernel in BLOCKED_KERNELS:
                 whole = kernel(table, cls, n)
                 for cells in (1, c * c + 1, 3 * c * c):
-                    assert kernel(table, cls, n, cells=cells) == whole, kernel.__name__
+                    with monkeypatch.context() as patch:
+                        patch.setattr(engine, "CELLS", cells)
+                        assert kernel(table, cls, n) == whole, kernel.__name__
     c = len(LEX3)
     for kernel in BLOCKED_KERNELS[:3]:
         idx, agent, _ = kernel(late, LEX3, 2)
@@ -296,10 +292,10 @@ def test_blocked_scans_give_the_same_witness():
     assert agent == 0 and engine.digit_array(c, 2)[viol, 0] > first
 
 
-def test_blocked_scans_stay_within_their_cells():
+def test_blocked_scans_stay_within_their_cells(monkeypatch):
     """At lex (2,5) the traced peak of each blocked scan stays within 16
-    bytes per entry of `cells`, while a whole scan's (c, c, c) rank gather
-    alone is about 6.9 MB."""
+    bytes per entry of engine.CELLS, while a whole scan's (c, c, c) rank
+    gather alone is about 6.9 MB."""
     n, m = 2, 5
     cls = lex_class(m)
     c = len(cls)
@@ -311,12 +307,13 @@ def test_blocked_scans_stay_within_their_cells():
         rows[rng.integers(rows.shape[0], size=c**n)]
         for rows in (_choice_masks(n, m, partition_only=True), engine.assignment_masks(n, m))
     ]
+    monkeypatch.setattr(engine, "CELLS", cells)
     for table in (partition, leftovers):
         for kernel in BLOCKED_KERNELS:
-            kernel(table, cls, n, cells=cells)  # fill the engine's caches
+            kernel(table, cls, n)  # fill the engine's caches
             tracemalloc.start()
             try:
-                kernel(table, cls, n, cells=cells)
+                kernel(table, cls, n)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -534,7 +531,7 @@ def test_pareto_witness_matches_scalar_scan(n, m):
     assert any(verdicts) and not all(verdicts)
 
 
-def test_pareto_blocks_give_the_same_witness():
+def test_pareto_blocks_give_the_same_witness(monkeypatch):
     """Blocks of a few profiles find the witness that one block finds,
     including one that lies past the first block boundary."""
     n, m = 2, 3
@@ -548,8 +545,11 @@ def test_pareto_blocks_give_the_same_witness():
     for table in tables:
         whole = engine.pareto_violation(table, cls, n)
         for rows in (1, 5):
-            assert engine.pareto_violation(table, cls, n, cells=rows * assignments) == whole
-    assert engine.pareto_violation(late, cls, n, cells=5 * assignments)[0] == len(late) - 1
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "CELLS", rows * assignments)
+                assert engine.pareto_violation(table, cls, n) == whole
+    monkeypatch.setattr(engine, "CELLS", 5 * assignments)
+    assert engine.pareto_violation(late, cls, n)[0] == len(late) - 1
 
 
 def test_intro_instance_blocked_by_bundle_swap():
@@ -562,17 +562,6 @@ def test_intro_instance_blocked_by_bundle_swap():
     blockers = pareto_blocking(alloc, inst.valuations)
     assert blockers == (mask_of([1, 2]), mask_of([0]))
     assert verify_blocking(alloc, inst.valuations, blockers)
-    # no single trading cycle explains it: both agents swap whole bundles
-    assert find_improving_cycle(alloc, inst.valuations) is None
-
-
-def test_find_improving_cycle_detects_a_swap():
-    # lex agents holding each other's top good want to trade singletons
-    profile = (Lexicographic((1, 0)), Lexicographic((0, 1)))
-    alloc = Allocation(2, (0b01, 0b10))
-    cycle = find_improving_cycle(alloc, profile)
-    # agent 0 passes good 0 to agent 1 and receives good 1
-    assert cycle == TradingCycle((0, 1), (0, 1))
 
 
 def test_verify_blocking_rejects_non_improvements():
@@ -636,24 +625,21 @@ def test_control_witness_matches_scalar_scan(n, m):
 
 
 def test_first_picker_controls_her_demand_sized_prefixes():
+    """An agent controls S when she receives all of S at every profile where
+    she strongly desires it."""
     mech = serial_quota((2, 1), (0, 1), LEX3)
-    assert controls(mech, 0, mask_of([0, 1]))
-    assert controls(mech, 0, mask_of([1, 2]))
+
+    def controls(agent, s):
+        return all(
+            apply(mech, profile).bundles[agent] & s == s
+            for profile in product(LEX3.members, repeat=2)
+            if strongly_desires(profile[agent], s)
+        )
+
+    assert controls(0, mask_of([0, 1]))
+    assert controls(0, mask_of([1, 2]))
     # the second picker cannot guarantee a two-good set
-    assert not controls(mech, 1, mask_of([0, 1]))
-
-
-def test_controls_definition_by_hand():
-    """controls(i, S) == on every profile where i strongly desires S she gets S."""
-    mech = serial_quota((1, 2), (0, 1), LEX3)
-    for agent in range(2):
-        for s in range(1, 8):
-            expected = all(
-                not strongly_desires(profile[agent], s)
-                or apply(mech, profile).bundles[agent] & s == s
-                for profile in product(LEX3.members, repeat=2)
-            )
-            assert controls(mech, agent, s) == expected
+    assert not controls(1, mask_of([0, 1]))
 
 
 # ------------------------------------------------------------ push-up
@@ -740,26 +726,40 @@ def test_push_up_moves_allocation_for_manipulable_mechanism():
     assert replay_witness(mech, report)
 
 
+def test_sampled_push_up_failures_are_exhaustive_failures_and_replay():
+    """Wherever the sampled check finds a moved allocation the exhaustive
+    check finds one too, and every sampled witness replays."""
+    n, m = 2, 3
+    rng = np.random.default_rng(11)
+    failures = 0
+    for table in table_cases(n, m, LEX3, rng):
+        mech = TableMechanism(n, m, LEX3, tuple(map(tuple, table.tolist())))
+        exhaustive = check_push_up_exhaustive(mech)
+        for seed in range(5):
+            report = check_push_up_invariance(mech, trials=50, rng_seed=seed)
+            if report.holds:
+                assert report.profiles_checked == 50 and report.witness is None
+                continue
+            assert 1 <= report.profiles_checked <= 50
+            assert not exhaustive.holds
+            assert replay_witness(mech, report)
+            failures += 1
+    assert failures
+
+
 # ------------------------------------------------------------ consecutiveness
 
 def test_identical_profiles_give_consecutive_allocations():
-    mech = serial_quota((1, 2), (0, 1), LEX3)
-    for pref in LEX3.members:
-        alloc = apply(mech, (pref, pref))
-        assert check_consecutive(alloc, pref)
-
-
-def test_consecutive_rejects_gaps_and_non_suffix_leftovers():
-    pref = Lexicographic((0, 1, 2))
-    assert not check_consecutive(Allocation(3, (0b101, 0b010)), pref)  # gap in bundle
-    assert check_consecutive(Allocation(3, (0b001, 0b110)), pref)
-    assert check_consecutive(Allocation(3, (0b001, 0b010)), pref)  # worst good left over
-    assert not check_consecutive(Allocation(3, (0b001, 0b100)), pref)  # hole mid-order
-    with pytest.raises(UnsupportedPreference):
-        check_consecutive(
-            Allocation(3, (0b001, 0b110)),
-            AdditiveStrict((Fraction(4), Fraction(2), Fraction(1))),
-        )
+    """Under identical lexicographic reports each picker takes the next run
+    of the common order, so any leftover goods form its last run."""
+    for qo in enumerate_q(2, 3):
+        mech = SerialQuota(2, 3, LEX3, qo)
+        for pref in LEX3.members:
+            alloc = apply(mech, (pref, pref))
+            start = 0
+            for agent, k in zip(qo.p, qo.q):
+                assert alloc.bundles[agent] == mask_of(pref.order[start : start + k])
+                start += k
 
 
 # ------------------------------------------------------------ report plumbing
