@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the exhaustive characterization over every (n, m, class, mode) up
-to --max-n and --max-m and print one line each: the verdict, or the cap
+to --max-n and --max-m and print one line each: the verdict with the
+search's node count and nodes per second of the whole verdict, or the cap
 that stopped the search at that size."""
 
 import argparse
+import time
 
 from serialquota import TooLarge, lex_class, strict_monotone_class, verify_characterization
 
@@ -21,14 +23,17 @@ def run(max_n: int, max_m: int) -> int:
             for cls in classes_for(m):
                 for partition_only in (True, False):
                     mode = "partition" if partition_only else "allocation"
+                    start = time.perf_counter()
                     try:
                         report = verify_characterization(n, m, cls, partition_only)
                     except TooLarge as exc:
                         print(f"n={n} m={m} class={cls.tag} {mode}: skipped, {exc}")
                         continue
+                    rate = report.nodes / max(time.perf_counter() - start, 1e-9)
                     print(
                         f"n={n} m={m} class={cls.tag} {mode}: {report.verdict} "
-                        f"({len(report.satisfying)} tables = {len(report.family)} pairs)"
+                        f"({len(report.satisfying)} tables = {len(report.family)} pairs, "
+                        f"{report.nodes} nodes, {rate:.0f} nodes/s)"
                     )
                     bad += report.verdict != "sets-equal"
     return 1 if bad else 0

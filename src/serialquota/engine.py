@@ -7,7 +7,10 @@ profile index holds each agent's bundle bitmask.  The checkers in
 and re-played through the pure-Python apply path.
 
 Profile indexing is mixed-radix with agent 0 as the most significant digit,
-matching `mechanisms.profile_index`.
+matching `mechanisms.profile_index`: numpy's C-order ravel of a (C,)*n grid,
+agent i's digit weighing C^(n-1-i).  Kernels compute the profile indices
+they need inside each call; the caches here are keyed by class or by
+(n, m), so no C^n-sized array outlives a check.
 """
 
 from __future__ import annotations
@@ -33,23 +36,6 @@ PROFILE_CAP = 10**7
 # Blocked scans size their blocks so that one block's intermediate holds at
 # most about this many entries; read at call time, so tests can lower it.
 CELLS = 1 << 22
-
-
-@lru_cache(maxsize=None)
-def digit_array(c: int, n: int) -> np.ndarray:
-    """digits[idx, j] = agent j's member index in profile idx; shape (c^n, n)."""
-    idx = np.arange(c**n, dtype=np.int64)
-    cols = [(idx // c ** (n - 1 - j)) % c for j in range(n)]
-    out = np.stack(cols, axis=1)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def radix_powers(c: int, n: int) -> np.ndarray:
-    out = np.array([c ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -110,26 +96,6 @@ def neutrality_perms(m: int) -> list[Permutation]:
     return gens
 
 
-@lru_cache(maxsize=None)
-def perm_image_index(cls: PreferenceClass, n: int, pi: Permutation) -> np.ndarray:
-    """image[idx] = index of the profile whose members are pi's images of idx's."""
-    c = len(cls)
-    action = np.asarray(cls.perm_action(pi), dtype=np.int64)
-    out = action[digit_array(c, n)] @ radix_powers(c, n)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def perm_preimage_index(cls: PreferenceClass, n: int, pi: Permutation) -> np.ndarray:
-    """pre[idx] = index of the profile whose image under pi is idx."""
-    image = perm_image_index(cls, n, pi)
-    out = np.empty_like(image)
-    out[image] = np.arange(image.size)
-    out.setflags(write=False)
-    return out
-
-
 def allocation_table(mech: Mechanism) -> np.ndarray:
     """Bundle bitmask per (profile index, agent); shape (C^n, n).
 
@@ -177,27 +143,24 @@ def _serial_quota_grid(mech: SerialQuota, c: int, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def deviation_index(c: int, n: int, agent: int) -> np.ndarray:
+def deviation_index(c: int, n: int, agent: int, at: int | None = None) -> np.ndarray:
     """idx[r, d] = index of the profile whose other agents' digits encode r
     (mixed radix, lowest agent most significant) and whose `agent` digit is
     d; shape (c^(n-1), c).  Row r lists every report `agent` can make while
-    the others stay fixed."""
-    grid = np.arange(c**n, dtype=np.int64).reshape((c,) * n)
-    out = np.moveaxis(grid, agent, -1).reshape(-1, c)
-    out.setflags(write=False)
-    return out
+    the others stay fixed.  With `at`, only the row holding profile `at`;
+    shape (1, c)."""
+    w = c ** (n - 1 - agent)  # agent's digit weight
+    if at is not None:
+        lo = at - at // w % c * w  # `at` with agent's digit set to 0
+        return np.arange(lo, lo + w * c, w)[None, :]
+    r = np.arange(c ** (n - 1))
+    return (r // w * (w * c) + r % w)[:, None] + np.arange(0, w * c, w)
 
 
 def _deviation_blocks(c: int, n: int, agent: int, at: int | None) -> list[np.ndarray]:
-    """deviation_index(c, n, agent) in blocks of rows small enough that a
-    (rows, c, c) comparison holds at most CELLS entries (one row at least);
-    with `at`, only the row holding profile `at`."""
-    idx = deviation_index(c, n, agent)
-    if at is not None:
-        w = c ** (n - 1 - agent)  # agent's digit weight
-        r = at // (w * c) * w + at % w
-        return [idx[r : r + 1]]
+    """deviation_index(c, n, agent, at) in blocks of rows small enough that a
+    (rows, c, c) comparison holds at most CELLS entries (one row at least)."""
+    idx = deviation_index(c, n, agent, at)
     step = max(1, CELLS // (c * c))
     return [idx[lo : lo + step] for lo in range(0, idx.shape[0], step)]
 
@@ -347,23 +310,40 @@ def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     return min(filter(None, hits), default=None)
 
 
+def _renamed(idx: int, action, c: int, n: int) -> int:
+    """Index of the profile whose members are action's images of profile idx's."""
+    out = 0
+    for k in range(n - 1, -1, -1):
+        out = out * c + action[idx // c**k % c]
+    return out
+
+
 def neutrality_violation(
     table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
 ):
     """Lowest (profile_idx, perm_position) where renaming goods breaks covariance.
 
-    perm_position indexes neutrality_perms(cls.m).  With `at`, only profile
-    `at` and its preimage under each generator are checked: the pairs of
-    (profile, image) that involve `at`.
+    perm_position indexes neutrality_perms(cls.m).  The full scan gathers
+    the table at every profile's image by taking each agent's axis of the
+    (c,)*n + (n,) grid through pi's action on members.  With `at`, only
+    profile `at` and its preimage under each generator are checked: the
+    pairs of (profile, image) that involve `at`.
     """
+    c = len(cls)
     best = None
     for pos, pi in enumerate(neutrality_perms(cls.m)):
         if at is None:
-            rows = slice(None)  # views: the full scan copies nothing extra
-        else:
-            rows = np.unique([at, perm_preimage_index(cls, n, pi)[at]])
-        image = perm_image_index(cls, n, pi)[rows]
-        bad = np.flatnonzero((table[image] != mask_perm_table(pi)[table[rows]]).any(axis=1))
+            rows = slice(None)  # a view: the full scan copies nothing extra
+            image = table.reshape((c,) * n + (n,))
+            for k in range(n):
+                image = np.take(image, cls.perm_action(pi), axis=k)
+            image = image.reshape(table.shape)
+        else:  # at's pair with its image, and its preimage's pair with it
+            pre = _renamed(at, cls.perm_action(pi.inverse()), c, n)
+            pairs = sorted({(at, _renamed(at, cls.perm_action(pi), c, n)), (pre, at)})
+            rows = [p for p, _ in pairs]
+            image = table[[q for _, q in pairs]]
+        bad = np.flatnonzero((image != mask_perm_table(pi)[table[rows]]).any(axis=1))
         if bad.size:
             cand = (int(bad[0] if at is None else rows[bad[0]]), pos)
             if best is None or cand < best:
@@ -386,10 +366,10 @@ def assignment_masks(n: int, m: int) -> np.ndarray:
     """
     count = (n + 1) ** m
     out = np.zeros((count, n), dtype=np.int32)
-    owners = digit_array(n + 1, m)  # (count, m): owner of good g
+    owners = np.unravel_index(np.arange(count), (n + 1,) * m)  # owners[g]: of good g
     for g in range(m):
         for j in range(n):
-            out[:, j] |= (owners[:, g] == j) << g
+            out[:, j] |= (owners[g] == j) << g
     out.setflags(write=False)
     return out
 
@@ -406,17 +386,15 @@ def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """
     c = len(cls)
     m = cls.m
-    digits = digit_array(c, n)
     ranks = rank_matrix(cls)
     am = assignment_masks(n, m)
     step = max(1, CELLS // am.shape[0])
     for lo in range(0, table.shape[0], step):
+        profiles = np.arange(lo, min(lo + step, table.shape[0]))
         weak = strict = None
         for j in range(n):
-            keys, inv = np.unique(
-                digits[lo : lo + step, j] << m | table[lo : lo + step, j],
-                return_inverse=True,
-            )
+            digit = profiles // c ** (n - 1 - j) % c  # agent j's member
+            keys, inv = np.unique(digit << m | table[lo : lo + step, j], return_inverse=True)
             member = keys >> m
             alt = ranks[member[:, None], am[None, :, j]]  # (keys, assignments)
             cur = ranks[member, keys & ((1 << m) - 1)][:, None]

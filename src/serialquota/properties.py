@@ -45,10 +45,6 @@ _KERNELS = {
     CONTROL_CLAIM: "control_violation",
 }
 
-PARETO_MAX_AGENTS = 3
-PARETO_MAX_GOODS = 6
-
-
 @dataclass(frozen=True)
 class PropertyReport:
     """Outcome of one property check.  profiles_checked counts what the check
@@ -91,7 +87,7 @@ def _witness(
     if prop == PUSH_UP:
         idx, agent, alt = hit
         c = len(cls)
-        w = int(engine.radix_powers(c, n)[agent])  # agent's digit weight
+        w = c ** (n - 1 - agent)  # agent's digit weight
         push = idx + (alt - idx // w % c) * w
         return {"profile_index": idx, "push_profile_index": push}
     if prop in (TRUTHFUL, NON_BOSSY):
@@ -172,12 +168,14 @@ def check_pareto_efficient(mech: Mechanism) -> PropertyReport:
 
     Compares against every one of the (n+1)^m labeled assignments (a good may
     also be left unallocated), so it certifies efficiency among all feasible
-    allocations, not just partitions.
+    allocations, not just partitions.  Raises TooLarge when the profiles
+    pass PROFILE_CAP (`engine.allocation_table`) or the assignments' bundle
+    table, (n+1)^m rows of n, would: under the profile cap that only
+    happens with one member, at m = 1.
     """
-    if mech.n > PARETO_MAX_AGENTS or mech.m > PARETO_MAX_GOODS:
-        raise TooLarge(
-            f"pareto scan needs n <= {PARETO_MAX_AGENTS}, m <= {PARETO_MAX_GOODS}"
-        )
+    entries = (mech.n + 1) ** mech.m * mech.n
+    if entries > engine.PROFILE_CAP:
+        raise TooLarge(f"{entries} assignment entries exceed the {engine.PROFILE_CAP} cap")
     return _check(PARETO, mech)
 
 
@@ -210,14 +208,15 @@ def check_push_up_invariance(
     c = len(cls)
     n = mech.n
     table = engine.allocation_table(mech)
-    powers = engine.radix_powers(c, n)
+    shape = (c,) * n
     rng = np.random.default_rng(rng_seed)
     digits = rng.integers(0, c, size=(trials, n))
-    idx = digits @ powers
+    idx = np.ravel_multi_index(digits.T, shape)
     bundles = table[idx]
     cands = engine.push_up_matrix(cls)[digits, bundles]  # [trial, agent, member]
     # The largest uniform key among the candidates picks one of them uniformly.
-    jdx = np.where(cands, rng.random(cands.shape), -1.0).argmax(axis=2) @ powers
+    pushed = np.where(cands, rng.random(cands.shape), -1.0).argmax(axis=2)
+    jdx = np.ravel_multi_index(pushed.T, shape)
     moved = np.flatnonzero((table[jdx] != bundles).any(axis=1))
     if not moved.size:
         return PropertyReport(PUSH_UP, True, None, trials)

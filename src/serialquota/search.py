@@ -19,7 +19,7 @@ before it counts as a survivor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .mechanisms import (
     TableMechanism,
     canonicalize,
 )
-from .prefs import PreferenceClass, full_mask
+from .prefs import Permutation, PreferenceClass, full_mask
 from .properties import PropertyReport, first_axiom_violation
 
 NODE_CAP = 10**5
@@ -135,12 +135,13 @@ def search_tables(
     profile's candidates agree with every assigned cell it shares a
     constraint with:
 
-    - Truthful and non-bossy, between profiles q < p on one row of
-      `engine.deviation_index(c, n, i)`, agent i reporting t at q and d at
-      p: p's agent-i bundle is strictly below q's under t and strictly above
-      it under d, or p repeats q's choice.  The earlier cells of a row fold
-      into a running AND of their t-masks and the set of their bundles, so
-      a profile costs O(n * bundles seen) rather than O(n * c).
+    - Truthful and non-bossy, between profiles q < p that differ only in
+      agent i's report, t at q and d at p (so p - q is (d - t) times i's
+      digit weight c^(n-1-i)): p's agent-i bundle is strictly below q's
+      under t and strictly above it under d, or p repeats q's choice.  The
+      earlier cells of such a row fold into a running AND of their t-masks
+      and the set of their bundles, so a profile costs O(n * bundles seen)
+      rather than O(n * c).
     - Neutral, between p and its image under each generator pi of
       `engine.neutrality_perms`: the image holds pi applied to p's choice.
       No profile is its own image, since every member is a strict order and
@@ -164,6 +165,15 @@ def search_tables(
         below.append(_bit_rows((r[:, None, :] < r[:, :, None]) | same))
         above.append(_bit_rows(r[:, None, :] >= ranks[:, :, None]))
     row_of = {tuple(row): k for k, row in enumerate(choices.tolist())}
+    grid = np.arange(p_count).reshape((c,) * n)
+
+    def images(pi: Permutation) -> list[int]:
+        """images[p] = index of the profile whose members are pi's images of p's."""
+        out = grid
+        for axis in range(n):
+            out = np.take(out, cls.perm_action(pi), axis=axis)
+        return out.ravel().tolist()
+
     neutral = []  # (image, preimage, bits of pi(k), bits of pi^-1(k))
     for pi in engine.neutrality_perms(cls.m):
         renamed = engine.mask_perm_table(pi)[choices].tolist()
@@ -173,14 +183,14 @@ def search_tables(
             back[j] = 1 << k
         neutral.append(
             (
-                engine.perm_image_index(cls, n, pi).tolist(),
-                engine.perm_preimage_index(cls, n, pi).tolist(),
+                images(pi),
+                images(pi.inverse()),
                 [1 << j for j in moved],
                 back,
             )
         )
-    weights = engine.radix_powers(c, n).tolist()
-    digits = engine.digit_array(c, n).tolist()
+    weights = [c ** (n - 1 - i) for i in range(n)]
+    digits = list(product(range(c), repeat=n))
     agents = list(zip(range(n), weights, below, above, owners))
     lo_run = [[0] * p_count for _ in range(n)]
     seen_run = [[0] * p_count for _ in range(n)]

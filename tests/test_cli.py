@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -258,6 +259,31 @@ def test_deviation_checks_at_two_by_six_finish(mech_file):
                    "truthful,nonbossy,pushup", "--no-timestamp")
     assert done.returncode == 0, done.stderr
     assert done.stdout.count(": pass (518400 profiles)") == 3, done.stdout
+
+
+def test_characterize_script_prints_verdicts_with_node_counts():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "characterize.py"
+    src = str(Path(serialquota.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, str(script), "--max-n", "2", "--max-m", "2"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # n, m in 1..2, two classes, two modes.
+    assert len(lines) == 16, done.stdout
+    for line in lines:
+        assert re.search(r": sets-equal \(.*, [1-9][0-9]* nodes, [0-9]+ nodes/s\)$", line), line
+
+
+def test_pareto_check_at_four_by_four_finishes(mech_file):
+    # 24^4 profiles against 5^4 assignments: Pareto is gated by the profile
+    # cap and the assignment table's size, not by n and m on their own.
+    sq44 = {**SQ_JSON, "q": [1, 1, 1, 1], "p": [3, 1, 0, 2], "m": 4,
+            "class": {"tag": "lex", "m": 4}}
+    done = run_cli("check", "--mech", mech_file(sq44), "--axioms", "pareto", "--no-timestamp")
+    assert done.returncode == 0, done.stderr
+    assert "pareto_efficient: pass (331776 profiles)" in done.stdout, done.stdout
 
 
 @pytest.mark.parametrize("args", [

@@ -5,6 +5,7 @@ is re-derived with plain Python loops on small random table mechanisms so a
 bug in the index gymnastics cannot hide.
 """
 
+import gc
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -223,13 +224,16 @@ def test_grid_allocation_table_matches_apply(tag, n, m):
 
 
 def test_deviation_index_lists_one_agents_reports():
-    for c, n in [(2, 3), (3, 3), (6, 2), (4, 1)]:
-        digits = engine.digit_array(c, n)
+    for c, n in [(2, 3), (3, 3), (6, 2), (4, 1), (2, 4), (3, 4)]:
+        digits = np.array(list(product(range(c), repeat=n)))
         for agent in range(n):
             idx = engine.deviation_index(c, n, agent)
             assert idx.shape == (c ** (n - 1), c)
-            assert not idx.flags.writeable
             assert sorted(idx.ravel().tolist()) == list(range(c**n))
+            # With `at`, the one row holding that profile.
+            for at in range(c**n):
+                row = engine.deviation_index(c, n, agent, at=at)
+                assert row.tolist() == idx[(idx == at).any(axis=1)].tolist()
             others = np.delete(digits, agent, axis=1)
             for r in range(idx.shape[0]):
                 assert (digits[idx[r], agent] == np.arange(c)).all()
@@ -289,7 +293,7 @@ def test_blocked_scans_give_the_same_witness(monkeypatch):
     # Agent 0's violation scan starts at the first member desiring S.
     s, agent, _, viol = engine.control_violation(late, LEX3, 2)
     first = np.flatnonzero(engine.strong_desire_matrix(LEX3)[:, s])[0]
-    assert agent == 0 and engine.digit_array(c, 2)[viol, 0] > first
+    assert agent == 0 and viol // c > first  # agent 0's digit at n = 2
 
 
 def test_blocked_scans_stay_within_their_cells(monkeypatch):
@@ -319,6 +323,29 @@ def test_blocked_scans_stay_within_their_cells(monkeypatch):
                 tracemalloc.stop()
             assert peak < 16 * cells, (kernel.__name__, peak)
     assert engine.nonbossy_violation(leftovers, cls, n) is not None
+
+
+def test_checks_leave_no_profile_sized_state():
+    """Checks at lex (2,5), 120^2 profiles, retain nothing of that size once
+    the caches keyed by class or by (n, m) are warm: profile indices are
+    computed inside each call and freed with it."""
+    cls = lex_class(5)
+    checks = (check_truthful, check_non_bossy, check_neutral, check_pareto_efficient)
+    for check in checks:  # one agent: warms the class caches, not the (c, 2) ones
+        check(serial_quota((5,), (0,), cls))
+    engine.assignment_masks(2, 5)
+    mech = serial_quota((2, 3), (1, 0), cls)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for check in checks:
+            assert check(mech).holds
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown
 
 
 # ------------------------------------------------------ counterexample matrix
@@ -352,8 +379,8 @@ def test_counter_non_neutral_fails_exactly_neutrality():
 def full_group_neutral(table, cls, n):
     """Covariance under every one of the m! permutations, scanned directly."""
     c = len(cls)
-    digits = engine.digit_array(c, n)
-    powers = engine.radix_powers(c, n)
+    digits = np.array(list(product(range(c), repeat=n)))
+    powers = c ** np.arange(n - 1, -1, -1)
     for pi in all_permutations(cls.m):
         image = np.asarray(cls.perm_action(pi))[digits] @ powers
         moved = np.array([pi.apply_mask(s) for s in range(1 << cls.m)])[table]
@@ -511,7 +538,7 @@ def pareto_cases(n, m, rng):
             yield swapped
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (4, 2)])
 def test_pareto_witness_matches_scalar_scan(n, m):
     rng = np.random.default_rng(10 * n + m)
     verdicts = []
@@ -577,6 +604,14 @@ def test_pareto_blocking_cap():
     alloc = Allocation(8, tuple(1 << g for g in range(8)))
     with pytest.raises(TooLarge):
         pareto_blocking(alloc, profile)
+
+
+def test_pareto_check_gates_the_assignment_table():
+    # One good and 4000 agents: a single profile, but 4001 assignments of
+    # 4000 bundles each, over the cap; the gate fires before any table.
+    mech = serial_quota((1,) + (0,) * 3999, tuple(range(4000)), lex_class(1))
+    with pytest.raises(TooLarge, match="assignment entries"):
+        check_pareto_efficient(mech)
 
 
 # ------------------------------------------------------------ control claim

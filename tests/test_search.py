@@ -26,8 +26,15 @@ from serialquota import (
 )
 from serialquota import engine, search
 from serialquota.engine import neutrality_perms
-from serialquota.mechanisms import CounterBossy, SerialQuota, TableMechanism, apply
-from serialquota.prefs import class_from_tag
+from serialquota.mechanisms import (
+    CounterBossy,
+    SerialQuota,
+    TableMechanism,
+    apply,
+    index_to_profile,
+    profile_index,
+)
+from serialquota.prefs import class_from_tag, permute_preference
 from serialquota.properties import first_axiom_violation
 from serialquota.search import (
     VERDICT_COUNTEREXAMPLE,
@@ -313,7 +320,7 @@ def test_each_kernel_at_the_mutated_profile_matches_its_full_scan(n, m, tag):
 
 def test_scan_at_a_profile_sees_only_the_pairs_that_involve_it():
     cls = lex_class(3)
-    digits = engine.digit_array(len(cls), 3)
+    digits = np.array(list(product(range(len(cls)), repeat=3)))
     bossy = engine.allocation_table(CounterBossy(3, 3, cls))
     full = first_axiom_violation(bossy, cls, 3)
     assert full is not None
@@ -336,9 +343,10 @@ def test_scan_at_a_profile_sees_only_the_pairs_that_involve_it():
     assert full is not None
     assert first_axiom_violation(table, cls, 3, at=q) == full
     paired = {q}
+    profile = index_to_profile(q, cls, 3)
     for pi in neutrality_perms(3):
-        paired.add(int(engine.perm_image_index(cls, 3, pi)[q]))
-        paired.add(int(engine.perm_preimage_index(cls, 3, pi)[q]))
+        for sigma in (pi, pi.inverse()):  # q's image and preimage
+            paired.add(profile_index(tuple(permute_preference(p, sigma) for p in profile), cls))
     apart = [
         p for p in range(table.shape[0])
         if (digits[p] != digits[q]).sum() >= 2 and p not in paired
@@ -346,15 +354,6 @@ def test_scan_at_a_profile_sees_only_the_pairs_that_involve_it():
     assert apart
     for p in apart:
         assert first_axiom_violation(table, cls, 3, at=p) is None
-
-
-def test_preimage_index_inverts_the_image_index():
-    cls = lex_class(3)
-    for pi in neutrality_perms(3):
-        image = engine.perm_image_index(cls, 2, pi)
-        pre = engine.perm_preimage_index(cls, 2, pi)
-        assert np.array_equal(image[pre], np.arange(image.size))
-        assert np.array_equal(pre, np.argsort(image))
 
 
 def test_mutant_passing_the_local_check_is_confirmed_by_the_full_scan(monkeypatch):
