@@ -391,12 +391,20 @@ def ac10() -> tuple[bool, str]:
 
 
 def ac11() -> tuple[bool, str]:
-    """Exhaustive search past the product loop's reach: at (2,3) lex in both
-    modes and (3,3) lex partition, exactly the quota family survives."""
+    """Exhaustive search past the product loop's reach: at (2,3) and (3,3)
+    lex in both modes, (2,3) strict_monotone_all allocation and (2,4) lex
+    allocation, exactly the quota family survives."""
     parts = []
-    for n, m, partition_only in ((2, 3, True), (2, 3, False), (3, 3, True)):
-        report = verify_characterization(n, m, lex_class(m), partition_only)
-        mode = "partition" if partition_only else "allocation"
+    for n, m, cls, partition_only in (
+        (2, 3, lex_class(3), True),
+        (2, 3, lex_class(3), False),
+        (3, 3, lex_class(3), True),
+        (2, 3, strict_monotone_class(3), False),
+        (3, 3, lex_class(3), False),
+        (2, 4, lex_class(4), False),
+    ):
+        report = verify_characterization(n, m, cls, partition_only)
+        mode = f"{cls.tag} {'partition' if partition_only else 'allocation'}"
         if report.verdict != "sets-equal" or len(report.satisfying) != len(report.family):
             return False, (
                 f"({n},{m}) {mode}: verdict={report.verdict}, "
@@ -417,7 +425,7 @@ CRITERIA = (
     ("AC8", "push-up reports never move the allocation", ac8),
     ("AC9", "cardinal wrapper depends only on induced preferences", ac9),
     ("AC10", "all emitted witnesses replay standalone", ac10),
-    ("AC11", "only quota mechanisms satisfy the axioms at (2,3) and (3,3)", ac11),
+    ("AC11", "only quota mechanisms satisfy the axioms at (2,3), (3,3) and (2,4)", ac11),
 )
 
 

@@ -117,8 +117,15 @@ def allocation_table(mech: Mechanism) -> np.ndarray:
     return out
 
 
+def _report_axes(c: int, n: int) -> int:
+    """Report axes of a profile grid: one per agent, or a single one when
+    the class has one member, so that a one-profile grid stays within
+    numpy's 64 axes whatever n is."""
+    return n if c > 1 else 1
+
+
 def _serial_quota_grid(mech: SerialQuota, c: int, n: int) -> np.ndarray:
-    """The serial-quota table as a (c,)*n + (n,) grid.
+    """The serial-quota table as a (c,)*axes + (n,) grid (`_report_axes`).
 
     The t-th picker's bundle depends only on her report and the earlier
     pickers', so it is computed on their c^(t+1) sub-grid (axes in picking
@@ -126,7 +133,8 @@ def _serial_quota_grid(mech: SerialQuota, c: int, n: int) -> np.ndarray:
     the reports of everyone else.
     """
     dt = demand_tables(mech.domain)
-    out = np.zeros((c,) * n + (n,), dtype=np.int32)
+    dims = _report_axes(c, n)
+    out = np.zeros((c,) * dims + (n,), dtype=np.int32)
     remaining = np.array(full_mask(mech.m), dtype=np.int32)  # pool on the pickers' grid
     pickers: list[int] = []
     for k, agent in zip(mech.quota.q, mech.quota.p):
@@ -135,9 +143,7 @@ def _serial_quota_grid(mech: SerialQuota, c: int, n: int) -> np.ndarray:
         got = dt[k][np.arange(c), remaining[..., None]]  # new last axis: agent's report
         pickers.append(agent)
         order = np.argsort(pickers)
-        shape = [1] * n
-        for a in pickers:
-            shape[a] = c
+        shape = [c if a in pickers else 1 for a in range(dims)]
         out[..., agent] = got.transpose(order).reshape(shape)
         remaining = remaining[..., None] & ~got
     return out
@@ -366,10 +372,10 @@ def assignment_masks(n: int, m: int) -> np.ndarray:
     """
     count = (n + 1) ** m
     out = np.zeros((count, n), dtype=np.int32)
-    owners = np.unravel_index(np.arange(count), (n + 1,) * m)  # owners[g]: of good g
     for g in range(m):
+        owner = np.arange(count) // (n + 1) ** (m - 1 - g) % (n + 1)
         for j in range(n):
-            out[:, j] |= (owners[g] == j) << g
+            out[:, j] |= (owner == j) << g
     out.setflags(write=False)
     return out
 
@@ -447,17 +453,17 @@ def control_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     c = len(cls)
     sd = strong_desire_matrix(cls)
     every = np.arange(c)
-    cols = [table[:, i].reshape((c,) * n) for i in range(n)]
+    dims = _report_axes(c, n)
+    cols = [table[:, i].reshape((c,) * dims) for i in range(n)]
     for s in range(1, 1 << cls.m):
         desire = np.flatnonzero(sd[:, s])
         if not desire.size:
             continue
         for i, col in enumerate(cols):
-            trig = _lowest_on_subgrid(col, [desire] * n, lambda b: (b & s) == s)
+            trig = _lowest_on_subgrid(col, [desire] * dims, lambda b: (b & s) == s)
             if trig is None:
                 continue
-            axes = [every] * n
-            axes[i] = desire
+            axes = [desire if k == i else every for k in range(dims)]
             viol = _lowest_on_subgrid(col, axes, lambda b: (b & s) != s)
             if viol is not None:
                 return s, i, trig, viol

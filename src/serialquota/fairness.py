@@ -70,6 +70,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown instance families: {sorted(bad)}")
         if self.n < 1 or self.m > MAX_GOODS:
             raise ValueError(f"need n >= 1 and m <= {MAX_GOODS}, got n={self.n}, m={self.m}")
+        if self.count < 0:
+            raise ValueError(f"need count >= 0, got count={self.count}")
 
 
 def _values_of(valuation) -> tuple[Fraction, ...]:

@@ -501,6 +501,8 @@ def class_from_tag(tag: str, m: int) -> PreferenceClass:
 
 def enumerate_class(tag: str, m: int) -> tuple[Preference, ...]:
     """Complete, duplicate-free, deterministic listing of a preference class."""
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
     if m > MAX_GOODS:
         raise EnumerationTooLarge(f"m={m} above the {MAX_GOODS}-good cap")
     if tag == LEX:

@@ -208,15 +208,15 @@ def check_push_up_invariance(
     c = len(cls)
     n = mech.n
     table = engine.allocation_table(mech)
-    shape = (c,) * n
+    weights = c ** np.arange(n - 1, -1, -1)  # agent i's digit weighs c^(n-1-i)
     rng = np.random.default_rng(rng_seed)
     digits = rng.integers(0, c, size=(trials, n))
-    idx = np.ravel_multi_index(digits.T, shape)
+    idx = digits @ weights
     bundles = table[idx]
     cands = engine.push_up_matrix(cls)[digits, bundles]  # [trial, agent, member]
     # The largest uniform key among the candidates picks one of them uniformly.
     pushed = np.where(cands, rng.random(cands.shape), -1.0).argmax(axis=2)
-    jdx = np.ravel_multi_index(pushed.T, shape)
+    jdx = pushed @ weights
     moved = np.flatnonzero((table[jdx] != bundles).any(axis=1))
     if not moved.size:
         return PropertyReport(PUSH_UP, True, None, trials)

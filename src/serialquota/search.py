@@ -5,15 +5,16 @@ The reverse direction of the characterization (axioms imply serial-quota) is
 verified literally by a depth-first search over allocation tables: profiles
 are assigned in index order, and each profile only tries the choices that
 agree with the cells already assigned under the pairwise constraints that
-make up truthfulness, non-bossiness and neutrality.  Survivors come out in
-the order of a plain product over all tables, and each one still passes
-through `first_axiom_violation`.  The search stops at NODE_CAP cell
-assignments; beyond it the module instead mutates one profile's allocation
-of a serial-quota table at a time and confirms each mutant breaks an axiom.
-Since the base table breaks none, every violation involves the mutated
-profile, so a mutant is checked only on that profile's deviation rows and
-neutrality pairs; one that passes there is checked over the full table
-before it counts as a survivor.
+make up truthfulness and non-bossiness.  Neutrality leaves each profile but
+the lowest of its orbit one choice: the lowest one's, with goods renamed.
+Survivors come out in the order of a plain product over all tables, and each
+one still passes through `first_axiom_violation`.  The search stops at
+NODE_CAP cell assignments; beyond it the module instead mutates one
+profile's allocation of a serial-quota table at a time and confirms each
+mutant breaks an axiom.  Since the base table breaks none, every violation
+involves the mutated profile, so a mutant is checked only on that profile's
+deviation rows and neutrality pairs; one that passes there is checked over
+the full table before it counts as a survivor.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .mechanisms import (
     TableMechanism,
     canonicalize,
 )
-from .prefs import Permutation, PreferenceClass, full_mask
+from .prefs import PreferenceClass, full_mask
 from .properties import PropertyReport, first_axiom_violation
 
-NODE_CAP = 10**5
+NODE_CAP = 10**6
 MUTATION = "mutation_falsification"
 
 VERDICT_EQUAL = "sets-equal"
@@ -126,10 +127,10 @@ def _bit_rows(bits: np.ndarray) -> list:
 def search_tables(
     n: int, cls: PreferenceClass, choices: np.ndarray
 ) -> tuple[list[list[int]], int, int]:
-    """Every table of choice indices (one per profile) that meets the
-    pairwise constraints making up truthfulness, non-bossiness and
-    neutrality, in `itertools.product` order, with the search's node count
-    (cell assignments) and prune count (profiles left with no candidate).
+    """Every neutral table of choice indices (one per profile) that meets the
+    pairwise constraints making up truthfulness and non-bossiness, in
+    `itertools.product` order, with the search's node count (cell
+    assignments) and prune count (profiles left with no candidate).
 
     Profiles are assigned in index order and choices in ascending order.  A
     profile's candidates agree with every assigned cell it shares a
@@ -142,10 +143,11 @@ def search_tables(
       earlier cells of such a row fold into a running AND of their t-masks
       and the set of their bundles, so a profile costs O(n * bundles seen)
       rather than O(n * c).
-    - Neutral, between p and its image under each generator pi of
-      `engine.neutrality_perms`: the image holds pi applied to p's choice.
-      No profile is its own image, since every member is a strict order and
-      pi.P = P would make pi fix every subset; so there is no unary case.
+    - Neutral, by orbits of S_m.  S_m acts freely on profiles (pi.P = P
+      would make each strict order P_i rank pi(s) where it ranks s, so pi
+      would fix every subset), so an orbit has m! profiles, and each but the
+      lowest has one candidate: the lowest one's choice, renamed by the
+      permutation that maps it there.  It is checked and counted as a node.
 
     Raises TooLarge once the search passes NODE_CAP nodes.
     """
@@ -165,30 +167,31 @@ def search_tables(
         below.append(_bit_rows((r[:, None, :] < r[:, :, None]) | same))
         above.append(_bit_rows(r[:, None, :] >= ranks[:, :, None]))
     row_of = {tuple(row): k for k, row in enumerate(choices.tolist())}
-    grid = np.arange(p_count).reshape((c,) * n)
 
-    def images(pi: Permutation) -> list[int]:
-        """images[p] = index of the profile whose members are pi's images of p's."""
-        out = grid
-        for axis in range(n):
-            out = np.take(out, cls.perm_action(pi), axis=axis)
-        return out.ravel().tolist()
-
-    neutral = []  # (image, preimage, bits of pi(k), bits of pi^-1(k))
+    gens = []  # (profile images, choice images) of each generator
     for pi in engine.neutrality_perms(cls.m):
+        image = np.arange(p_count).reshape((c,) * n)
+        for axis in range(n):  # rename every agent's report
+            image = np.take(image, cls.perm_action(pi), axis=axis)
         renamed = engine.mask_perm_table(pi)[choices].tolist()
-        moved = [row_of[tuple(row)] for row in renamed]
-        back = [0] * k_count
-        for k, j in enumerate(moved):
-            back[j] = 1 << k
-        neutral.append(
-            (
-                images(pi),
-                images(pi.inverse()),
-                [1 << j for j in moved],
-                back,
-            )
-        )
+        gens.append((image.ravel().tolist(), [row_of[tuple(row)] for row in renamed]))
+    # Walk each orbit through the generators from its lowest index r, and
+    # compose their choice maps: orbit[p] = (r, f) where f takes r's choice
+    # to p's.  The maps are interned, so at most m! distinct ones are held.
+    orbit = [None] * p_count
+    identity = tuple(range(k_count))
+    interned = {}
+    for r in range(p_count):
+        if orbit[r] is None:
+            orbit[r] = r, identity
+            walk = [r]
+            for q in walk:  # grows as the walk reaches new profiles
+                for image, moved in gens:
+                    t = image[q]
+                    if orbit[t] is None:
+                        f = tuple(moved[j] for j in orbit[q][1])
+                        orbit[t] = r, interned.setdefault(f, f)
+                        walk.append(t)
     weights = [c ** (n - 1 - i) for i in range(n)]
     digits = list(product(range(c), repeat=n))
     agents = list(zip(range(n), weights, below, above, owners))
@@ -197,7 +200,8 @@ def search_tables(
     ks = [0] * p_count
 
     def candidates(p: int) -> int:
-        cand = full
+        r, f = orbit[p]
+        cand = full if r == p else 1 << f[ks[r]]
         row = digits[p]
         for i, w, _, hi, _ in agents:
             d = row[i]
@@ -208,13 +212,6 @@ def search_tables(
                     low = seen & -seen
                     cand &= hi[d][low.bit_length() - 1]
                     seen ^= low
-        for image, pre, fwd, back in neutral:
-            q = image[p]
-            if q < p:
-                cand &= back[ks[q]]
-            q = pre[p]
-            if q < p:
-                cand &= fwd[ks[q]]
         return cand
 
     rest = [0] * p_count  # untried candidates per assigned profile
@@ -267,6 +264,8 @@ def verify_characterization(
     NODE_CAP profiles or the search's rank masks would number more than
     NODE_CAP, and during the search once it passes NODE_CAP nodes.
     """
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     c = len(cls)
     n_choices = (n if partition_only else n + 1) ** m
     # With two or more members, n >= bit_length(cap) alone puts c^n over the

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import serialquota
-from serialquota import PropertyReport, replay_witness
+from serialquota import PropertyReport, replay_witness, search
 from serialquota.cli import main
 from serialquota.serialize import mechanism_from_json
 
@@ -151,14 +151,58 @@ def test_verify_mutation_rejects_non_positive_trials(trials, capsys):
     assert captured.err == f"error: trials must be at least 1, got {trials}\n"
 
 
-def test_verify_exhaustive_over_cap_is_usage_error(capsys):
-    # 120^2 profiles pass the profile gate; the search passes its node cap.
+def test_verify_exhaustive_over_cap_is_usage_error(monkeypatch, capsys):
+    # 120^2 profiles and 15,360 rank masks pass the gates of a cap lowered to
+    # 2 * 10^4; the search then passes that many nodes.
+    monkeypatch.setattr(search, "NODE_CAP", 2 * 10**4)
     code = main(["verify", "--n", "2", "--m", "5", "--class", "lex",
                  "--mode", "exhaustive", "--no-timestamp"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "node cap" in captured.err
+
+
+@pytest.mark.parametrize("n,m,error", [
+    ("-1", "2", "need n >= 1 and m >= 0, got n=-1, m=2"),
+    ("0", "2", "need n >= 1 and m >= 0, got n=0, m=2"),
+    ("2", "-1", "need m >= 0, got m=-1"),
+], ids=["n-1", "n0", "m-1"])
+def test_verify_rejects_out_of_range_sizes(n, m, error, capsys):
+    code = main(["verify", "--n", n, "--m", m, "--mode", "exhaustive", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+# One member per class means one profile, whatever n is: a 100-agent
+# m = 1 mechanism has more agents than numpy has axes, and m = 0 has no
+# goods at all.
+SINGLE_PROFILE = [
+    {"kind": "serial_quota", "q": [1] + [0] * 99, "p": list(range(100)), "m": 1,
+     "class": {"tag": "lex", "m": 1}},
+    {"kind": "serial_quota", "q": [0, 0], "p": [0, 1], "m": 0,
+     "class": {"tag": "lex", "m": 0}},
+]
+
+
+@pytest.mark.parametrize("mech", SINGLE_PROFILE, ids=["n100-m1", "n2-m0"])
+def test_check_every_axiom_at_a_single_profile(mech, mech_file, capsys):
+    code = main(["check", "--mech", mech_file(mech), "--axioms",
+                 "truthful,nonbossy,neutral,partition,pareto,control,pushup",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.count(": pass (1 profiles)\n") == 7, captured.out
+
+
+@pytest.mark.parametrize("n,m,family", [("70", "1", 70), ("2", "0", 1)])
+def test_verify_exhaustive_at_a_single_profile(n, m, family, capsys):
+    code = main(["verify", "--n", n, "--m", m, "--mode", "exhaustive", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == f"verdict: sets-equal ({family} satisfying, family {family})\n"
 
 
 def test_verify_exhaustive_gate_does_not_build_the_table_count(capsys):
@@ -208,6 +252,15 @@ def test_fairness_without_instances_is_usage_error(audit, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: families targeted generated no instances\n"
+
+
+def test_fairness_rejects_a_negative_count(capsys):
+    code = main(["fairness", "mms", "--q", "1,3", "--m", "4", "--count", "-5",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need count >= 0, got count=-5\n"
 
 
 def test_fairness_rejects_mismatched_n():

@@ -687,6 +687,13 @@ def test_push_up_invariance_for_serial_quota():
     assert report.profiles_checked == len(LEX3) ** 2
 
 
+def test_sampled_push_up_at_a_single_profile_with_many_agents():
+    # One member, one profile: 100 agents index it without a 100-axis grid.
+    mech = serial_quota((1,) + (0,) * 99, tuple(range(100)), lex_class(1))
+    report = check_push_up_invariance(mech, trials=20, rng_seed=1)
+    assert report.holds and report.profiles_checked == 20
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_sampled_push_up_rejects_non_positive_trials(trials):
     with pytest.raises(ValueError, match="trials"):

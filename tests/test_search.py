@@ -34,7 +34,7 @@ from serialquota.mechanisms import (
     index_to_profile,
     profile_index,
 )
-from serialquota.prefs import class_from_tag, permute_preference
+from serialquota.prefs import all_permutations, class_from_tag, permute_preference
 from serialquota.properties import first_axiom_violation
 from serialquota.search import (
     VERDICT_COUNTEREXAMPLE,
@@ -129,29 +129,31 @@ def test_characterization_cap(monkeypatch):
     assert report.verdict == VERDICT_EQUAL
     assert len(report.satisfying) == 6
 
-    # 48^3 = 110,592 profiles are refused before the search runs.
+    # 48^4 = 5,308,416 profiles are refused before the search runs.
     def no_search(*args):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(search, "search_tables", no_search)
-    with pytest.raises(TooLarge, match="48\\^3 profiles exceed .* cap"):
-        verify_characterization(3, 3, strict_monotone_class(3))
+    with pytest.raises(TooLarge, match="48\\^4 profiles exceed .* cap"):
+        verify_characterization(4, 3, strict_monotone_class(3))
     # 5040 profiles, but 5040 * (128 + 128) rank masks at (1,7) allocation.
     with pytest.raises(TooLarge, match="rank masks exceed .* cap"):
         verify_characterization(1, 7, lex_class(7), partition_only=False)
     monkeypatch.undo()
-    with pytest.raises(TooLarge, match="node cap"):
-        verify_characterization(3, 3, lex_class(3), partition_only=False)
+    # (2,3) lex allocation needs 1345 nodes; a lowered cap stops it early.
+    monkeypatch.setattr(search, "NODE_CAP", 1000)
+    with pytest.raises(TooLarge, match="1000-node cap"):
+        verify_characterization(2, 3, lex_class(3), partition_only=False)
 
 
 # (n, m, tag, partition_only, survivors, nodes): sizes the product loop's
 # 10^7-table cap refused.
 SEARCH_VERDICTS = [
-    (2, 3, "lex", True, 6, 388),
-    (2, 3, "lex", False, 13, 2698),
-    (3, 3, "lex", True, 21, 67742),
-    (2, 4, "lex", True, 8, 34546),
-    (2, 3, "strict_monotone_all", True, 6, 33331),
+    (2, 3, "lex", True, 6, 307),
+    (2, 3, "lex", False, 13, 1345),
+    (3, 3, "lex", True, 21, 26203),
+    (2, 4, "lex", True, 8, 9630),
+    (2, 3, "strict_monotone_all", True, 6, 24405),
 ]
 
 
@@ -199,11 +201,25 @@ def test_search_matches_the_product_oracle(n, m, tag, partition_only):
 @pytest.mark.parametrize("tag,m", [("lex", 2), ("lex", 3), ("lex", 4),
                                    ("strict_monotone_all", 3)])
 def test_no_member_is_fixed_by_a_neutrality_generator(tag, m):
-    """Why the search has no unary neutral constraint: no profile is its
-    own image, because no member is."""
+    """The orbit walk never finds a profile to be its own generator image,
+    because no member is."""
     cls = class_from_tag(tag, m)
     for pi in neutrality_perms(m):
         assert all(image != i for i, image in enumerate(cls.perm_action(pi)))
+
+
+@pytest.mark.parametrize("tag,m", [("lex", 2), ("lex", 3), ("lex", 4),
+                                   ("strict_monotone_all", 3)])
+def test_permutations_act_freely_on_members(tag, m):
+    """Why a profile outside its orbit's lowest index has exactly one
+    candidate: no permutation but the identity fixes any member, so none
+    fixes any profile, and each orbit has m! profiles reached by distinct
+    permutations."""
+    cls = class_from_tag(tag, m)
+    identity = tuple(range(m))
+    for pi in all_permutations(m):
+        if pi.map != identity:
+            assert all(image != i for i, image in enumerate(cls.perm_action(pi)))
 
 
 def test_mutants_always_break_an_axiom():
