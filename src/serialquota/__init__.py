@@ -99,7 +99,6 @@ from .properties import (
 from .search import (
     CharacterizationReport,
     enumerate_q,
-    recognize_serial_quota,
     verify_characterization,
 )
 

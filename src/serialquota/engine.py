@@ -15,7 +15,6 @@ they need inside each call; the caches here are keyed by class or by
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -369,8 +368,11 @@ def assignment_masks(n: int, m: int) -> np.ndarray:
 
     Row a, column j: bundle bitmask of agent j under assignment a; owner n
     means unallocated.  Assignments are ordered with good 0 most significant.
+    Raises TooLarge above PROFILE_CAP entries, before building anything.
     """
     count = (n + 1) ** m
+    if count * n > PROFILE_CAP:
+        raise TooLarge(f"{count * n} assignment entries exceed the {PROFILE_CAP} cap")
     out = np.zeros((count, n), dtype=np.int32)
     for g in range(m):
         owner = np.arange(count) // (n + 1) ** (m - 1 - g) % (n + 1)
@@ -426,20 +428,14 @@ def _lowest_on_subgrid(col: np.ndarray, axes, hit) -> int | None:
     """Lowest profile index on the sub-grid np.ix_(*axes) of col, one
     agent's bundles as a (c,)*n grid, whose bundle satisfies hit; None if
     none does.  Each axis index ascends, so the sub-grid lists profiles in
-    ascending order; it is scanned along its first axis in blocks of at most
-    CELLS entries (one slab at least)."""
-    step = max(1, CELLS // math.prod(len(a) for a in axes[1:]))
-    for lo in range(0, len(axes[0]), step):
-        block = np.take(col, axes[0][lo : lo + step], axis=0)
-        for k, a in enumerate(axes[1:], 1):
-            if len(a) < col.shape[k]:  # an axis listing every report needs no take
-                block = np.take(block, a, axis=k)
-        flat = np.flatnonzero(hit(block))
-        if flat.size:
-            pos = np.unravel_index(flat[0], block.shape)
-            digits = (axes[0][lo + pos[0]], *(a[k] for a, k in zip(axes[1:], pos[1:])))
-            return int(np.ravel_multi_index(digits, col.shape))
-    return None
+    ascending order.  The sub-grid is gathered whole: it holds at most one
+    table column, and the table is already in memory."""
+    block = col[np.ix_(*axes)]
+    flat = np.flatnonzero(hit(block))
+    if not flat.size:
+        return None
+    pos = np.unravel_index(flat[0], block.shape)
+    return int(np.ravel_multi_index([a[k] for a, k in zip(axes, pos)], col.shape))
 
 
 def control_violation(table: np.ndarray, cls: PreferenceClass, n: int):

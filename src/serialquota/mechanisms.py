@@ -107,6 +107,8 @@ def canonicalize(q, p, m: int) -> QuotaOrdering:
     n = len(q)
     if len(p) != n or sorted(p) != list(range(n)):
         raise InvalidOrdering(f"p must be a permutation of the agents: {p}")
+    if any(qi < 0 for qi in q):
+        raise ValueError(f"quotas must be non-negative: {q}")
     if sum(q) > m:
         raise QuotaOverflow(f"quotas sum to {sum(q)} > m={m}")
     nonzero = [(qi, pi) for qi, pi in zip(q, p) if qi > 0]

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from . import engine
-from .errors import NotEnumerable, TooLarge
+from .errors import NotEnumerable
 from .mechanisms import Allocation, Mechanism, apply, index_to_profile
 from .prefs import (
     Ordering,
@@ -170,12 +170,9 @@ def check_pareto_efficient(mech: Mechanism) -> PropertyReport:
     also be left unallocated), so it certifies efficiency among all feasible
     allocations, not just partitions.  Raises TooLarge when the profiles
     pass PROFILE_CAP (`engine.allocation_table`) or the assignments' bundle
-    table, (n+1)^m rows of n, would: under the profile cap that only
-    happens with one member, at m = 1.
+    table, (n+1)^m rows of n, would (`engine.assignment_masks`): under the
+    profile cap that only happens with one member, at m = 1.
     """
-    entries = (mech.n + 1) ** mech.m * mech.n
-    if entries > engine.PROFILE_CAP:
-        raise TooLarge(f"{entries} assignment entries exceed the {engine.PROFILE_CAP} cap")
     return _check(PARETO, mech)
 
 
@@ -253,14 +250,13 @@ def pareto_blocking(alloc: Allocation, profile) -> tuple[int, ...] | None:
     """Lowest-indexed feasible reallocation Pareto-dominating alloc, or None.
 
     Scans all (n+1)^m labeled assignments (goods may stay unallocated), so it
-    works for a single allocation/profile pair without a mechanism.
+    works for a single allocation/profile pair without a mechanism; the
+    table's cap is `engine.assignment_masks`'s.
     """
     n = alloc.n
     m = alloc.m
     if len(profile) != n:
         raise ValueError("profile/allocation size mismatch")
-    if (n + 1) ** m > 10**7:
-        raise TooLarge(f"(n+1)^m = {(n + 1) ** m} assignments exceed the scan cap")
     for row in engine.assignment_masks(n, m):
         bundles = tuple(int(b) for b in row)
         if verify_blocking(alloc, profile, bundles):

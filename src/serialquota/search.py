@@ -1,5 +1,5 @@
-"""Characterization checks: enumerate the quota family, recognize members,
-search tiny mechanism spaces exhaustively, and falsify single-cell mutants.
+"""Characterization checks: enumerate the quota family, search tiny mechanism
+spaces exhaustively, and falsify single-cell mutants.
 
 The reverse direction of the characterization (axioms imply serial-quota) is
 verified literally by a depth-first search over allocation tables: profiles
@@ -7,14 +7,18 @@ are assigned in index order, and each profile only tries the choices that
 agree with the cells already assigned under the pairwise constraints that
 make up truthfulness and non-bossiness.  Neutrality leaves each profile but
 the lowest of its orbit one choice: the lowest one's, with goods renamed.
-Survivors come out in the order of a plain product over all tables, and each
-one still passes through `first_axiom_violation`.  The search stops at
-NODE_CAP cell assignments; beyond it the module instead mutates one
+Survivors come out in the order of a plain product over all tables; each
+one still passes through `first_axiom_violation` and is matched by its bytes
+against the quota family's tables.  Every family table survives, and tables
+that differ at profile 0 share no node, so a size whose family alone needs
+more than NODE_CAP nodes is refused before any table is built.  The search
+stops at NODE_CAP cell assignments; beyond it the module instead mutates one
 profile's allocation of a serial-quota table at a time and confirms each
 mutant breaks an axiom.  Since the base table breaks none, every violation
 involves the mutated profile, so a mutant is checked only on that profile's
 deviation rows and neutrality pairs; one that passes there is checked over
-the full table before it counts as a survivor.
+the full table before it counts as a survivor.  S_m acts freely on profiles,
+so for m >= 2 no single-cell mutant of a neutral table is neutral.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from itertools import permutations, product
 import numpy as np
 
 from . import engine
-from .errors import NotEnumerable, TooLarge
+from .errors import TooLarge
 from .mechanisms import (
-    Mechanism,
     QuotaOrdering,
     SerialQuota,
     TableMechanism,
+    apply_serial_quota,
     canonicalize,
 )
 from .prefs import PreferenceClass, full_mask
@@ -90,19 +94,6 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def recognize_serial_quota(mech: Mechanism) -> QuotaOrdering | None:
-    """The unique canonical pair whose serial-quota mechanism agrees with mech
-    on every profile, or None."""
-    if not mech.domain.enumerable:
-        raise NotEnumerable(f"domain {mech.domain.tag} cannot be enumerated")
-    table = engine.allocation_table(mech)
-    for qo in enumerate_q(mech.n, mech.m):
-        sq = SerialQuota(mech.n, mech.m, mech.domain, qo)
-        if np.array_equal(engine.allocation_table(sq), table):
-            return qo
-    return None
 
 
 def _choice_masks(n: int, m: int, partition_only: bool) -> np.ndarray:
@@ -258,11 +249,13 @@ def verify_characterization(
 ) -> CharacterizationReport:
     """Search every allocation table that passes the three axioms (partition
     mode restricts choices to full partitions) and compare the survivors
-    against the canonical quota family.
+    against the canonical quota family's own tables; the first survivor no
+    family table matches is the counterexample.
 
-    Raises TooLarge before building anything when the class has more than
-    NODE_CAP profiles or the search's rank masks would number more than
-    NODE_CAP, and during the search once it passes NODE_CAP nodes.
+    Raises TooLarge before building any table when the class has more than
+    NODE_CAP profiles, the search's rank masks would number more than
+    NODE_CAP, or the quota family alone needs more than NODE_CAP nodes, and
+    during the search once it passes NODE_CAP nodes.
     """
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
@@ -279,8 +272,20 @@ def verify_characterization(
         raise TooLarge(
             f"{masks} rank masks exceed the search cap of {NODE_CAP}; use mutation mode"
         )
+    family = enumerate_q(n, m, partition_only)
+    first = (cls.members[0],) * n  # profile 0
+    bound = len({apply_serial_quota(qo, first, m) for qo in family}) * c**n
+    if bound > NODE_CAP:
+        raise TooLarge(
+            f"the quota family alone needs {bound} search nodes, "
+            f"over the {NODE_CAP}-node cap; use mutation mode"
+        )
     choices = _choice_masks(n, m, partition_only)
     found, nodes, prunes = search_tables(n, cls, choices)
+    quota_of = {}
+    for qo in family:
+        table = engine.allocation_table(SerialQuota(n, m, cls, qo))
+        quota_of.setdefault(table.tobytes(), qo)
     satisfying = []
     recognized = []
     counterexample = None
@@ -288,17 +293,14 @@ def verify_characterization(
         table = choices[ks]
         if first_axiom_violation(table, cls, n) is not None:
             continue
-        mech = TableMechanism(
-            n, m, cls, tuple(tuple(int(b) for b in row) for row in table)
-        )
+        mech = TableMechanism(n, m, cls, tuple(map(tuple, table.tolist())))
         satisfying.append(mech)
-        qo = recognize_serial_quota(mech)
+        qo = quota_of.get(table.tobytes())
         if qo is None:
             if counterexample is None:
                 counterexample = mech
         else:
             recognized.append(qo)
-    family = enumerate_q(n, m, partition_only)
     ok = counterexample is None and set(recognized) == set(family)
     return CharacterizationReport(
         n=n,
@@ -345,7 +347,6 @@ def mutate_with_log(
     sq = SerialQuota(n, m, cls, canonicalize(base.q, base.p, m))
     table = engine.allocation_table(sq)
     choices = _choice_masks(n, m, partition_only=True)
-    row_index = {tuple(int(b) for b in row): i for i, row in enumerate(choices)}
     rng = np.random.default_rng(seed)
     p_count = table.shape[0]
     n_choices = choices.shape[0]
@@ -353,9 +354,9 @@ def mutate_with_log(
     survivor = None
     for trial in range(trials):
         idx = int(rng.integers(p_count))
-        current = row_index[tuple(int(b) for b in table[idx])]
-        new = current
-        while new == current:
+        old = table[idx].copy()
+        new = int(rng.integers(n_choices))
+        while np.array_equal(choices[new], old):
             new = int(rng.integers(n_choices))
         entry = {
             "trial": trial,
@@ -366,7 +367,7 @@ def mutate_with_log(
         failed = first_axiom_violation(table, cls, n, at=idx)
         if failed is None:
             failed = first_axiom_violation(table, cls, n)
-        table[idx] = choices[current]
+        table[idx] = old
         if failed is None:
             survivor = entry
             break

@@ -96,6 +96,24 @@ def test_check_rejects_quota_overflow(mech_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_check_rejects_a_negative_quota(mech_file, capsys):
+    bad = {"kind": "serial_quota", "q": [2, -1], "p": [0, 1], "m": 1}
+    code = main(["check", "--mech", mech_file(bad), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: quotas must be non-negative: (2, -1)\n"
+
+
+def test_verify_mutation_rejects_a_negative_default_base(capsys):
+    # With n > m the default base (1,...,1, m-n+1) has a negative last quota.
+    code = main(["verify", "--n", "3", "--m", "1", "--mode", "mutate", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: quotas must be non-negative: (1, 1, -1)\n"
+
+
 def _table_json(row):
     # lex over 2 goods has 2 members, so a 2-agent table has 4 profiles.
     return {"kind": "table", "class": {"tag": "lex", "m": 2}, "n": 2, "alloc": [row] * 4}
@@ -153,7 +171,8 @@ def test_verify_mutation_rejects_non_positive_trials(trials, capsys):
 
 def test_verify_exhaustive_over_cap_is_usage_error(monkeypatch, capsys):
     # 120^2 profiles and 15,360 rank masks pass the gates of a cap lowered to
-    # 2 * 10^4; the search then passes that many nodes.
+    # 2 * 10^4, but the 10 distinct family allocations at profile 0 need
+    # 10 * 120^2 nodes, so the family bound stops it before the search.
     monkeypatch.setattr(search, "NODE_CAP", 2 * 10**4)
     code = main(["verify", "--n", "2", "--m", "5", "--class", "lex",
                  "--mode", "exhaustive", "--no-timestamp"])

@@ -608,7 +608,8 @@ def test_pareto_blocking_cap():
 
 def test_pareto_check_gates_the_assignment_table():
     # One good and 4000 agents: a single profile, but 4001 assignments of
-    # 4000 bundles each, over the cap; the gate fires before any table.
+    # 4000 bundles each, over the cap; the gate fires before the assignment
+    # table is built (the one-profile allocation table comes first).
     mech = serial_quota((1,) + (0,) * 3999, tuple(range(4000)), lex_class(1))
     with pytest.raises(TooLarge, match="assignment entries"):
         check_pareto_efficient(mech)

@@ -1,6 +1,6 @@
-"""Characterization machinery: the canonical quota family, recognition,
-the exhaustive profile search against a brute-force product oracle, and
-mutation falsification.
+"""Characterization machinery: the canonical quota family, the exhaustive
+profile search against a brute-force product oracle, and mutation
+falsification.
 
 Frozen family sizes were derived by hand from the counting identity
 |Q(n,m)| = sum over k of m!/(m-k)! restricted compositions; the partition
@@ -14,12 +14,10 @@ import numpy as np
 import pytest
 
 from serialquota import (
-    CounterNonTruthful,
     QuotaOrdering,
     TooLarge,
     enumerate_q,
     lex_class,
-    recognize_serial_quota,
     serial_quota,
     strict_monotone_class,
     verify_characterization,
@@ -43,6 +41,7 @@ from serialquota.search import (
     mutate_with_log,
     search_tables,
 )
+from serialquota.serialize import characterization_to_json
 
 FAMILY_SIZES = {
     # (n, m): (all pairs, partition pairs)
@@ -80,32 +79,6 @@ def test_enumerate_q_entries_are_canonical_and_unique():
             assert sum(qo.q) <= m
 
 
-def test_recognition_round_trips_every_canonical_pair():
-    cls = lex_class(3)
-    for qo in enumerate_q(2, 3):
-        mech = SerialQuota(2, 3, cls, qo)
-        assert recognize_serial_quota(mech) == qo
-
-
-def test_recognition_canonicalizes_raw_input():
-    mech = serial_quota((0, 2), (0, 1), lex_class(3))
-    assert recognize_serial_quota(mech) == QuotaOrdering((2, 0), (1, 0))
-
-
-def test_recognition_rejects_non_quota_mechanisms():
-    assert recognize_serial_quota(CounterNonTruthful(2, 2, lex_class(2))) is None
-
-
-def test_table_disguise_is_still_recognized():
-    cls = lex_class(2)
-    sq = serial_quota((1, 1), (1, 0), cls)
-    rows = tuple(
-        apply(sq, profile).bundles for profile in product(cls.members, repeat=2)
-    )
-    disguised = TableMechanism(2, 2, cls, rows)
-    assert recognize_serial_quota(disguised) == QuotaOrdering((1, 1), (1, 0))
-
-
 def test_characterization_at_two_by_two_partition():
     for cls in (lex_class(2), strict_monotone_class(2)):
         report = verify_characterization(2, 2, cls, partition_only=True)
@@ -139,11 +112,35 @@ def test_characterization_cap(monkeypatch):
     # 5040 profiles, but 5040 * (128 + 128) rank masks at (1,7) allocation.
     with pytest.raises(TooLarge, match="rank masks exceed .* cap"):
         verify_characterization(1, 7, lex_class(7), partition_only=False)
+    # 48^3 profiles pass, but 21 (34) distinct family allocations at profile
+    # 0 times 48^3 profiles pass the node cap in partition (allocation) mode.
+    for partition_only, nodes in ((True, 21 * 48**3), (False, 34 * 48**3)):
+        with pytest.raises(TooLarge, match=f"family alone needs {nodes} search "
+                                           "nodes, over the 1000000-node cap"):
+            verify_characterization(3, 3, strict_monotone_class(3), partition_only)
     monkeypatch.undo()
     # (2,3) lex allocation needs 1345 nodes; a lowered cap stops it early.
     monkeypatch.setattr(search, "NODE_CAP", 1000)
     with pytest.raises(TooLarge, match="1000-node cap"):
         verify_characterization(2, 3, lex_class(3), partition_only=False)
+
+
+def test_survivor_outside_the_family_is_the_counterexample(monkeypatch):
+    """A family missing one pair leaves that pair's table unmatched: it is
+    the counterexample, and the JSON report lists every survivor."""
+    cls = lex_class(2)
+    family = enumerate_q(2, 2, partition_only=True)
+    dropped = family[1]
+    monkeypatch.setattr(search, "enumerate_q", lambda *args: family[:1] + family[2:])
+    report = verify_characterization(2, 2, cls, partition_only=True)
+    assert report.verdict == VERDICT_COUNTEREXAMPLE
+    table = engine.allocation_table(SerialQuota(2, 2, cls, dropped))
+    assert report.counterexample.table == tuple(map(tuple, table.tolist()))
+    assert dropped not in report.recognized and len(report.recognized) == 3
+    payload = characterization_to_json(report)
+    assert payload["verdict"] == VERDICT_COUNTEREXAMPLE
+    assert payload["counterexample"]["alloc"] == table.tolist()
+    assert len(payload["satisfying_tables"]) == 4
 
 
 # (n, m, tag, partition_only, survivors, nodes): sizes the product loop's
@@ -320,6 +317,18 @@ def test_scan_at_the_mutated_profile_matches_the_full_scan(n, m, tag, quotas, sa
         full = first_axiom_violation(table, cls, n)
         assert full is not None
         assert first_axiom_violation(table, cls, n, at=p) == full
+
+
+@pytest.mark.parametrize("n,m,quota", [(2, 3, (1, 2)), (3, 3, (1, 1, 1))])
+def test_every_single_cell_mutant_breaks_neutrality_at_its_profile(n, m, quota):
+    """S_m acts freely on profiles, so the mutated profile's orbit partners
+    keep allocations that no longer match it: for m >= 2 no single-cell
+    mutant of a neutral table is neutral."""
+    count = 0
+    for cls, table, p in _mutants(n, m, "lex", {quota}):
+        assert engine.neutrality_violation(table, cls, n, at=p) is not None
+        count += 1
+    assert count == len(lex_class(m)) ** n * (len(_choice_masks(n, m, True)) - 1)
 
 
 @pytest.mark.parametrize("n,m,tag", [(2, 3, "lex"), (3, 3, "lex"), (2, 4, "lex"),
