@@ -25,13 +25,14 @@ from .fairness import (
 from .mechanisms import canonicalize, serial_quota
 from .prefs import additive_class, class_from_tag
 from .properties import (
-    check_control_claim,
-    check_neutral,
-    check_non_bossy,
-    check_pareto_efficient,
-    check_partition,
-    check_push_up_exhaustive,
-    check_truthful,
+    CONTROL_CLAIM,
+    NEUTRAL,
+    NON_BOSSY,
+    PARETO,
+    PARTITION,
+    PUSH_UP,
+    TRUTHFUL,
+    check,
 )
 from .search import mutate_with_log, verify_characterization
 from .serialize import (
@@ -44,13 +45,13 @@ from .serialize import (
 )
 
 AXIOM_CHECKS = {
-    "truthful": check_truthful,
-    "nonbossy": check_non_bossy,
-    "neutral": check_neutral,
-    "partition": check_partition,
-    "pareto": check_pareto_efficient,
-    "control": check_control_claim,
-    "pushup": check_push_up_exhaustive,
+    "truthful": TRUTHFUL,
+    "nonbossy": NON_BOSSY,
+    "neutral": NEUTRAL,
+    "partition": PARTITION,
+    "pareto": PARETO,
+    "control": CONTROL_CLAIM,
+    "pushup": PUSH_UP,
 }
 
 
@@ -75,15 +76,11 @@ def cmd_check(args) -> int:
     unknown = [x for x in names if x not in AXIOM_CHECKS]
     if unknown:
         raise ValueError(f"unknown axioms {unknown}; choose from {sorted(AXIOM_CHECKS)}")
-    reports = []
-    failed = False
-    for name in names:
-        report = AXIOM_CHECKS[name](mech)
-        reports.append(report)
+    reports = check(mech, [AXIOM_CHECKS[x] for x in names])
+    for report in reports:
         status = "pass" if report.holds else "FAIL"
         print(f"{report.property}: {status} ({report.profiles_checked} profiles)")
         if not report.holds:
-            failed = True
             print(f"  witness: {json.dumps(report.witness)}")
     _emit(
         {
@@ -92,7 +89,7 @@ def cmd_check(args) -> int:
         },
         args,
     )
-    return 1 if failed else 0
+    return 0 if all(r.holds for r in reports) else 1
 
 
 def cmd_verify(args) -> int:

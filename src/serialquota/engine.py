@@ -356,10 +356,12 @@ def neutrality_violation(
     return best
 
 
-def partition_violation(table: np.ndarray, m: int):
+def partition_violation(table: np.ndarray, cls: PreferenceClass, n: int):
+    """Lowest (profile_idx, union) whose bundles leave some good unallocated,
+    union being the goods they cover."""
     union = np.bitwise_or.reduce(table, axis=1)
-    bad = np.nonzero(union != full_mask(m))[0]
-    return int(bad[0]) if bad.size else None
+    bad = np.flatnonzero(union != full_mask(cls.m))
+    return (int(bad[0]), int(union[bad[0]])) if bad.size else None
 
 
 @lru_cache(maxsize=None)

@@ -215,10 +215,8 @@ class CounterNonNeutral(Mechanism):
             raise ValueError("a and b must be distinct goods")
 
 
-def apply_serial_quota(sq: QuotaOrdering, profile: Profile, m: int | None = None) -> Allocation:
+def apply_serial_quota(sq: QuotaOrdering, profile: Profile, m: int) -> Allocation:
     """Each picker in turn takes her quota-demand from the remaining goods."""
-    if m is None:
-        m = profile[0].m
     bundles = [0] * len(profile)
     remaining = full_mask(m)
     for k, agent in zip(sq.q, sq.p):
@@ -313,8 +311,7 @@ def index_to_profile(idx: int, cls: PreferenceClass, n: int) -> Profile:
     return tuple(cls.members[d] for d in reversed(digits))
 
 
-def serial_quota(q, p, domain: PreferenceClass, n: int | None = None) -> SerialQuota:
+def serial_quota(q, p, domain: PreferenceClass) -> SerialQuota:
     """Convenience constructor: canonicalizes (q, p) over the given domain."""
-    if n is None:
-        n = len(tuple(q))
-    return SerialQuota(n, domain.m, domain, canonicalize(q, p, domain.m))
+    quota = canonicalize(q, p, domain.m)
+    return SerialQuota(quota.n, domain.m, domain, quota)

@@ -408,9 +408,14 @@ class PreferenceClass:
     def enumerable(self) -> bool:
         return self.tag != STRICT_ADDITIVE
 
-    def __len__(self) -> int:
+    def _require_members(self) -> None:
         if not self.enumerable:
-            raise NotEnumerable(self.tag)
+            raise NotEnumerable(
+                f"preference class {self.tag} (m={self.m}) cannot be enumerated"
+            )
+
+    def __len__(self) -> int:
+        self._require_members()
         return len(self.members)
 
     def __hash__(self) -> int:
@@ -428,8 +433,7 @@ class PreferenceClass:
 
     def index_of(self, pref: Preference) -> int:
         """Index of the member order-identical to pref."""
-        if not self.enumerable:
-            raise NotEnumerable(self.tag)
+        self._require_members()
         idx = self._member_index.get(rank_table(pref))
         if idx is None:
             raise NotInClass(f"preference not in class {self.tag}(m={self.m})")

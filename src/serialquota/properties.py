@@ -1,10 +1,10 @@
 """Axiom checkers: truthfulness, non-bossiness, neutrality, efficiency, control.
 
-Each check_* function scans every profile over the mechanism's preference
-class via the vectorized tables in `engine` and reports the lowest-indexed
-violation as a witness of plain ints, so reports serialize directly and can
-be replayed through the pure-Python `mechanisms.apply` path by
-`replay_witness` without touching numpy.
+`check` builds a mechanism's allocation table once, scans it for each
+property with the vectorized kernels in `engine` and reports the
+lowest-indexed violation as a witness of plain ints, so reports serialize
+directly and can be replayed through the pure-Python `mechanisms.apply` path
+by `replay_witness` without touching numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Any
 import numpy as np
 
 from . import engine
-from .errors import NotEnumerable
 from .mechanisms import Allocation, Mechanism, apply, index_to_profile
 from .prefs import (
     Ordering,
@@ -40,6 +39,7 @@ _KERNELS = {
     TRUTHFUL: "truthful_violation",
     NON_BOSSY: "nonbossy_violation",
     NEUTRAL: "neutrality_violation",
+    PARTITION: "partition_violation",
     PARETO: "pareto_violation",
     PUSH_UP: "push_up_violation",
     CONTROL_CLAIM: "control_violation",
@@ -58,12 +58,6 @@ class PropertyReport:
     profiles_checked: int
 
 
-def _require_enumerable(mech: Mechanism) -> int:
-    if not mech.domain.enumerable:
-        raise NotEnumerable(f"domain {mech.domain.tag} cannot be enumerated")
-    return len(mech.domain) ** mech.n
-
-
 def _witness(
     prop: str, table: np.ndarray, cls: PreferenceClass, n: int, at: int | None = None
 ) -> dict[str, Any] | None:
@@ -75,15 +69,13 @@ def _witness(
     Kernels are looked up on `engine` at each call, so wrappers installed on
     that module after import see every call.
     """
-    if prop == PARTITION:
-        idx = engine.partition_violation(table, cls.m)
-        if idx is None:
-            return None
-        return {"profile_index": idx, "union": int(np.bitwise_or.reduce(table[idx]))}
     kernel = getattr(engine, _KERNELS[prop])
     hit = kernel(table, cls, n) if at is None else kernel(table, cls, n, at=at)
     if hit is None:
         return None
+    if prop == PARTITION:
+        idx, union = hit
+        return {"profile_index": idx, "union": union}
     if prop == PUSH_UP:
         idx, agent, alt = hit
         c = len(cls)
@@ -112,10 +104,17 @@ def _witness(
     }
 
 
-def _check(prop: str, mech: Mechanism) -> PropertyReport:
-    total = _require_enumerable(mech)
-    witness = _witness(prop, engine.allocation_table(mech), mech.domain, mech.n)
-    return PropertyReport(prop, witness is None, witness, total)
+def check(mech: Mechanism, props) -> list[PropertyReport]:
+    """One report per property in props, in order, from one allocation
+    table: the table is built once and each property's kernel scans it.
+    Every report counts the table's profiles.  A property that cannot be
+    decided raises before any report is returned."""
+    table = engine.allocation_table(mech)
+    reports = []
+    for prop in props:
+        witness = _witness(prop, table, mech.domain, mech.n)
+        reports.append(PropertyReport(prop, witness is None, witness, table.shape[0]))
+    return reports
 
 
 def first_axiom_violation(
@@ -139,12 +138,12 @@ def first_axiom_violation(
 
 def check_truthful(mech: Mechanism) -> PropertyReport:
     """No agent can strictly gain by misreporting, at any profile."""
-    return _check(TRUTHFUL, mech)
+    return check(mech, [TRUTHFUL])[0]
 
 
 def check_non_bossy(mech: Mechanism) -> PropertyReport:
     """No report change can move others' bundles while one's own stays fixed."""
-    return _check(NON_BOSSY, mech)
+    return check(mech, [NON_BOSSY])[0]
 
 
 def check_neutral(mech: Mechanism) -> PropertyReport:
@@ -155,12 +154,12 @@ def check_neutral(mech: Mechanism) -> PropertyReport:
     generators is covariance under the whole group.  A witness names the
     generator that breaks.
     """
-    return _check(NEUTRAL, mech)
+    return check(mech, [NEUTRAL])[0]
 
 
 def check_partition(mech: Mechanism) -> PropertyReport:
     """Every good is allocated at every profile."""
-    return _check(PARTITION, mech)
+    return check(mech, [PARTITION])[0]
 
 
 def check_pareto_efficient(mech: Mechanism) -> PropertyReport:
@@ -173,14 +172,14 @@ def check_pareto_efficient(mech: Mechanism) -> PropertyReport:
     table, (n+1)^m rows of n, would (`engine.assignment_masks`): under the
     profile cap that only happens with one member, at m = 1.
     """
-    return _check(PARETO, mech)
+    return check(mech, [PARETO])[0]
 
 
 def check_control_claim(mech: Mechanism) -> PropertyReport:
     """Control transfers from one profile to all: if some profile has every
     agent strongly desiring S and agent i receiving all of S, then i must
     receive all of S whenever she strongly desires it."""
-    return _check(CONTROL_CLAIM, mech)
+    return check(mech, [CONTROL_CLAIM])[0]
 
 
 def check_push_up_invariance(
@@ -195,16 +194,16 @@ def check_push_up_invariance(
     and, per agent, a uniform in-class push-up; all trials are drawn in one
     batch, and the first one that moves the allocation is the witness.
     profiles_checked counts the pairs up to and including the witness, or
-    every pair when none moves.
-    `check_push_up_exhaustive` covers every profile.
+    every pair when none moves.  No reported verdict rests on it, since
+    `check_push_up_exhaustive` decides every profile; perfbench's
+    `forward_axioms` workload times it by name.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     cls = mech.domain
-    _require_enumerable(mech)
+    table = engine.allocation_table(mech)
     c = len(cls)
     n = mech.n
-    table = engine.allocation_table(mech)
     weights = c ** np.arange(n - 1, -1, -1)  # agent i's digit weighs c^(n-1-i)
     rng = np.random.default_rng(rng_seed)
     digits = rng.integers(0, c, size=(trials, n))
@@ -229,7 +228,7 @@ def check_push_up_exhaustive(mech: Mechanism) -> PropertyReport:
     Pushing up one agent at a time is enough (see
     `engine.push_up_violation`); a witness pushes up one agent.
     """
-    return _check(PUSH_UP, mech)
+    return check(mech, [PUSH_UP])[0]
 
 
 def verify_blocking(alloc: Allocation, profile, bundles) -> bool:

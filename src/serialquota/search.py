@@ -342,6 +342,12 @@ def mutate_with_log(
         raise ValueError(f"trials must be at least 1, got {trials}")
     n = len(base.q)
     m = cls.m
+    if n < 2 or m < 2:
+        # One agent has one partition; one good, one profile, where a mutant is a quota table.
+        raise ValueError(
+            f"mutation mode needs n >= 2 and m >= 2 to falsify anything, got "
+            f"n={n}, m={m}; use exhaustive mode"
+        )
     if base.total != m:
         raise ValueError("mutation mode needs a partition quota (sum q = m)")
     sq = SerialQuota(n, m, cls, canonicalize(base.q, base.p, m))

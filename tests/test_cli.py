@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import serialquota
-from serialquota import PropertyReport, replay_witness, search
+from serialquota import PropertyReport, engine, replay_witness, search
 from serialquota.cli import main
 from serialquota.serialize import mechanism_from_json
 
@@ -103,6 +103,63 @@ def test_check_rejects_a_negative_quota(mech_file, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: quotas must be non-negative: (2, -1)\n"
+
+
+def test_check_builds_one_table_for_every_axiom(mech_file, monkeypatch, capsys):
+    built = []
+    table = engine.allocation_table
+
+    def counted(mech):
+        built.append(mech)
+        return table(mech)
+
+    monkeypatch.setattr(engine, "allocation_table", counted)
+    code = main(["check", "--mech", mech_file(BOSSY_JSON), "--axioms",
+                 "truthful,nonbossy,neutral,partition,pareto,control,pushup",
+                 "--no-timestamp"])
+    assert code == 1
+    assert capsys.readouterr().out.count(" profiles)\n") == 7
+    assert len(built) == 1
+
+
+def test_check_prints_nothing_before_an_error(mech_file, capsys):
+    # One good and 3200 agents: truthfulness holds at the single profile,
+    # but the Pareto check's 3201 assignments of 3200 bundles pass the cap,
+    # and no verdict is printed before the error.
+    big = {"kind": "serial_quota", "q": [1] + [0] * 3199, "p": list(range(3200)),
+           "m": 1, "class": {"tag": "lex", "m": 1}}
+    code = main(["check", "--mech", mech_file(big), "--axioms", "truthful,pareto",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: 10243200 assignment entries exceed the 10000000 cap\n"
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "mutate"])
+def test_verify_names_a_class_it_cannot_enumerate(mode, capsys):
+    code = main(["verify", "--n", "2", "--m", "3", "--class", "strict_additive",
+                 "--mode", mode, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: preference class strict_additive (m=3) cannot be enumerated\n"
+    )
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (1, 1), (2, 1)])
+def test_verify_mutation_refuses_sizes_it_cannot_falsify(n, m):
+    # One agent leaves a single partition to draw a mutant from, and one
+    # good a single profile, where every mutant is a serial-quota table.
+    done = run_cli("verify", "--n", str(n), "--m", str(m), "--mode", "mutate",
+                   "--no-timestamp")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: mutation mode needs n >= 2 and m >= 2 to falsify anything, "
+        f"got n={n}, m={m}; use exhaustive mode\n"
+    )
 
 
 def test_verify_mutation_rejects_a_negative_default_base(capsys):

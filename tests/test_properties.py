@@ -50,6 +50,16 @@ from serialquota import (
 from serialquota import engine
 from serialquota.mechanisms import SerialQuota, TableMechanism, profile_index
 from serialquota.prefs import permute_preference
+from serialquota.properties import (
+    CONTROL_CLAIM,
+    NEUTRAL,
+    NON_BOSSY,
+    PARETO,
+    PARTITION,
+    PUSH_UP,
+    TRUTHFUL,
+    check,
+)
 from serialquota.search import _choice_masks, enumerate_q
 
 LEX2 = lex_class(2)
@@ -813,6 +823,37 @@ def test_reports_expose_counts_and_clean_witnesses():
     assert isinstance(report, PropertyReport)
     assert report.holds and report.witness is None
     assert report.profiles_checked == len(LEX2) ** 2
+
+
+SINGLE_CHECKS = {
+    TRUTHFUL: check_truthful,
+    NON_BOSSY: check_non_bossy,
+    NEUTRAL: check_neutral,
+    PARTITION: check_partition,
+    PARETO: check_pareto_efficient,
+    CONTROL_CLAIM: check_control_claim,
+    PUSH_UP: check_push_up_exhaustive,
+}
+
+
+@pytest.mark.parametrize("mech", [
+    CounterNonTruthful(2, 2, LEX2),
+    CounterBossy(3, 3, LEX3),
+    CounterNonNeutral(3, 3, LEX3, a=0, b=1),
+    serial_quota((1, 2, 1), (0, 1, 2), LEX4),
+], ids=["non-truthful", "bossy", "non-neutral", "sq34"])
+def test_check_matches_single_property_calls_on_one_table(mech, monkeypatch):
+    singles = [fn(mech) for fn in SINGLE_CHECKS.values()]
+    built = []
+    table = engine.allocation_table
+
+    def counted(m):
+        built.append(m)
+        return table(m)
+
+    monkeypatch.setattr(engine, "allocation_table", counted)
+    assert check(mech, list(SINGLE_CHECKS)) == singles
+    assert built == [mech]
 
 
 def test_truthful_witness_indices_decode():
