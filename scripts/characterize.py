@@ -44,4 +44,9 @@ if __name__ == "__main__":
     parser.add_argument("--max-n", type=int, default=3)
     parser.add_argument("--max-m", type=int, default=3)
     args = parser.parse_args()
+    if min(args.max_n, args.max_m) < 1:
+        # An empty sweep would print nothing and exit 0.
+        parser.exit(
+            2, f"error: need --max-n >= 1 and --max-m >= 1, got {args.max_n} and {args.max_m}\n"
+        )
     raise SystemExit(run(args.max_n, args.max_m))

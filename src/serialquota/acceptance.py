@@ -51,12 +51,11 @@ from .properties import (
     CONTROL_CLAIM,
     NEUTRAL,
     NON_BOSSY,
+    PARETO,
+    PUSH_UP,
     TRUTHFUL,
     PropertyReport,
     check,
-    check_control_claim,
-    check_pareto_efficient,
-    check_push_up_exhaustive,
     pareto_blocking,
     replay_witness,
     verify_blocking,
@@ -66,27 +65,34 @@ from .search import enumerate_q, mutate_with_log, verify_characterization
 AXIOM_SIZES_LEX = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
 
 
-def _all_quota_mechs(n: int, m: int, cls, partition_only: bool = False):
-    for qo in enumerate_q(n, m, partition_only):
-        yield SerialQuota(n, m, cls, qo)
+def _sweep(sizes, props, partition_only: bool = False) -> str | tuple[int, int]:
+    """Check props on every canonical serial-quota mechanism at each
+    (n, m, cls) in sizes, one `check` call (one table) per mechanism.
+    Returns the first failing report as a detail line, or the numbers of
+    mechanisms and profiles checked."""
+    mechs = profiles = 0
+    for n, m, cls in sizes:
+        for qo in enumerate_q(n, m, partition_only):
+            reports = check(SerialQuota(n, m, cls, qo), props)
+            for report in reports:
+                if not report.holds:
+                    return (
+                        f"{report.property} failed for q={qo.q} p={qo.p} over "
+                        f"{cls.tag} at ({n},{m}): {report.witness}"
+                    )
+            mechs += 1
+            profiles += reports[0].profiles_checked
+    return mechs, profiles
 
 
 def ac1() -> tuple[bool, str]:
     """Every canonical serial-quota mechanism passes the three axioms."""
-    checked = 0
     sizes = [(n, m, lex_class(m)) for n, m in AXIOM_SIZES_LEX]
     sizes.append((2, 3, strict_monotone_class(3)))
-    for n, m, cls in sizes:
-        for mech in _all_quota_mechs(n, m, cls):
-            for report in check(mech, AXIOMS):
-                if not report.holds:
-                    return False, (
-                        f"{report.property} failed for q={mech.quota.q} "
-                        f"p={mech.quota.p} over {cls.tag} at ({n},{m}): "
-                        f"{report.witness}"
-                    )
-            checked += 1
-    return True, f"{checked} mechanisms x 3 axioms, all pass"
+    swept = _sweep(sizes, AXIOMS)
+    if isinstance(swept, str):
+        return False, swept
+    return True, f"{swept[0]} mechanisms x 3 axioms, all pass"
 
 
 def ac2() -> tuple[bool, str]:
@@ -146,18 +152,10 @@ def _intro_case():
 def ac4() -> tuple[bool, str]:
     """Serial-quota partition mechanisms are Pareto-efficient; the two-agent
     motivating instance is not, blocked by swapping the bundles."""
-    checked = 0
-    for n in (1, 2, 3):
-        for m in range(1, 5):
-            cls = lex_class(m)
-            for mech in _all_quota_mechs(n, m, cls, partition_only=True):
-                report = check_pareto_efficient(mech)
-                if not report.holds:
-                    return False, (
-                        f"pareto failed for q={mech.quota.q} p={mech.quota.p} "
-                        f"at ({n},{m}): {report.witness}"
-                    )
-                checked += 1
+    sizes = [(n, m, lex_class(m)) for n in (1, 2, 3) for m in range(1, 5)]
+    swept = _sweep(sizes, [PARETO], partition_only=True)
+    if isinstance(swept, str):
+        return False, swept
     inst, alloc, blocking = _intro_case()
     if alloc.bundles != (0b001, 0b110):
         return False, f"unexpected intro allocation {alloc.bundles}"
@@ -166,7 +164,7 @@ def ac4() -> tuple[bool, str]:
     if not verify_blocking(alloc, inst.valuations, blocking):
         return False, "intro blocking failed re-verification"
     return True, (
-        f"{checked} partition mechanisms efficient; intro instance blocked "
+        f"{swept[0]} partition mechanisms efficient; intro instance blocked "
         f"by the bundle swap"
     )
 
@@ -191,16 +189,9 @@ def ac5() -> tuple[bool, str]:
     """Control claim holds for all quota mechanisms at (3,3) and fails, with
     witnesses, for each counterexample; each counterexample breaks exactly its
     designated axiom."""
-    cls = lex_class(3)
-    count = 0
-    for mech in _all_quota_mechs(3, 3, cls):
-        report = check_control_claim(mech)
-        if not report.holds:
-            return False, (
-                f"control claim failed for q={mech.quota.q} p={mech.quota.p}: "
-                f"{report.witness}"
-            )
-        count += 1
+    swept = _sweep([(3, 3, lex_class(3))], [CONTROL_CLAIM])
+    if isinstance(swept, str):
+        return False, swept
     for name, (_mech, broken, reports) in _counterexample_reports().items():
         if reports[CONTROL_CLAIM].holds:
             return False, f"{name} unexpectedly satisfies the control claim"
@@ -212,7 +203,7 @@ def ac5() -> tuple[bool, str]:
                     f"expected {expected}"
                 )
     return True, (
-        f"{count} quota mechanisms satisfy the control claim; all three "
+        f"{swept[0]} quota mechanisms satisfy the control claim; all three "
         f"counterexamples refuted with witnesses"
     )
 
@@ -284,20 +275,12 @@ def ac8() -> tuple[bool, str]:
     """Push-up reports never move the allocation: the exhaustive push-up
     check at every profile of every quota mechanism at (2,3) and (3,3).
     Single-agent push-ups decide multi-agent ones (`engine.push_up_violation`)."""
-    checked = profiles = 0
-    for n, m in ((2, 3), (3, 3)):
-        for mech in _all_quota_mechs(n, m, lex_class(m)):
-            report = check_push_up_exhaustive(mech)
-            if not report.holds:
-                return False, (
-                    f"push-up moved allocation at ({n},{m}) "
-                    f"q={mech.quota.q} p={mech.quota.p}: {report.witness}"
-                )
-            checked += 1
-            profiles += report.profiles_checked
+    swept = _sweep([(n, m, lex_class(m)) for n, m in ((2, 3), (3, 3))], [PUSH_UP])
+    if isinstance(swept, str):
+        return False, swept
     return True, (
-        f"{checked} quota mechanisms at (2,3) and (3,3): no push-up moves the "
-        f"allocation at any of {profiles} profiles"
+        f"{swept[0]} quota mechanisms at (2,3) and (3,3): no push-up moves the "
+        f"allocation at any of {swept[1]} profiles"
     )
 
 

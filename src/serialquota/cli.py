@@ -22,7 +22,7 @@ from .fairness import (
     rho_bound,
     rho_mms_audit,
 )
-from .mechanisms import canonicalize, serial_quota
+from .mechanisms import QuotaOrdering, SerialQuota, canonicalize
 from .prefs import additive_class, class_from_tag
 from .properties import (
     CONTROL_CLAIM,
@@ -57,6 +57,15 @@ AXIOM_CHECKS = {
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
+
+
+def _quota(args, q: tuple[int, ...]) -> QuotaOrdering:
+    """q with --p (default: agents in index order), canonicalized at --m;
+    --n, when given, must match the quota length."""
+    if args.n is not None and args.n != len(q):
+        raise ValueError(f"--n {args.n} does not match quota length {len(q)}")
+    p = _ints(args.p) if args.p else tuple(range(len(q)))
+    return canonicalize(q, p, args.m)
 
 
 def _emit(payload: dict, args) -> None:
@@ -95,6 +104,12 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     cls = class_from_tag(args.cls, args.m)
     if args.mode == "exhaustive":
+        mutation_flags = {
+            "--q": args.q, "--p": args.p, "--trials": args.trials, "--seed": args.seed
+        }
+        ignored = [flag for flag, value in mutation_flags.items() if value is not None]
+        if ignored:
+            raise ValueError(f"exhaustive mode does not take {', '.join(ignored)}")
         report = verify_characterization(
             args.n, args.m, cls, partition_only=not args.allocations
         )
@@ -104,10 +119,13 @@ def cmd_verify(args) -> int:
         )
         _emit(characterization_to_json(report), args)
         return 0 if report.verdict == "sets-equal" else 1
+    if args.allocations:
+        raise ValueError("mutate mode does not take --allocations; it draws partition mutants")
     q = _ints(args.q) if args.q else (1,) * (args.n - 1) + (args.m - args.n + 1,)
-    p = _ints(args.p) if args.p else tuple(range(args.n))
-    base = canonicalize(q, p, args.m)
-    report = mutate_with_log(base, cls, args.trials, args.seed)[0]
+    base = _quota(args, q)
+    trials = 1000 if args.trials is None else args.trials
+    seed = 0 if args.seed is None else args.seed
+    report = mutate_with_log(base, cls, trials, seed)[0]
     status = "pass" if report.holds else "FAIL"
     print(
         f"mutation falsification: {status} "
@@ -120,12 +138,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fairness(args) -> int:
-    q = _ints(args.q)
-    n = args.n if args.n is not None else len(q)
-    if n != len(q):
-        raise ValueError(f"--n {n} does not match quota length {len(q)}")
-    p = _ints(args.p) if args.p else tuple(range(n))
-    mech = serial_quota(q, p, additive_class(args.m))
+    quota = _quota(args, _ints(args.q))
+    n = quota.n
+    mech = SerialQuota(n, args.m, additive_class(args.m), quota)
     families = tuple(x.strip() for x in args.family.split(",") if x.strip())
     spec = GeneratorSpec(n, args.m, families, args.count, args.seed)
     bound = rho_bound(n, args.m) if args.audit == "mms" else None
@@ -222,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exhaustive mode: also allow tables leaving goods unallocated",
     )
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=int, help="mutate mode: mutants to draw (default 1000)")
+    p_verify.add_argument("--seed", type=int, help="mutate mode: random seed (default 0)")
     p_verify.add_argument("--q", help="mutation base quotas, e.g. 1,2")
     p_verify.add_argument("--p", help="mutation base picking order, e.g. 0,1")
     common(p_verify)

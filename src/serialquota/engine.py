@@ -281,9 +281,13 @@ def _bossy_rows(table: np.ndarray, idx: np.ndarray, agent: int, others) -> np.nd
 def push_up_matrix(cls: PreferenceClass) -> np.ndarray:
     """up[t, s, d]: member d is a push-up of member t with respect to subset s,
     i.e. every subset weakly below s under t stays weakly below s under d;
-    shape (C, 2^m, C)."""
+    shape (C, 2^m, C).  Raises TooLarge above PROFILE_CAP member pairs,
+    before building anything."""
+    c = len(cls)
+    if c * c > PROFILE_CAP:
+        raise TooLarge(f"{c}^2 push-up member pairs exceed the {PROFILE_CAP} cap")
     ranks = rank_matrix(cls)
-    c, size = ranks.shape
+    size = ranks.shape[1]
     out = np.empty((c, size, c), dtype=bool)
     for s in range(size):
         below = (ranks <= ranks[:, s, None]).astype(np.float32)  # below[t, z]

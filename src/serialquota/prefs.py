@@ -103,10 +103,6 @@ class Permutation:
         return len(self.map)
 
     @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(m)))
-
-    @classmethod
     def swap(cls, m: int, a: int, b: int) -> "Permutation":
         v = list(range(m))
         v[a], v[b] = v[b], v[a]

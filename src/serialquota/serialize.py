@@ -1,4 +1,5 @@
-"""JSON round-trips for preferences, mechanisms, instances, and reports.
+"""JSON round-trips for preferences and mechanisms, and JSON writers for
+reports, including the cardinal instances that fairness audits emit.
 
 Rationals are encoded as [numerator, denominator] pairs and accepted back as
 ints, "p/q" strings, or such pairs.  Mechanism descriptors carry a "kind"
@@ -88,11 +89,16 @@ def class_to_json(cls: PreferenceClass) -> dict:
 
 
 def class_from_json(obj: Any, m: int | None = None) -> PreferenceClass:
+    """A class from its JSON object or tag shorthand.  m, when given, is the
+    universe size the enclosing descriptor declares: the shorthand takes it,
+    and an object that carries its own m must agree with it."""
     if isinstance(obj, str):
         if m is None:
             raise ValueError("class tag shorthand needs an explicit m")
         return class_from_tag(obj, m)
     tag = obj["tag"]
+    if m is not None and "m" in obj and int(obj["m"]) != m:
+        raise ValueError(f"mechanism declares m={m} but its class has m={int(obj['m'])}")
     m = int(obj.get("m", m if m is not None else -1))
     if m < 0:
         raise ValueError("class JSON needs m")
@@ -147,8 +153,10 @@ def mechanism_from_json(obj: dict) -> Mechanism:
     if kind == "serial_quota":
         q = tuple(int(x) for x in obj["q"])
         p = tuple(int(x) for x in obj["p"])
-        m = int(obj.get("m", sum(q)))
-        cls = class_from_json(obj.get("class", "lex"), m)
+        cls_json = obj.get("class", "lex")
+        # Without a top-level m, the class's own m, else the quotas' sum.
+        default_m = sum(q) if isinstance(cls_json, str) else cls_json.get("m", sum(q))
+        cls = class_from_json(cls_json, int(obj.get("m", default_m)))
         return serial_quota(q, p, cls)
     if kind == "table":
         cls = class_from_json(obj["class"])
@@ -198,18 +206,6 @@ def instance_to_json(inst: CardinalInstance) -> dict:
             [fraction_to_json(v) for v in row.values] for row in inst.valuations
         ],
     }
-
-
-def instance_from_json(obj: dict) -> CardinalInstance:
-    rows = [
-        tuple(fraction_from_json(v) for v in row) for row in obj["valuations"]
-    ]
-    inst = CardinalInstance.from_values(rows)
-    if "n" in obj and int(obj["n"]) != inst.n:
-        raise ValueError("instance n disagrees with valuations")
-    if "m" in obj and int(obj["m"]) != inst.m:
-        raise ValueError("instance m disagrees with valuations")
-    return inst
 
 
 def report_to_json(report: PropertyReport) -> dict:

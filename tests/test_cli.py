@@ -171,6 +171,50 @@ def test_verify_mutation_rejects_a_negative_default_base(capsys):
     assert captured.err == "error: quotas must be non-negative: (1, 1, -1)\n"
 
 
+@pytest.mark.parametrize("args,error", [
+    ("--n 2 --m 2 --mode exhaustive --q 5,5 --p 0,0 --trials -3",
+     "exhaustive mode does not take --q, --p, --trials"),
+    ("--n 2 --m 2 --mode exhaustive --seed 0", "exhaustive mode does not take --seed"),
+    ("--n 2 --m 3 --mode mutate --allocations --trials 10",
+     "mutate mode does not take --allocations; it draws partition mutants"),
+    ("--n 3 --m 3 --mode mutate --q 1,2 --p 0,1 --trials 5",
+     "--n 3 does not match quota length 2"),
+], ids=["exhaustive-mutation-flags", "exhaustive-default-seed", "mutate-allocations",
+        "mutate-n-mismatch"])
+def test_verify_refuses_flags_it_would_ignore(args, error, capsys):
+    # Each of these used to exit 0 with a verdict that ignored a flag.
+    code = main(["verify", *args.split(), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_check_refuses_a_class_whose_m_disagrees(mech_file, capsys):
+    # The class's m = 2 used to replace the declared m = 3 silently.
+    payload = {**SQ_JSON, "q": [1, 1], "class": {"tag": "lex", "m": 2}}
+    code = main(["check", "--mech", mech_file(payload), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: mechanism declares m=3 but its class has m=2\n"
+
+
+def test_check_pushup_refuses_a_class_past_the_member_pair_cap(mech_file, monkeypatch, capsys):
+    # lex over 3 goods has 6 members: one agent's 6 profiles pass a cap
+    # lowered to 35, but the push-up table's 6^2 member pairs do not.  The
+    # uncached function keeps an earlier test's table from hiding the gate.
+    monkeypatch.setattr(engine, "PROFILE_CAP", 35)
+    monkeypatch.setattr(engine, "push_up_matrix", engine.push_up_matrix.__wrapped__)
+    payload = {**SQ_JSON, "q": [3], "p": [0]}
+    code = main(["check", "--mech", mech_file(payload), "--axioms", "pushup",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: 6^2 push-up member pairs exceed the 35 cap\n"
+
+
 def _table_json(row):
     # lex over 2 goods has 2 members, so a 2-agent table has 4 profiles.
     return {"kind": "table", "class": {"tag": "lex", "m": 2}, "n": 2, "alloc": [row] * 4}
@@ -403,6 +447,17 @@ def test_characterize_script_prints_verdicts_with_node_counts():
     assert len(lines) == 16, done.stdout
     for line in lines:
         assert re.search(r": sets-equal \(.*, [1-9][0-9]* nodes, [0-9]+ nodes/s\)$", line), line
+    # An empty sweep used to print nothing and exit 0.
+    for max_n, max_m in (("0", "3"), ("-2", "-1")):
+        done = subprocess.run(
+            [sys.executable, str(script), "--max-n", max_n, "--max-m", max_m],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: need --max-n >= 1 and --max-m >= 1, got {max_n} and {max_m}\n"
+        )
 
 
 def test_pareto_check_at_four_by_four_finishes(mech_file):

@@ -271,6 +271,11 @@ def test_cardinal_instance_rejects_ties():
         CardinalInstance.from_values(((1, 2, 3), (4, 2, 1)))
 
 
+def test_cardinal_instance_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="one universe size"):
+        CardinalInstance.from_values(((4, 2), (1,)))
+
+
 # ---------------------------------------------------------------- indexing
 
 def test_profile_index_radix_arithmetic():

@@ -234,7 +234,7 @@ def test_demand_has_exact_cardinality_and_beats_alternatives():
 
 
 def test_permute_identity_is_noop():
-    pi = Permutation.identity(3)
+    pi = Permutation((0, 1, 2))
     assert permute_preference(LEX012, pi) == LEX012
 
 

@@ -482,6 +482,58 @@ def test_replay_rejects_passing_reports():
         replay_witness(mech, check_truthful(mech))
 
 
+def test_replay_rejects_false_witnesses():
+    """A real partition witness replays; witnesses tampered so that they no
+    longer show their violation replay False; an unknown property raises."""
+    sq = serial_quota((1, 1), (0, 1), LEX2)
+    wasteful = TableMechanism(2, 2, LEX2, ((0, 0),) * len(LEX2) ** 2)
+    partition = check_partition(wasteful)
+    assert not partition.holds
+    assert replay_witness(wasteful, partition)
+    assert not replay_witness(sq, partition)  # sq allocates every good there
+
+    def tampered(report, **changes):
+        return PropertyReport(
+            report.property, False, {**report.witness, **changes}, report.profiles_checked
+        )
+
+    cnt = CounterNonTruthful(2, 2, LEX2)
+    truthful = check_truthful(cnt)
+    profile = index_to_profile(truthful.witness["profile_index"], LEX2, 2)
+    own = LEX2.members.index(profile[truthful.witness["agent"]])
+    assert replay_witness(cnt, truthful)
+    assert not replay_witness(cnt, tampered(truthful, alt_index=own))
+
+    # Under sq at (A, A) agent 0 gets good 0; B ranks {1} above {0}, so
+    # reporting B instead is not a push-up with respect to that bundle.
+    a, b = LEX2.members
+    assert apply(sq, (a, a)).bundles[0] == 0b01 and not is_push_up(b, a, 0b01)
+    push = PropertyReport(PUSH_UP, False, {
+        "profile_index": profile_index((a, a), LEX2),
+        "push_profile_index": profile_index((b, a), LEX2),
+    }, 1)
+    assert not replay_witness(sq, push)
+
+    control = check_control_claim(cnt)
+    assert replay_witness(cnt, control)
+    s, agent = control.witness["s"], control.witness["agent"]
+    profiles = [index_to_profile(idx, LEX2, 2) for idx in range(len(LEX2) ** 2)]
+    undesired = next(
+        idx for idx, prof in enumerate(profiles)
+        if not all(strongly_desires(p, s) for p in prof)
+    )
+    assert not replay_witness(cnt, tampered(control, trigger_profile_index=undesired))
+    # At the trigger the witness agent holds S, so no other agent does.
+    assert not replay_witness(cnt, tampered(control, agent=1 - agent))
+    indifferent = next(
+        idx for idx, prof in enumerate(profiles) if not strongly_desires(prof[agent], s)
+    )
+    assert not replay_witness(cnt, tampered(control, violating_profile_index=indifferent))
+
+    with pytest.raises(ValueError, match="unknown property"):
+        replay_witness(sq, PropertyReport("anonymity", False, {"profile_index": 0}, 1))
+
+
 # ------------------------------------------------------------ round robin
 
 def test_round_robin_is_manipulable_with_four_goods():
