@@ -27,7 +27,6 @@ from .errors import (
 from .fairness import (
     FairnessAudit,
     GeneratorSpec,
-    check_ef1,
     ef1_audit,
     ef1_quota_feasibility,
     ef1_random_sweep,
@@ -84,14 +83,7 @@ from .prefs import (
 )
 from .properties import (
     PropertyReport,
-    check_control_claim,
-    check_neutral,
-    check_non_bossy,
-    check_pareto_efficient,
-    check_partition,
-    check_push_up_exhaustive,
-    check_push_up_invariance,
-    check_truthful,
+    check,
     pareto_blocking,
     replay_witness,
     verify_blocking,

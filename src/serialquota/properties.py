@@ -1,10 +1,12 @@
 """Axiom checkers: truthfulness, non-bossiness, neutrality, efficiency, control.
 
-`check` builds a mechanism's allocation table once, scans it for each
-property with the vectorized kernels in `engine` and reports the
-lowest-indexed violation as a witness of plain ints, so reports serialize
-directly and can be replayed through the pure-Python `mechanisms.apply` path
-by `replay_witness` without touching numpy.
+`check(mech, props)` is the one route to a property report.  It refuses an
+unknown property and any property whose own table would pass its cap before
+it builds the mechanism's allocation table, then builds that table once,
+scans it for each property with the vectorized kernels in `engine` and
+reports the lowest-indexed violation as a witness of plain ints, so reports
+serialize directly and can be replayed through the pure-Python
+`mechanisms.apply` path by `replay_witness` without touching numpy.
 """
 
 from __future__ import annotations
@@ -107,8 +109,22 @@ def _witness(
 def check(mech: Mechanism, props) -> list[PropertyReport]:
     """One report per property in props, in order, from one allocation
     table: the table is built once and each property's kernel scans it.
-    Every report counts the table's profiles.  A property that cannot be
-    decided raises before any report is returned."""
+    Every report counts the table's profiles.
+
+    Nothing is built for a check that cannot be decided: an unknown
+    property raises ValueError, and the cached tables the push-up and
+    Pareto kernels need (whose TooLarge gates do not depend on the
+    profiles) are built before the allocation table.
+    """
+    props = list(props)
+    unknown = [prop for prop in props if prop not in _KERNELS]
+    if unknown:
+        raise ValueError(f"unknown properties {unknown}; choose from {sorted(_KERNELS)}")
+    cls = mech.domain
+    if PUSH_UP in props:
+        engine.push_up_matrix(cls)
+    if PARETO in props:
+        engine.assignment_masks(mech.n, cls.m)
     table = engine.allocation_table(mech)
     reports = []
     for prop in props:
@@ -136,6 +152,7 @@ def first_axiom_violation(
     return None
 
 
+# perfbench's forward_axioms workload calls each single-property wrapper by name.
 def check_truthful(mech: Mechanism) -> PropertyReport:
     """No agent can strictly gain by misreporting, at any profile."""
     return check(mech, [TRUTHFUL])[0]
@@ -195,12 +212,13 @@ def check_push_up_invariance(
     batch, and the first one that moves the allocation is the witness.
     profiles_checked counts the pairs up to and including the witness, or
     every pair when none moves.  No reported verdict rests on it, since
-    `check_push_up_exhaustive` decides every profile; perfbench's
+    `check(mech, [PUSH_UP])` decides every profile; perfbench's
     `forward_axioms` workload times it by name.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     cls = mech.domain
+    up = engine.push_up_matrix(cls)
     table = engine.allocation_table(mech)
     c = len(cls)
     n = mech.n
@@ -209,7 +227,7 @@ def check_push_up_invariance(
     digits = rng.integers(0, c, size=(trials, n))
     idx = digits @ weights
     bundles = table[idx]
-    cands = engine.push_up_matrix(cls)[digits, bundles]  # [trial, agent, member]
+    cands = up[digits, bundles]  # [trial, agent, member]
     # The largest uniform key among the candidates picks one of them uniformly.
     pushed = np.where(cands, rng.random(cands.shape), -1.0).argmax(axis=2)
     jdx = pushed @ weights
@@ -219,16 +237,6 @@ def check_push_up_invariance(
     k = int(moved[0])
     witness = {"profile_index": int(idx[k]), "push_profile_index": int(jdx[k])}
     return PropertyReport(PUSH_UP, False, witness, k + 1)
-
-
-def check_push_up_exhaustive(mech: Mechanism) -> PropertyReport:
-    """Push-up invariance at every profile, for every in-class push-up of
-    every agent's report.
-
-    Pushing up one agent at a time is enough (see
-    `engine.push_up_violation`); a witness pushes up one agent.
-    """
-    return check(mech, [PUSH_UP])[0]
 
 
 def verify_blocking(alloc: Allocation, profile, bundles) -> bool:

@@ -47,6 +47,39 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _object(obj: Any, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _field(obj: dict, key: str, what: str) -> Any:
+    """obj[key], or a ValueError naming the field `what` lacks."""
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
+def _int(obj: dict, key: str, what: str, default: int | None = None) -> int:
+    """The integer field obj[key]; required unless a default is given."""
+    x = obj.get(key, default) if default is not None else _field(obj, key, what)
+    if not _is_int(x):
+        raise ValueError(f"{key!r} must be an integer, got {x!r}")
+    return x
+
+
+def _list(x: Any, field: str) -> list:
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{field!r} must be a list, got {x!r}")
+    return x
+
+
+def _ints(x: Any, field: str) -> tuple[int, ...]:
+    if not (isinstance(x, (list, tuple)) and all(map(_is_int, x))):
+        raise ValueError(f"{field!r} must be a list of integers, got {x!r}")
+    return tuple(x)
+
+
 def fraction_from_json(x: Any) -> Fraction:
     """An exact rational from an int, a "p/q" or decimal string, or an
     [int, int] pair.  Floats are rejected, since a JSON float is already
@@ -70,14 +103,16 @@ def preference_to_json(pref: Preference) -> dict:
     raise ValueError(f"unknown preference type {type(pref).__name__}")
 
 
-def preference_from_json(obj: dict) -> Preference:
-    kind = obj.get("kind")
+def preference_from_json(obj: Any) -> Preference:
+    kind = _field(_object(obj, "a preference"), "kind", "preference")
+    what = f"{kind} preference"
     if kind == "lex":
-        return Lexicographic(tuple(int(g) for g in obj["order"]))
+        return Lexicographic(_ints(_field(obj, "order", what), "order"))
     if kind == "rank":
-        return RankTable(tuple(int(r) for r in obj["rank"]))
+        return RankTable(_ints(_field(obj, "rank", what), "rank"))
     if kind == "additive":
-        return AdditiveStrict(tuple(fraction_from_json(v) for v in obj["values"]))
+        values = _list(_field(obj, "values", what), "values")
+        return AdditiveStrict(tuple(fraction_from_json(v) for v in values))
     raise ValueError(f"unknown preference kind {kind!r}")
 
 
@@ -96,16 +131,19 @@ def class_from_json(obj: Any, m: int | None = None) -> PreferenceClass:
         if m is None:
             raise ValueError("class tag shorthand needs an explicit m")
         return class_from_tag(obj, m)
-    tag = obj["tag"]
-    if m is not None and "m" in obj and int(obj["m"]) != m:
-        raise ValueError(f"mechanism declares m={m} but its class has m={int(obj['m'])}")
-    m = int(obj.get("m", m if m is not None else -1))
-    if m < 0:
+    if not isinstance(obj, dict):
+        raise ValueError(f"'class' must be a tag string or a JSON object, got {obj!r}")
+    tag = _field(obj, "tag", "class")
+    if "m" in obj:
+        own = _int(obj, "m", "class")
+        if m is not None and own != m:
+            raise ValueError(f"mechanism declares m={m} but its class has m={own}")
+        m = own
+    if m is None or m < 0:
         raise ValueError("class JSON needs m")
     if tag == "explicit":
-        return explicit_class(
-            m, tuple(preference_from_json(p) for p in obj["members"])
-        )
+        members = _list(_field(obj, "members", "explicit class"), "members")
+        return explicit_class(m, tuple(preference_from_json(p) for p in members))
     return class_from_tag(tag, m)
 
 
@@ -148,37 +186,39 @@ def mechanism_to_json(mech: Mechanism) -> dict:
     raise ValueError(f"unknown mechanism type {type(mech).__name__}")
 
 
-def mechanism_from_json(obj: dict) -> Mechanism:
-    kind = obj.get("kind")
+def mechanism_from_json(obj: Any) -> Mechanism:
+    """A mechanism from its descriptor.  A missing field, or a field of the
+    wrong JSON type, raises ValueError naming it."""
+    kind = _field(_object(obj, "a mechanism descriptor"), "kind", "mechanism descriptor")
+    what = f"{kind} descriptor"
     if kind == "serial_quota":
-        q = tuple(int(x) for x in obj["q"])
-        p = tuple(int(x) for x in obj["p"])
+        q = _ints(_field(obj, "q", what), "q")
+        p = _ints(_field(obj, "p", what), "p")
         cls_json = obj.get("class", "lex")
         # Without a top-level m, the class's own m, else the quotas' sum.
-        default_m = sum(q) if isinstance(cls_json, str) else cls_json.get("m", sum(q))
-        cls = class_from_json(cls_json, int(obj.get("m", default_m)))
-        return serial_quota(q, p, cls)
+        own = cls_json.get("m") if isinstance(cls_json, dict) else None
+        m = _int(obj, "m", what, sum(q) if own is None else own)
+        return serial_quota(q, p, class_from_json(cls_json, m))
     if kind == "table":
-        cls = class_from_json(obj["class"])
-        alloc = tuple(tuple(int(b) for b in row) for row in obj["alloc"])
-        n = int(obj.get("n", len(alloc[0]) if alloc else 0))
+        cls = class_from_json(_field(obj, "class", what))
+        rows = _list(_field(obj, "alloc", what), "alloc")
+        alloc = tuple(_ints(row, f"alloc[{idx}]") for idx, row in enumerate(rows))
+        n = _int(obj, "n", what, len(alloc[0]) if alloc else 0)
         _validate_table(alloc, cls, n)
         return TableMechanism(n, cls.m, cls, alloc)
     if kind == "round_robin":
-        n, m = int(obj["n"]), int(obj["m"])
+        n, m = _int(obj, "n", what), _int(obj, "m", what)
         return RoundRobin(n, m, class_from_json(obj.get("class", "lex"), m))
     if kind == "counter_non_truthful":
-        n = int(obj.get("n", 2))
+        n = _int(obj, "n", what, 2)
         return CounterNonTruthful(n, 2, class_from_json(obj.get("class", "lex"), 2))
     if kind == "counter_bossy":
-        n = int(obj.get("n", 3))
-        m = int(obj["m"])
+        n, m = _int(obj, "n", what, 3), _int(obj, "m", what)
         return CounterBossy(n, m, class_from_json(obj.get("class", "lex"), m))
     if kind == "counter_non_neutral":
-        n = int(obj.get("n", 3))
-        m = int(obj["m"])
+        n, m = _int(obj, "n", what, 3), _int(obj, "m", what)
         cls = class_from_json(obj.get("class", "lex"), m)
-        return CounterNonNeutral(n, m, cls, int(obj["a"]), int(obj["b"]))
+        return CounterNonNeutral(n, m, cls, _int(obj, "a", what), _int(obj, "b", what))
     raise ValueError(f"unknown mechanism kind {kind!r}")
 
 

@@ -245,6 +245,30 @@ def test_check_rejects_malformed_json(tmp_path):
     assert main(["check", "--mech", str(path)]) == 2
 
 
+@pytest.mark.parametrize("payload,error", [
+    ({"kind": "serial_quota", "p": [0, 1], "m": 3},
+     "serial_quota descriptor has no 'q' field"),
+    (_table_json([1, 2]) | {"class": {"m": 2}}, "class has no 'tag' field"),
+    (SQ_JSON | {"class": 7}, "'class' must be a tag string or a JSON object, got 7"),
+    ([SQ_JSON], "a mechanism descriptor must be a JSON object, got list"),
+    ({"kind": "serial_quota", "q": "12", "p": "01", "m": 3},
+     "'q' must be a list of integers, got '12'"),
+    (SQ_JSON | {"m": "3"}, "'m' must be an integer, got '3'"),
+    (_table_json([1, 2]) | {"alloc": [[1, 2]] * 3 + ["12"]},
+     "'alloc[3]' must be a list of integers, got '12'"),
+    ({"kind": "table", "alloc": [[1]],
+      "class": {"tag": "explicit", "m": 1, "members": [{"kind": "lex"}]}},
+     "lex preference has no 'order' field"),
+], ids=["no-q", "class-without-tag", "class-int", "top-level-array", "q-string", "m-string",
+        "alloc-row-string", "preference-without-order"])
+def test_check_rejects_a_malformed_descriptor(payload, error, mech_file, capsys):
+    code = main(["check", "--mech", mech_file(payload), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_verify_exhaustive_small(capsys):
     code = main(["verify", "--n", "2", "--m", "2", "--class", "lex",
                  "--mode", "exhaustive", "--no-timestamp"])
@@ -536,12 +560,14 @@ def test_reports_are_byte_identical_without_timestamp(tmp_path, capsys):
 
 
 def test_reproduce_report_byte_identical_without_timestamp(tmp_path, capsys):
-    paths = [str(tmp_path / f"rep{i}.json") for i in range(2)]
-    for path in paths:
-        assert main(["reproduce-paper", "--no-timestamp", "--out", path]) == 0
+    # One run against the committed report: a second run in this process
+    # would reuse acceptance's cached results and prove nothing.
+    path = tmp_path / "rep.json"
+    assert main(["reproduce-paper", "--no-timestamp", "--out", str(path)]) == 0
     capsys.readouterr()
-    a, b = (open(p, "rb").read() for p in paths)
-    assert a == b
+    committed = Path(__file__).resolve().parents[1] / "reports" / "reproduce.json"
+    a = path.read_bytes()
+    assert a == committed.read_bytes()
     payload = json.loads(a)
     assert payload["all_passed"]
     assert all("seconds" not in row for row in payload["criteria"])

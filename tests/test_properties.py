@@ -27,14 +27,6 @@ from serialquota import (
     additive_class,
     all_permutations,
     apply,
-    check_control_claim,
-    check_neutral,
-    check_non_bossy,
-    check_pareto_efficient,
-    check_partition,
-    check_push_up_exhaustive,
-    check_push_up_invariance,
-    check_truthful,
     class_from_tag,
     compare,
     index_to_profile,
@@ -59,6 +51,13 @@ from serialquota.properties import (
     PUSH_UP,
     TRUTHFUL,
     check,
+    check_control_claim,
+    check_neutral,
+    check_non_bossy,
+    check_pareto_efficient,
+    check_partition,
+    check_push_up_invariance,
+    check_truthful,
 )
 from serialquota.search import _choice_masks, enumerate_q
 
@@ -671,7 +670,7 @@ def test_pareto_blocking_cap():
 def test_pareto_check_gates_the_assignment_table():
     # One good and 4000 agents: a single profile, but 4001 assignments of
     # 4000 bundles each, over the cap; the gate fires before the assignment
-    # table is built (the one-profile allocation table comes first).
+    # table, or the allocation table, is built.
     mech = serial_quota((1,) + (0,) * 3999, tuple(range(4000)), lex_class(1))
     with pytest.raises(TooLarge, match="assignment entries"):
         check_pareto_efficient(mech)
@@ -745,7 +744,7 @@ def test_first_picker_controls_her_demand_sized_prefixes():
 def test_push_up_invariance_for_serial_quota():
     mech = serial_quota((1, 2), (0, 1), LEX3)
     assert check_push_up_invariance(mech, trials=100, rng_seed=3).holds
-    report = check_push_up_exhaustive(mech)
+    report = check(mech, [PUSH_UP])[0]
     assert report.holds and report.witness is None
     assert report.profiles_checked == len(LEX3) ** 2
 
@@ -810,7 +809,7 @@ def test_push_up_kernel_matches_scalar_oracles(n, m):
         assert engine.push_up_violation(table, cls, n) == expected
         assert multi_agent_push_up_holds(table, cls, n) == (expected is None)
         mech = TableMechanism(n, m, cls, tuple(map(tuple, table.tolist())))
-        report = check_push_up_exhaustive(mech)
+        report = check(mech, [PUSH_UP])[0]
         assert report.holds == (expected is None)
         if expected is not None:
             idx, agent, alt = expected
@@ -839,7 +838,7 @@ def test_sampled_push_up_failures_are_exhaustive_failures_and_replay():
     failures = 0
     for table in table_cases(n, m, LEX3, rng):
         mech = TableMechanism(n, m, LEX3, tuple(map(tuple, table.tolist())))
-        exhaustive = check_push_up_exhaustive(mech)
+        exhaustive = check(mech, [PUSH_UP])[0]
         for seed in range(5):
             report = check_push_up_invariance(mech, trials=50, rng_seed=seed)
             if report.holds:
@@ -884,7 +883,6 @@ SINGLE_CHECKS = {
     PARTITION: check_partition,
     PARETO: check_pareto_efficient,
     CONTROL_CLAIM: check_control_claim,
-    PUSH_UP: check_push_up_exhaustive,
 }
 
 
@@ -906,6 +904,23 @@ def test_check_matches_single_property_calls_on_one_table(mech, monkeypatch):
     monkeypatch.setattr(engine, "allocation_table", counted)
     assert check(mech, list(SINGLE_CHECKS)) == singles
     assert built == [mech]
+
+
+@pytest.mark.parametrize("mech,props,error,match", [
+    # 5040 lex members: 5040 profiles for one agent, 5040^2 push-up pairs.
+    (serial_quota((7,), (0,), lex_class(7)), [PUSH_UP], TooLarge, "push-up member pairs"),
+    (serial_quota((1,) + (0,) * 3999, tuple(range(4000)), lex_class(1)), [TRUTHFUL, PARETO],
+     TooLarge, "assignment entries"),
+    (serial_quota((1, 2), (0, 1), LEX3), [TRUTHFUL, "anonymity"], ValueError,
+     r"unknown properties \['anonymity'\]; choose from \['control_claim', "),
+], ids=["push-up", "pareto", "unknown"])
+def test_check_refuses_before_building_the_allocation_table(mech, props, error, match, monkeypatch):
+    def refuse(mech):
+        raise AssertionError("allocation table built before a refusal")
+
+    monkeypatch.setattr(engine, "allocation_table", refuse)
+    with pytest.raises(error, match=match):
+        check(mech, props)
 
 
 def test_truthful_witness_indices_decode():

@@ -33,7 +33,7 @@ from serialquota.mechanisms import (
     profile_index,
 )
 from serialquota.prefs import all_permutations, class_from_tag, permute_preference
-from serialquota.properties import first_axiom_violation
+from serialquota.properties import check, first_axiom_violation
 from serialquota.search import (
     VERDICT_COUNTEREXAMPLE,
     VERDICT_EQUAL,
@@ -228,13 +228,7 @@ def test_mutants_always_break_an_axiom():
 
 def test_mutation_log_replays_by_hand():
     """Rebuild each logged mutant and confirm the logged axiom fails with the
-    witness its property checker reports."""
-    from serialquota import (
-        check_neutral,
-        check_non_bossy,
-        check_truthful,
-    )
-
+    witness its property check reports."""
     cls = lex_class(3)
     base = QuotaOrdering((2, 1), (1, 0))
     report, log = mutate_with_log(base, cls, 25, seed=11, log_size=25)
@@ -243,19 +237,14 @@ def test_mutation_log_replays_by_hand():
     rows = [
         apply(sq, profile).bundles for profile in product(cls.members, repeat=2)
     ]
-    checkers = {
-        "truthful": check_truthful,
-        "non_bossy": check_non_bossy,
-        "neutral": check_neutral,
-    }
     for entry in log:
         mutated = list(rows)
         mutated[entry["profile_index"]] = tuple(entry["replacement"])
         mutant = TableMechanism(2, 3, cls, tuple(mutated))
         assert mutated[entry["profile_index"]] != rows[entry["profile_index"]]
-        check = checkers[entry["failed_axiom"]](mutant)
-        assert not check.holds
-        assert entry["axiom_witness"] == check.witness
+        (report,) = check(mutant, [entry["failed_axiom"]])
+        assert not report.holds
+        assert entry["axiom_witness"] == report.witness
 
 
 def _mutants(n, m, tag, quotas=None, sample=None):

@@ -20,7 +20,7 @@ from serialquota import (
     RankTable,
     RoundRobin,
     additive_class,
-    check_truthful,
+    check,
     ef1_audit,
     explicit_class,
     lex_class,
@@ -29,6 +29,7 @@ from serialquota import (
     verify_characterization,
 )
 from serialquota.mechanisms import SerialQuota, TableMechanism
+from serialquota.properties import TRUTHFUL
 from serialquota.serialize import (
     audit_to_json,
     characterization_to_json,
@@ -189,7 +190,7 @@ def test_instance_json_is_unchanged_by_integer_storage():
 
 def test_report_json_shape():
     mech = serial_quota((1, 1), (0, 1), lex_class(2))
-    payload = through_json(report_to_json(check_truthful(mech)))
+    payload = through_json(report_to_json(check(mech, [TRUTHFUL])[0]))
     assert payload == {
         "property": "truthful",
         "holds": True,
