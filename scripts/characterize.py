@@ -2,25 +2,28 @@
 """Sweep the exhaustive characterization over every (n, m, class, mode) up
 to --max-n and --max-m and print one line each: the verdict with the
 search's node count and nodes per second of the whole verdict, or the cap
-that stopped the search at that size."""
+that stopped the search (or the class enumeration) at that size."""
 
 import argparse
 import time
 
-from serialquota import TooLarge, lex_class, strict_monotone_class, verify_characterization
+from serialquota import EnumerationTooLarge, TooLarge, class_from_tag, verify_characterization
 
 
-def classes_for(m: int):
-    yield lex_class(m)
-    if m <= 3:
-        yield strict_monotone_class(m)
+def tags_for(m: int) -> tuple[str, ...]:
+    return ("lex", "strict_monotone_all") if m <= 3 else ("lex",)
 
 
 def run(max_n: int, max_m: int) -> int:
     bad = 0
     for n in range(1, max_n + 1):
         for m in range(1, max_m + 1):
-            for cls in classes_for(m):
+            for tag in tags_for(m):
+                try:
+                    cls = class_from_tag(tag, m)
+                except EnumerationTooLarge as exc:
+                    print(f"n={n} m={m} class={tag}: skipped, {exc}")
+                    continue
                 for partition_only in (True, False):
                     mode = "partition" if partition_only else "allocation"
                     start = time.perf_counter()

@@ -1,10 +1,11 @@
 """Fairness audits: exact maximin shares, EF1 checks, and quota feasibility.
 
-MMS is brute-forced over labeled n-part partitions.  The audits and sweeps
-run on batched int64 kernels over the integer rows each AdditiveStrict
-stores, tested against the rational reference `mms`, `bundle_value` and
-`check_ef1` (value ties are fine there; strictness only matters once a
-mechanism consumes the instance).  Audits draw instances from named
+MMS is brute-forced over labeled n-part partitions, gated by the engine's
+PROFILE_CAP and taken in blocks of at most engine.CELLS entries.  The audits
+and sweeps run on batched int64 kernels over the integer rows each
+AdditiveStrict stores, tested against the rational reference `mms`,
+`bundle_value` and `check_ef1` (value ties are fine there; strictness only
+matters once a mechanism consumes the instance).  Audits draw instances from named
 deterministic families ("identical", "targeted") plus a seeded random family
 that breaks subset-sum ties instead of redrawing, so every reported number is
 reproducible bit for bit and every m <= MAX_GOODS finishes.
@@ -33,8 +34,6 @@ from .prefs import MAX_GOODS, AdditiveStrict, Ordering, compare, goods_of, tied_
 from .properties import PropertyReport
 
 EF1 = "ef1"
-MMS_ASSIGNMENT_CAP = 10**7
-_MMS_BLOCK = 1 << 16  # labeled partitions per block of `_mms_int_batch`
 
 # Perturbation used by the deterministic families and to break ties in random
 # rows: good g gets an extra eps * 2^g.  Subset sums stay distinct (integer
@@ -82,9 +81,9 @@ def _values_of(valuation) -> tuple[Fraction, ...]:
 
 def _partition_gate(n: int, m: int) -> int:
     """n^m, the labeled partitions an MMS brute force scans; raises TooLarge
-    above MMS_ASSIGNMENT_CAP."""
+    above engine.PROFILE_CAP."""
     total = n**m
-    if total > MMS_ASSIGNMENT_CAP:
+    if total > engine.PROFILE_CAP:
         raise TooLarge(f"{n}^{m} partitions exceed the brute-force cap")
     return total
 
@@ -305,24 +304,22 @@ def _apply_quota_int(q, p, vals: np.ndarray) -> np.ndarray:
 def _mms_int_batch(rows: np.ndarray, n: int) -> np.ndarray:
     """MMS per integer value row, vectorized over labeled partitions.
 
-    Partitions are taken _MMS_BLOCK at a time and rows in chunks, so that no
-    intermediate holds much more than engine.CELLS (row, partition) sums.
+    Partitions go in blocks sized so that neither a block's owner digits
+    (one per good and part) nor its (row, partition) sums hold more than
+    engine.CELLS entries.
     """
     count, m = rows.shape
     total = _partition_gate(n, m)
-    step = min(total, _MMS_BLOCK)
-    chunk = max(1, engine.CELLS // step)
+    step = max(1, min(total, engine.CELLS // max(count, m * (n + 1))))
     place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
     out = np.zeros(count, dtype=np.int64)
     for start in range(0, total, step):
         owners = np.arange(start, min(start + step, total))[:, None] // place % n
         parts = [(owners == j).astype(np.int64) for j in range(n)]
-        for lo in range(0, count, chunk):
-            sub = rows[lo : lo + chunk]
-            low = sub @ parts[0].T
-            for part in parts[1:]:
-                np.minimum(low, sub @ part.T, out=low)
-            np.maximum(out[lo : lo + chunk], low.max(axis=1), out=out[lo : lo + chunk])
+        low = rows @ parts[0].T
+        for part in parts[1:]:
+            np.minimum(low, rows @ part.T, out=low)
+        np.maximum(out, low.max(axis=1), out=out)
     return out
 
 

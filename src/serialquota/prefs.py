@@ -12,6 +12,8 @@ on all 2^m subsets that extends set inclusion.  Three representations:
   value.  Rational inputs are brought to this one exact integer form on
   construction, and subset sums are int64 products with the bitmask table.
 
+`rank_table` is the one route from a preference to a subset's rank.
+
 All values are immutable and hashable; every operation is a pure function.
 """
 
@@ -156,9 +158,6 @@ class RankTable:
     def m(self) -> int:
         return len(self.rank).bit_length() - 1
 
-    def rank_of(self, s: Mask) -> int:
-        return self.rank[s]
-
 
 @dataclass(frozen=True)
 class Lexicographic:
@@ -173,13 +172,6 @@ class Lexicographic:
     @property
     def m(self) -> int:
         return len(self.order)
-
-    def rank_of(self, s: Mask) -> int:
-        # Most important good becomes the most significant bit.
-        r = 0
-        for g in self.order:
-            r = r << 1 | (s >> g & 1)
-        return r
 
 
 @lru_cache(maxsize=None)
@@ -252,9 +244,6 @@ class AdditiveStrict:
         """sums[s] = scale times the value of subset s; int64, shape (2^m,)."""
         return subset_bits(self.m) @ np.array(self.row, dtype=np.int64)
 
-    def rank_of(self, s: Mask) -> int:
-        return rank_table(self)[s]
-
 
 Preference = RankTable | Lexicographic | AdditiveStrict
 
@@ -266,7 +255,10 @@ def rank_table(pref: Preference) -> tuple[int, ...]:
     if isinstance(pref, RankTable):
         return pref.rank
     if isinstance(pref, Lexicographic):
-        return tuple(pref.rank_of(s) for s in range(1 << m))
+        # Most important good becomes the most significant bit.
+        weight = np.zeros(m, dtype=np.int64)
+        weight[list(pref.order)] = 1 << np.arange(m - 1, -1, -1)
+        return tuple((subset_bits(m) @ weight).tolist())
     order = np.argsort(pref.subset_sums())
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -284,7 +276,8 @@ def compare(pref: Preference, s: Mask, t: Mask) -> Ordering:
         row = pref.row
         gain = sum(row[g] for g in goods_of(t)) - sum(row[g] for g in goods_of(s))
         return Ordering.LESS if gain > 0 else Ordering.GREATER
-    return Ordering.LESS if pref.rank_of(s) < pref.rank_of(t) else Ordering.GREATER
+    rank = rank_table(pref)
+    return Ordering.LESS if rank[s] < rank[t] else Ordering.GREATER
 
 
 def demand(pref: Preference, pool: Mask, k: int) -> Mask:
@@ -474,11 +467,11 @@ def _validate_explicit(m: int, members: tuple[Preference, ...]) -> None:
 
 
 def lex_class(m: int) -> PreferenceClass:
-    return PreferenceClass(LEX, m, enumerate_class(LEX, m))
+    return class_from_tag(LEX, m)
 
 
 def strict_monotone_class(m: int) -> PreferenceClass:
-    return PreferenceClass(STRICT_MONOTONE_ALL, m, enumerate_class(STRICT_MONOTONE_ALL, m))
+    return class_from_tag(STRICT_MONOTONE_ALL, m)
 
 
 def additive_class(m: int) -> PreferenceClass:
@@ -490,13 +483,8 @@ def explicit_class(m: int, members) -> PreferenceClass:
 
 
 def class_from_tag(tag: str, m: int) -> PreferenceClass:
-    if tag == LEX:
-        return lex_class(m)
-    if tag == STRICT_MONOTONE_ALL:
-        return strict_monotone_class(m)
-    if tag == STRICT_ADDITIVE:
-        return additive_class(m)
-    raise ValueError(f"unknown class tag {tag!r}")
+    """The named class over m goods; enumerate_class rejects an unknown tag."""
+    return PreferenceClass(tag, m, () if tag == STRICT_ADDITIVE else enumerate_class(tag, m))
 
 
 def enumerate_class(tag: str, m: int) -> tuple[Preference, ...]:

@@ -60,11 +60,16 @@ def _field(obj: dict, key: str, what: str) -> Any:
     return obj[key]
 
 
-def _int(obj: dict, key: str, what: str, default: int | None = None) -> int:
-    """The integer field obj[key]; required unless a default is given."""
+def _int(
+    obj: dict, key: str, what: str, default: int | None = None, low: int | None = None
+) -> int:
+    """The integer field obj[key], at least low when low is given; required
+    unless a default is given."""
     x = obj.get(key, default) if default is not None else _field(obj, key, what)
     if not _is_int(x):
         raise ValueError(f"{key!r} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise ValueError(f"{key!r} must be >= {low}, got {x}")
     return x
 
 
@@ -139,8 +144,10 @@ def class_from_json(obj: Any, m: int | None = None) -> PreferenceClass:
         if m is not None and own != m:
             raise ValueError(f"mechanism declares m={m} but its class has m={own}")
         m = own
-    if m is None or m < 0:
+    if m is None:
         raise ValueError("class JSON needs m")
+    if m < 0:
+        raise ValueError(f"'m' must be >= 0, got {m}")
     if tag == "explicit":
         members = _list(_field(obj, "members", "explicit class"), "members")
         return explicit_class(m, tuple(preference_from_json(p) for p in members))
@@ -193,6 +200,8 @@ def mechanism_from_json(obj: Any) -> Mechanism:
     what = f"{kind} descriptor"
     if kind == "serial_quota":
         q = _ints(_field(obj, "q", what), "q")
+        if not q:
+            raise ValueError("'q' must hold one quota per agent, got []")
         p = _ints(_field(obj, "p", what), "p")
         cls_json = obj.get("class", "lex")
         # Without a top-level m, the class's own m, else the quotas' sum.
@@ -203,20 +212,20 @@ def mechanism_from_json(obj: Any) -> Mechanism:
         cls = class_from_json(_field(obj, "class", what))
         rows = _list(_field(obj, "alloc", what), "alloc")
         alloc = tuple(_ints(row, f"alloc[{idx}]") for idx, row in enumerate(rows))
-        n = _int(obj, "n", what, len(alloc[0]) if alloc else 0)
+        n = _int(obj, "n", what, len(alloc[0]) if alloc else 0, low=1)
         _validate_table(alloc, cls, n)
         return TableMechanism(n, cls.m, cls, alloc)
     if kind == "round_robin":
-        n, m = _int(obj, "n", what), _int(obj, "m", what)
+        n, m = _int(obj, "n", what, low=1), _int(obj, "m", what)
         return RoundRobin(n, m, class_from_json(obj.get("class", "lex"), m))
     if kind == "counter_non_truthful":
-        n = _int(obj, "n", what, 2)
+        n = _int(obj, "n", what, 2, low=1)
         return CounterNonTruthful(n, 2, class_from_json(obj.get("class", "lex"), 2))
     if kind == "counter_bossy":
-        n, m = _int(obj, "n", what, 3), _int(obj, "m", what)
+        n, m = _int(obj, "n", what, 3, low=1), _int(obj, "m", what)
         return CounterBossy(n, m, class_from_json(obj.get("class", "lex"), m))
     if kind == "counter_non_neutral":
-        n, m = _int(obj, "n", what, 3), _int(obj, "m", what)
+        n, m = _int(obj, "n", what, 3, low=1), _int(obj, "m", what)
         cls = class_from_json(obj.get("class", "lex"), m)
         return CounterNonNeutral(n, m, cls, _int(obj, "a", what), _int(obj, "b", what))
     raise ValueError(f"unknown mechanism kind {kind!r}")

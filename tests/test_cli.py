@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -259,8 +260,17 @@ def test_check_rejects_malformed_json(tmp_path):
     ({"kind": "table", "alloc": [[1]],
       "class": {"tag": "explicit", "m": 1, "members": [{"kind": "lex"}]}},
      "lex preference has no 'order' field"),
+    ({"kind": "serial_quota", "q": [], "p": [], "m": 2},
+     "'q' must hold one quota per agent, got []"),
+    ({"kind": "table", "class": {"tag": "lex", "m": 2}, "alloc": [[]]},
+     "'n' must be >= 1, got 0"),
+    ({"kind": "round_robin", "n": 0, "m": 2}, "'n' must be >= 1, got 0"),
+    ({"kind": "round_robin", "n": -1, "m": 2}, "'n' must be >= 1, got -1"),
+    ({"kind": "table", "class": {"tag": "lex", "m": -1}, "alloc": []},
+     "'m' must be >= 0, got -1"),
 ], ids=["no-q", "class-without-tag", "class-int", "top-level-array", "q-string", "m-string",
-        "alloc-row-string", "preference-without-order"])
+        "alloc-row-string", "preference-without-order", "q-empty", "table-without-agents",
+        "round-robin-without-agents", "round-robin-negative-n", "class-negative-m"])
 def test_check_rejects_a_malformed_descriptor(payload, error, mech_file, capsys):
     code = main(["check", "--mech", mech_file(payload), "--no-timestamp"])
     captured = capsys.readouterr()
@@ -484,6 +494,19 @@ def test_characterize_script_prints_verdicts_with_node_counts():
         )
 
 
+def test_characterize_script_skips_a_class_it_cannot_enumerate(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "characterize.py"
+    monkeypatch.setattr(serialquota.prefs, "LEX_ENUM_CAP", 2)
+    assert runpy.run_path(str(script))["run"](1, 3) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [line for line in lines if "skipped" in line]
+    assert skipped == [
+        "n=1 m=3 class=lex: skipped, lexicographic enumeration capped at m=2"
+    ], lines
+    # Both modes of strict_monotone_all still run at m = 3.
+    assert sum(line.startswith("n=1 m=3 class=strict_monotone_all") for line in lines) == 2
+
+
 def test_pareto_check_at_four_by_four_finishes(mech_file):
     # 24^4 profiles against 5^4 assignments: Pareto is gated by the profile
     # cap and the assignment table's size, not by n and m on their own.
@@ -552,7 +575,7 @@ def test_reports_are_byte_identical_without_timestamp(tmp_path, capsys):
                      "--count", "30", "--seed", "4", "--no-timestamp",
                      "--out", path]) == 0
     capsys.readouterr()
-    a, b = (open(p, "rb").read() for p in paths)
+    a, b = (Path(p).read_bytes() for p in paths)
     assert a == b
     payload = json.loads(a)
     assert "timestamp" not in payload
@@ -578,13 +601,13 @@ def test_timestamp_present_by_default(tmp_path, capsys):
     assert main(["fairness", "mms", "--q", "1,2", "--n", "2", "--m", "3",
                  "--count", "5", "--seed", "4", "--out", path]) == 0
     capsys.readouterr()
-    assert "timestamp" in json.loads(open(path).read())
+    assert "timestamp" in json.loads(Path(path).read_text())
 
 
 def test_check_writes_report_file(mech_file, tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
     main(["check", "--mech", mech_file(SQ_JSON), "--no-timestamp", "--out", out_path])
     capsys.readouterr()
-    payload = json.loads(open(out_path).read())
+    payload = json.loads(Path(out_path).read_text())
     assert payload["mechanism"]["kind"] == "serial_quota"
     assert all(r["holds"] for r in payload["reports"])

@@ -111,6 +111,13 @@ def test_rho_audit_checks_the_cap_before_building_instances(monkeypatch):
         rho_mms_audit(mech, GeneratorSpec(3, 16))
 
 
+def test_rho_audit_gates_on_the_engine_profile_cap(monkeypatch):
+    monkeypatch.setattr(serialquota.engine, "PROFILE_CAP", 7)
+    mech = serial_quota((1, 2), (0, 1), additive_class(3))
+    with pytest.raises(TooLarge, match="2\\^3 partitions"):
+        rho_mms_audit(mech, GeneratorSpec(2, 3))
+
+
 def test_bundle_value():
     assert bundle_value((4, 2, 1), 0b101) == 5
     assert bundle_value((4, 2, 1), 0) == 0
@@ -387,15 +394,14 @@ def test_quota_sweep_matches_generic_application():
 def test_mms_batch_matches_generic(monkeypatch):
     rng = np.random.default_rng(8)
     rows = strict_integer_rows(rng, 30, 4)
-    from serialquota import engine, fairness
+    from serialquota import engine
     from serialquota.fairness import _mms_int_batch
 
     fast = _mms_int_batch(rows, 2)
     whole3 = _mms_int_batch(rows, 3)
     for t in range(30):
         assert int(fast[t]) == mms([int(v) for v in rows[t]], 2)
-    # Partition blocks of 5 and two-row chunks give the same shares.
-    monkeypatch.setattr(fairness, "_MMS_BLOCK", 5)
+    # Blocks of one partition each give the same shares.
     monkeypatch.setattr(engine, "CELLS", 10)
     assert (_mms_int_batch(rows, 2) == fast).all()
     assert (_mms_int_batch(rows, 3) == whole3).all()
