@@ -1,7 +1,9 @@
 """Fairness audits: exact maximin shares, EF1 checks, and quota feasibility.
 
-MMS is brute-forced over labeled n-part partitions, gated by the engine's
-PROFILE_CAP and taken in blocks of at most engine.CELLS entries.  The audits
+MMS is brute-forced over one labeled partition per unordered split into at
+most n parts, each share a max-min gather from the row's subset-sum table.
+The gate still counts all n^m labeled partitions against the engine's
+PROFILE_CAP, and every block holds at most engine.CELLS entries.  The audits
 and sweeps run on batched int64 kernels over the integer rows each
 AdditiveStrict stores, tested against the rational reference `mms`,
 `bundle_value` and `check_ef1` (value ties are fine there; strictness only
@@ -30,7 +32,15 @@ from .mechanisms import (
     SerialQuota,
     apply_serial_quota,
 )
-from .prefs import MAX_GOODS, AdditiveStrict, Ordering, compare, goods_of, tied_rows
+from .prefs import (
+    MAX_GOODS,
+    AdditiveStrict,
+    Ordering,
+    compare,
+    goods_of,
+    subset_sum_table,
+    tied_rows,
+)
 from .properties import PropertyReport
 
 EF1 = "ef1"
@@ -67,10 +77,15 @@ class GeneratorSpec:
         bad = set(self.families) - known
         if bad:
             raise ValueError(f"unknown instance families: {sorted(bad)}")
+        repeated = sorted({f for f in self.families if self.families.count(f) > 1})
+        if repeated:
+            raise ValueError(f"instance families repeated: {','.join(repeated)}")
         if self.n < 1 or self.m > MAX_GOODS:
             raise ValueError(f"need n >= 1 and m <= {MAX_GOODS}, got n={self.n}, m={self.m}")
         if self.count < 0:
             raise ValueError(f"need count >= 0, got count={self.count}")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got seed={self.seed}")
 
 
 def _values_of(valuation) -> tuple[Fraction, ...]:
@@ -301,25 +316,52 @@ def _apply_quota_int(q, p, vals: np.ndarray) -> np.ndarray:
     return bundles
 
 
-def _mms_int_batch(rows: np.ndarray, n: int) -> np.ndarray:
-    """MMS per integer value row, vectorized over labeled partitions.
+def _partition_masks(n: int, m: int) -> np.ndarray:
+    """Part bitmasks, shape (P, n), of one labeled partition per unordered
+    split of m goods into at most n parts: P = sum_{k <= n} S(m, k).
 
-    Partitions go in blocks sized so that neither a block's owner digits
-    (one per good and part) nor its (row, partition) sums hold more than
-    engine.CELLS entries.
+    The labels follow a restricted-growth string: good 0 goes in part 0, and
+    good g joins a part already open or opens the next one.  Unused parts
+    are empty.
+    """
+    masks = np.zeros((1, n), dtype=np.int64)
+    opened = np.zeros(1, dtype=np.int64)
+    for g in range(m):
+        grown, grown_opened = [], []
+        for j in range(n):
+            keep = opened >= j
+            part = masks[keep]
+            part[:, j] |= 1 << g
+            grown.append(part)
+            grown_opened.append(np.maximum(opened[keep], j + 1))
+        masks, opened = np.concatenate(grown), np.concatenate(grown_opened)
+    return masks
+
+
+def _mms_int_batch(rows: np.ndarray, n: int) -> np.ndarray:
+    """MMS per integer value row: the best worst part over one labeled
+    partition per unordered split, read from each row's subset-sum table.
+
+    A partition's worst part does not depend on its labels, so the canonical
+    partitions of `_partition_masks` give the labeled maximum.  Rows go in
+    blocks whose subset-sum table holds at most engine.CELLS entries, and
+    partitions in blocks whose (row, partition) minima stay within it too.
     """
     count, m = rows.shape
-    total = _partition_gate(n, m)
-    step = max(1, min(total, engine.CELLS // max(count, m * (n + 1))))
-    place = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    _partition_gate(n, m)
+    masks = _partition_masks(n, m)
+    row_step = max(1, engine.CELLS >> m)
     out = np.zeros(count, dtype=np.int64)
-    for start in range(0, total, step):
-        owners = np.arange(start, min(start + step, total))[:, None] // place % n
-        parts = [(owners == j).astype(np.int64) for j in range(n)]
-        low = rows @ parts[0].T
-        for part in parts[1:]:
-            np.minimum(low, rows @ part.T, out=low)
-        np.maximum(out, low.max(axis=1), out=out)
+    for lo in range(0, count, row_step):
+        sums = subset_sum_table(rows[lo : lo + row_step])
+        step = max(1, engine.CELLS // len(sums))
+        best = out[lo : lo + row_step]
+        for start in range(0, len(masks), step):
+            block = masks[start : start + step]
+            low = sums[:, block[:, 0]]
+            for j in range(1, n):
+                np.minimum(low, sums[:, block[:, j]], out=low)
+            np.maximum(best, low.max(axis=1), out=best)
     return out
 
 
@@ -350,19 +392,18 @@ def _worst_ratio(got: np.ndarray, shares: np.ndarray) -> Fraction:
 def _first_envy(q, p, vals: np.ndarray) -> np.ndarray:
     """First EF1 violation (envious, envied) per instance in (i, j) order, or
     (-1, -1).  With distinct subset sums, i envies j up to one good iff j's
-    bundle minus its best good is worth more to i than i's own bundle."""
+    bundle minus its best good is worth more to i than i's own bundle; that
+    never holds for j = i."""
     count, n, _ = vals.shape
     owned = _owned(q, p, vals)
     first = np.full((count, 2), -1, dtype=np.int64)
     for i in range(n):
-        vi = vals[:, i, :]
-        own = (vi * owned[:, i]).sum(axis=1)
-        for j in range(n):
-            if j == i:
-                continue
-            masked = vi * owned[:, j]
-            envy = masked.sum(axis=1) - masked.max(axis=1, initial=0) > own
-            first[envy & (first[:, 0] == -1)] = (i, j)
+        worth = vals[:, i, None, :] * owned  # (count, j, g): i's value of j's goods
+        held = worth.sum(axis=2)
+        envy = held - worth.max(axis=2, initial=0) > held[:, i, None]
+        hit = envy.any(axis=1) & (first[:, 0] == -1)
+        first[hit, 0] = i
+        first[hit, 1] = envy[hit].argmax(axis=1)
     return first
 
 

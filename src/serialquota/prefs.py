@@ -10,7 +10,7 @@ on all 2^m subsets that extends set inclusion.  Three representations:
 * AdditiveStrict: an integer row and a positive scale, good g being worth
   row[g] / scale, with all subset sums distinct; subsets compare by total
   value.  Rational inputs are brought to this one exact integer form on
-  construction, and subset sums are int64 products with the bitmask table.
+  construction, and every subset-sum table is built by `subset_sum_table`.
 
 `rank_table` is the one route from a preference to a subset's rank.
 
@@ -174,12 +174,18 @@ class Lexicographic:
         return len(self.order)
 
 
-@lru_cache(maxsize=None)
-def subset_bits(m: int) -> np.ndarray:
-    """bits[s, g] = 1 iff good g is in subset s; int64, shape (2^m, m)."""
-    out = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    out.setflags(write=False)
-    return out
+def subset_sum_table(rows: np.ndarray) -> np.ndarray:
+    """sums[r, s] = the sum of row r over subset s; int64, shape (count, 2^m)
+    for rows of shape (count, m).
+
+    Built by doubling, one add per entry: the subsets that hold good g are
+    those without it plus row[g].
+    """
+    count, m = rows.shape
+    sums = np.zeros((count, 1 << m), dtype=np.int64)
+    for g in range(m):
+        np.add(sums[:, : 1 << g], rows[:, g : g + 1], out=sums[:, 1 << g : 2 << g])
+    return sums
 
 
 def tied_rows(rows: np.ndarray) -> np.ndarray:
@@ -187,13 +193,12 @@ def tied_rows(rows: np.ndarray) -> np.ndarray:
     sums.  Rows go in chunks of about 2^22 sums (32 MB), so a batch at
     m = 16 never holds all its sums at once."""
     count, m = rows.shape
-    bits = subset_bits(m).T
     step = max(1, (1 << 22) >> m)
     out = np.zeros(count, dtype=bool)
     for lo in range(0, count, step):
-        sums = rows[lo : lo + step] @ bits
+        sums = subset_sum_table(rows[lo : lo + step])
         sums.sort(axis=1)
-        out[lo : lo + step] = (np.diff(sums, axis=1) == 0).any(axis=1)
+        out[lo : lo + step] = (sums[:, 1:] == sums[:, :-1]).any(axis=1)
     return out
 
 
@@ -242,7 +247,7 @@ class AdditiveStrict:
 
     def subset_sums(self) -> np.ndarray:
         """sums[s] = scale times the value of subset s; int64, shape (2^m,)."""
-        return subset_bits(self.m) @ np.array(self.row, dtype=np.int64)
+        return subset_sum_table(np.array([self.row], dtype=np.int64))[0]
 
 
 Preference = RankTable | Lexicographic | AdditiveStrict
@@ -258,7 +263,7 @@ def rank_table(pref: Preference) -> tuple[int, ...]:
         # Most important good becomes the most significant bit.
         weight = np.zeros(m, dtype=np.int64)
         weight[list(pref.order)] = 1 << np.arange(m - 1, -1, -1)
-        return tuple((subset_bits(m) @ weight).tolist())
+        return tuple(subset_sum_table(weight[None])[0].tolist())
     order = np.argsort(pref.subset_sums())
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)

@@ -417,6 +417,19 @@ def test_fairness_rejects_a_negative_count(capsys):
     assert captured.err == "error: need count >= 0, got count=-5\n"
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--family", "random,random"], "instance families repeated: random"),
+    (["--seed", "-1"], "need seed >= 0, got seed=-1"),
+], ids=["repeated-family", "negative-seed"])
+def test_fairness_rejects_a_malformed_instance_spec(args, error, capsys):
+    code = main(["fairness", "mms", "--q", "1,1", "--m", "3", "--count", "3", *args,
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_fairness_rejects_mismatched_n():
     assert main(["fairness", "mms", "--q", "1,2", "--n", "3", "--m", "3"]) == 2
 

@@ -312,6 +312,14 @@ def test_generator_spec_rejects_bad_sizes():
         GeneratorSpec(2, 17)
 
 
+def test_generator_spec_rejects_a_repeated_family_and_a_negative_seed():
+    # A repeated family would count the same seeded instances twice.
+    with pytest.raises(ValueError, match="instance families repeated: random"):
+        GeneratorSpec(2, 3, families=("random", "identical", "random"))
+    with pytest.raises(ValueError, match="need seed >= 0, got seed=-1"):
+        GeneratorSpec(2, 3, seed=-1)
+
+
 # ---------------------------------------------------------------- integer sweeps
 
 def test_strict_integer_rows_have_distinct_subset_sums():
@@ -405,6 +413,61 @@ def test_mms_batch_matches_generic(monkeypatch):
     monkeypatch.setattr(engine, "CELLS", 10)
     assert (_mms_int_batch(rows, 2) == fast).all()
     assert (_mms_int_batch(rows, 3) == whole3).all()
+
+
+def stirling2(m, k):
+    """Partitions of m labeled goods into exactly k nonempty parts."""
+    table = [[1]]
+    for i in range(1, m + 1):
+        prev = table[-1] + [0]
+        table.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, i + 1)])
+    return table[m][k] if k <= m else 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_partition_masks_list_each_unordered_split_once(n):
+    from serialquota.fairness import _partition_masks
+
+    for m in range(0, 8):
+        masks = _partition_masks(n, m)
+        assert masks.shape == (sum(stirling2(m, k) for k in range(n + 1)), n)
+        for row in masks.tolist():
+            assert sum(row) == (1 << m) - 1  # the parts are disjoint and cover every good
+            assert all(a & b == 0 for i, a in enumerate(row) for b in row[i + 1:])
+        splits = {tuple(sorted(row)) for row in masks.tolist()}
+        assert len(splits) == len(masks)  # no mask relabels another
+
+
+def test_mms_batch_matches_the_fraction_oracle():
+    """Raw rows with zeros and ties at every n <= 4, m <= 7, including m < n,
+    m = 0 and an empty batch, against the labeled-partition loop of `mms`."""
+    from serialquota.fairness import _mms_int_batch
+
+    rng = np.random.default_rng(19)
+    for n in range(1, 5):
+        assert _mms_int_batch(np.zeros((0, 3), dtype=np.int64), n).shape == (0,)
+        for m in range(0, 8):
+            rows = np.vstack([
+                np.zeros((1, m), dtype=np.int64),
+                np.full((1, m), 7, dtype=np.int64),
+                rng.integers(0, 4, size=(2, m)),
+                rng.integers(0, 1000, size=(1, m)),
+            ])
+            shares = _mms_int_batch(rows, n)
+            assert shares.tolist() == [mms(row, n) for row in rows.tolist()], (n, m)
+
+
+def test_mms_batch_blocks_rows_and_partitions(monkeypatch):
+    from serialquota import engine
+    from serialquota.fairness import _mms_int_batch, _partition_masks
+
+    rows = np.random.default_rng(20).integers(0, 50, size=(7, 5))
+    whole = _mms_int_batch(rows, 3)
+    # 2 rows per block (4 blocks), 32 of the 41 partitions per block (2 blocks).
+    monkeypatch.setattr(engine, "CELLS", 64)
+    assert len(_partition_masks(3, 5)) == 41
+    assert (_mms_int_batch(rows, 3) == whole).all()
+    assert whole.tolist() == [mms(row, 3) for row in rows.tolist()]
 
 
 def test_rho_floor_sweep_agrees_with_exact_recomputation():

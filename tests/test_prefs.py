@@ -183,6 +183,34 @@ def test_integer_rank_table_matches_fraction_sort(values):
                 assert (compare(pref, s, t) is Ordering.LESS) == less
 
 
+def test_subset_sum_table_and_tie_verdicts_against_brute_force():
+    import numpy as np
+
+    from serialquota.prefs import subset_sum_table, tied_rows
+
+    rng = np.random.default_rng(5)
+    for m in range(0, 7):
+        rows = rng.integers(0, 9, size=(6, m))
+        sums = subset_sum_table(rows)
+        assert sums.dtype == np.int64 and sums.shape == (6, 1 << m)
+        for row, got in zip(rows.tolist(), sums.tolist()):
+            expected = [sum(v for g, v in enumerate(row) if s >> g & 1) for s in range(1 << m)]
+            assert got == expected
+            assert tied_rows(np.array([row], dtype=np.int64))[0] == (len(set(expected)) < len(expected))
+        assert tied_rows(rows).tolist() == [len(set(r)) < len(r) for r in sums.tolist()]
+    assert subset_sum_table(np.zeros((0, 4), dtype=np.int64)).shape == (0, 16)
+
+
+def test_lexicographic_rank_table_orders_by_first_differing_good():
+    for m in range(0, 5):
+        for order in permutations(range(m)):
+            rank = rank_table(Lexicographic(order))
+            for s in range(1 << m):
+                for t in range(s + 1, 1 << m):
+                    first = next(g for g in order if (s ^ t) >> g & 1)
+                    assert (rank[s] < rank[t]) == bool(t >> first & 1)
+
+
 def test_strictness_totality_m3():
     """Exactly one direction is Greater, for every enumerated pref and pair."""
     pairs = list(combinations(range(8), 2))
