@@ -103,7 +103,7 @@ def allocation_table(mech: Mechanism) -> np.ndarray:
     cls = mech.domain
     c = len(cls)
     n = mech.n
-    if c**n > PROFILE_CAP:
+    if mech_mod.profiles_exceed(c, n, PROFILE_CAP):
         raise TooLarge(f"{c}^{n} profiles exceed the {PROFILE_CAP}-profile cap")
     if isinstance(mech, TableMechanism):
         return np.array(mech.table, dtype=np.int32)

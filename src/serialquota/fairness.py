@@ -11,6 +11,11 @@ matters once a mechanism consumes the instance).  Audits draw instances from nam
 deterministic families ("identical", "targeted") plus a seeded random family
 that breaks subset-sum ties instead of redrawing, so every reported number is
 reproducible bit for bit and every m <= MAX_GOODS finishes.
+
+A GeneratorSpec describes and validates every seeded draw, the sweeps' too,
+and one function draws it.  Instances come from the spec and the quota
+alone: the targeted bundles are the quota's consecutive blocks, so no
+mechanism runs to build them.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ from .mechanisms import (
     CardinalInstance,
     Mechanism,
     SerialQuota,
-    apply_serial_quota,
 )
 from .prefs import (
     MAX_GOODS,
     AdditiveStrict,
     Ordering,
+    additive_class,
     compare,
     goods_of,
     subset_sum_table,
@@ -80,8 +85,10 @@ class GeneratorSpec:
         repeated = sorted({f for f in self.families if self.families.count(f) > 1})
         if repeated:
             raise ValueError(f"instance families repeated: {','.join(repeated)}")
-        if self.n < 1 or self.m > MAX_GOODS:
-            raise ValueError(f"need n >= 1 and m <= {MAX_GOODS}, got n={self.n}, m={self.m}")
+        if self.n < 1 or not 0 <= self.m <= MAX_GOODS:
+            raise ValueError(
+                f"need n >= 1 and 0 <= m <= {MAX_GOODS}, got n={self.n}, m={self.m}"
+            )
         if self.count < 0:
             raise ValueError(f"need count >= 0, got count={self.count}")
         if self.seed < 0:
@@ -190,7 +197,8 @@ def targeted_instances(mech: Mechanism) -> list[CardinalInstance]:
     For each such position, every agent shares a descending valuation except
     the last picker, who values (almost) only the goods that position's agent
     receives; her leftover bundle is then worth essentially nothing next to
-    the envied one even after removing a good.
+    the envied one even after removing a good.  Under the shared descending
+    row, position pos takes goods sum(q[:pos]) .. sum(q[:pos+1]) - 1.
     """
     if not isinstance(mech, SerialQuota):
         return []
@@ -202,7 +210,7 @@ def targeted_instances(mech: Mechanism) -> list[CardinalInstance]:
     for pos in range(n - 1):
         if q[pos] < 2:
             continue
-        target = apply_serial_quota(mech.quota, (base,) * n, m).bundles[p[pos]]
+        target = ((1 << q[pos]) - 1) << sum(q[:pos])
         special = tuple(
             base.row[g] * scale if target >> g & 1 else 2**g for g in range(m)
         )
@@ -218,8 +226,14 @@ def random_instances(
 ) -> tuple[CardinalInstance, ...]:
     """Rows from `strict_integer_rows`: uniform integer values in [1, 1000],
     a tied row broken to value * 10^6 + 2^g."""
-    rows = strict_integer_rows(np.random.default_rng(seed), count * n, m)
-    return tuple(map(CardinalInstance.from_values, rows.reshape(count, n, m).tolist()))
+    vals = _random_values(GeneratorSpec(n, m, ("random",), count, seed))
+    return tuple(map(CardinalInstance.from_values, vals.tolist()))
+
+
+def _random_values(spec: GeneratorSpec) -> np.ndarray:
+    """The spec's random family as int64 values, shape (count, n, m)."""
+    rows = strict_integer_rows(np.random.default_rng(spec.seed), spec.count * spec.n, spec.m)
+    return rows.reshape(spec.count, spec.n, spec.m)
 
 
 def generate_instances(mech: Mechanism, spec: GeneratorSpec) -> list[CardinalInstance]:
@@ -238,19 +252,22 @@ def _descriptor(mech: SerialQuota) -> str:
     return f"serial_quota q={mech.quota.q} p={mech.quota.p}"
 
 
-def _integer_values(instances: Sequence[CardinalInstance], n: int, m: int) -> np.ndarray:
-    """Exact int64 values of the instances, shape (count, n, m): the stored
-    integer rows.
+def _audit_instances(
+    mech: SerialQuota, spec: GeneratorSpec
+) -> tuple[list[CardinalInstance], np.ndarray]:
+    """The spec's instances for mech, checked for size before any is built,
+    and their exact int64 values, shape (count, n, m): the stored integer rows.
 
     Dropping a row's scale multiplies that agent's values by a positive
     factor, which changes neither its MMS ratio nor its EF1 comparisons.
     AdditiveStrict keeps every row sum below 2^62, inside int64.
     """
-    for inst in instances:
-        if (inst.n, inst.m) != (n, m):
-            raise DomainError(f"instance is ({inst.n},{inst.m}), mechanism is ({n},{m})")
+    n, m = mech.n, mech.m
+    if (spec.n, spec.m) != (n, m):
+        raise DomainError(f"spec is ({spec.n},{spec.m}), mechanism is ({n},{m})")
+    instances = generate_instances(mech, spec)
     rows = [valuation.row for inst in instances for valuation in inst.valuations]
-    return np.array(rows, dtype=np.int64).reshape(len(instances), n, m)
+    return instances, np.array(rows, dtype=np.int64).reshape(len(instances), n, m)
 
 
 def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
@@ -260,10 +277,9 @@ def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
     makes the bound vacuous, also scored 1.
     """
     _partition_gate(mech.n, mech.m)  # before any instance is built
-    instances = generate_instances(mech, spec)
+    instances, vals = _audit_instances(mech, spec)
     worst = None
     if instances:
-        vals = _integer_values(instances, mech.n, mech.m)
         worst = _worst_ratio(*_ratios(mech.quota.q, mech.quota.p, vals))
     return FairnessAudit(_descriptor(mech), len(instances), worst, ())
 
@@ -271,8 +287,7 @@ def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
 def ef1_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
     """EF1 on every generated instance; collect the first envy pair per
     failing instance, in generation order."""
-    instances = generate_instances(mech, spec)
-    vals = _integer_values(instances, mech.n, mech.m)
+    instances, vals = _audit_instances(mech, spec)
     first = _first_envy(mech.quota.q, mech.quota.p, vals)
     violations = tuple(
         (instances[k], int(first[k, 0]), int(first[k, 1]))
@@ -418,8 +433,7 @@ def rho_floor_sweep(
     cross-multiplication, no floats involved.
     """
     bound = rho_bound(n, m)
-    rng = np.random.default_rng(seed)
-    vals = strict_integer_rows(rng, count * n, m).reshape(count, n, m)
+    vals = _random_values(GeneratorSpec(n, m, ("random",), count, seed))
     q = (1,) * (n - 1) + (m - n + 1,)
     got, shares = _ratios(q, tuple(range(n)), vals)
     viol = bound.denominator * got < shares
@@ -437,12 +451,13 @@ def ef1_random_sweep(
     """EF1 over seeded random integer instances via exact integer arithmetic.
 
     Returns the number of violating instances and the first violation as
-    (instance, envious, envied), replayable through check_ef1.
+    (instance, envious, envied), replayable through check_ef1.  The quota
+    must fit m, as the audits' mechanism does.
     """
-    n = quota.n
-    rng = np.random.default_rng(seed)
-    vals = strict_integer_rows(rng, count * n, m).reshape(count, n, m)
-    first_pair = _first_envy(quota.q, quota.p, vals)
+    spec = GeneratorSpec(quota.n, m, ("random",), count, seed)
+    mech = SerialQuota(quota.n, m, additive_class(m), quota)
+    vals = _random_values(spec)
+    first_pair = _first_envy(mech.quota.q, mech.quota.p, vals)
     bad = np.nonzero(first_pair[:, 0] >= 0)[0]
     if not bad.size:
         return 0, None

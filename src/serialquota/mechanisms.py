@@ -169,7 +169,8 @@ class TableMechanism(Mechanism):
     table: tuple[tuple[Mask, ...], ...]
 
     def __post_init__(self):
-        if len(self.table) != len(self.domain) ** self.n:
+        c = len(self.domain)
+        if profiles_exceed(c, self.n, len(self.table)) or len(self.table) != c**self.n:
             raise ValueError("table must have one row per profile")
 
 
@@ -289,6 +290,13 @@ def cardinal_apply(mech: Mechanism, inst: CardinalInstance) -> Allocation:
     so the induced profile is well defined and the output depends only on it.
     """
     return apply(mech, inst.valuations)
+
+
+def profiles_exceed(c: int, n: int, cap: int) -> bool:
+    """Whether c^n profiles exceed cap.  With two or more members, n >=
+    bit_length(cap) alone puts c^n over it, so c^n is never built for a
+    huge n."""
+    return (c > 1 and n >= cap.bit_length()) or c**n > cap
 
 
 def profile_index(profile: Profile, cls: PreferenceClass) -> int:

@@ -36,6 +36,7 @@ from .mechanisms import (
     TableMechanism,
     apply_serial_quota,
     canonicalize,
+    profiles_exceed,
 )
 from .prefs import PreferenceClass, full_mask
 from .properties import PropertyReport, first_axiom_violation
@@ -261,9 +262,7 @@ def verify_characterization(
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     c = len(cls)
     n_choices = (n if partition_only else n + 1) ** m
-    # With two or more members, n >= bit_length(cap) alone puts c^n over the
-    # cap, so c^n is never built for a huge n.
-    if c > 1 and (n >= NODE_CAP.bit_length() or c**n > NODE_CAP):
+    if profiles_exceed(c, n, NODE_CAP):
         raise TooLarge(
             f"{c}^{n} profiles exceed the {NODE_CAP}-node search cap; use mutation mode"
         )

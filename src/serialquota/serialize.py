@@ -9,6 +9,8 @@ loads as its unique canonical twin and an overflowing one raises.
 
 from __future__ import annotations
 
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Any
@@ -85,6 +87,20 @@ def _ints(x: Any, field: str) -> tuple[int, ...]:
     return tuple(x)
 
 
+def _check_decimal_size(text: str) -> None:
+    """Refuse a rational string with more digits, or a larger decimal
+    exponent, than CPython's integer-string limit, which JSON integers are
+    already held to; Fraction would expand 10^exponent first."""
+    limit = sys.get_int_max_str_digits()
+    exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
+    if limit and (
+        sum(ch.isdigit() for ch in text) > limit
+        or (exponent and abs(int(exponent.group(1))) > limit)
+    ):
+        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} chars)"
+        raise ValueError(f"rational {shown} has over {limit} digits or an exponent past it")
+
+
 def fraction_from_json(x: Any) -> Fraction:
     """An exact rational from an int, a "p/q" or decimal string, or an
     [int, int] pair.  Floats are rejected, since a JSON float is already
@@ -92,6 +108,8 @@ def fraction_from_json(x: Any) -> Fraction:
     is_pair = isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_int, x))
     if not (_is_int(x) or isinstance(x, str) or is_pair):
         raise ValueError(f"not a rational: {x!r}")
+    if isinstance(x, str):
+        _check_decimal_size(x)
     try:
         return Fraction(*x) if is_pair else Fraction(x)
     except ZeroDivisionError:

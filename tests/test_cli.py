@@ -581,6 +581,33 @@ def test_profile_cap_stops_before_building_tables(args, mech_file, capsys):
     assert time.perf_counter() - start < 5
 
 
+HUGE_N = 10**7
+EXPONENT_MEMBER = {"kind": "additive", "values": ["1e10000000", "1"]}
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"kind": "round_robin", "n": HUGE_N, "m": 3},
+     f"6^{HUGE_N} profiles exceed the 10000000-profile cap"),
+    ({"kind": "counter_bossy", "n": HUGE_N, "m": 3},
+     f"6^{HUGE_N} profiles exceed the 10000000-profile cap"),
+    ({"kind": "table", "class": {"tag": "lex", "m": 3}, "alloc": [], "n": HUGE_N},
+     "table must have one row per profile"),
+    ({"kind": "round_robin", "n": 2, "m": 2,
+      "class": {"tag": "explicit", "m": 2, "members": [EXPONENT_MEMBER]}},
+     "rational '1e10000000' has over 4300 digits or an exponent past it"),
+], ids=["round_robin", "counter_bossy", "table", "exponent"])
+def test_check_refuses_huge_sizes_and_exponents_at_once(payload, error, mech_file, capsys):
+    # c^n for n = 10^7 and 10^(10^7) each took seconds to build before the refusal.
+    start = time.perf_counter()
+    code = main(["check", "--mech", mech_file(payload), "--no-timestamp"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert elapsed < 1.0
+
+
 def test_reports_are_byte_identical_without_timestamp(tmp_path, capsys):
     paths = [str(tmp_path / f"r{i}.json") for i in range(2)]
     for path in paths:

@@ -18,6 +18,7 @@ import serialquota
 from serialquota import (
     CardinalInstance,
     DomainError,
+    QuotaOverflow,
     SerialQuota,
     TooLarge,
     additive_class,
@@ -310,6 +311,19 @@ def test_generator_spec_rejects_bad_sizes():
         GeneratorSpec(0, 3)
     with pytest.raises(ValueError):
         GeneratorSpec(2, 17)
+    with pytest.raises(ValueError, match="got n=2, m=-1"):
+        GeneratorSpec(2, -1)
+
+
+@pytest.mark.parametrize("audit", [rho_mms_audit, ef1_audit])
+def test_audits_check_the_spec_size_before_building_instances(audit, monkeypatch):
+    def no_instances(*args):
+        raise AssertionError("instances were generated")
+
+    monkeypatch.setattr(serialquota.fairness, "generate_instances", no_instances)
+    mech = serial_quota((2, 1), (0, 1), additive_class(3))
+    with pytest.raises(DomainError, match="spec is \\(2,16\\), mechanism is \\(2,3\\)"):
+        audit(mech, GeneratorSpec(2, 16, count=1000))
 
 
 def test_generator_spec_rejects_a_repeated_family_and_a_negative_seed():
@@ -376,13 +390,11 @@ def test_integer_values_match_lcm_scaling(rows):
         inst = CardinalInstance.from_values(rows)
     except serialquota.TieDetected:
         return
-    from serialquota.fairness import _integer_values
-
     expected = []
     for row in rows:
         scale = math.lcm(*(v.denominator for v in row))
         expected.append([int(v * scale) for v in row])
-    assert _integer_values([inst], len(rows), 3).tolist() == [expected]
+    assert [list(valuation.row) for valuation in inst.valuations] == expected
 
 
 def test_quota_sweep_matches_generic_application():
@@ -500,6 +512,48 @@ def test_ef1_random_sweep_matches_check_ef1():
 
     clean_quota = canonicalize((1, 1, 1), (0, 1, 2), 3)
     assert ef1_random_sweep(clean_quota, 3, 60, seed=5) == (0, None)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((2, 20, 5, 0), "got n=2, m=20"),  # 4 of 400 rows stay tied at m = 20
+    ((2, 4, -1, 0), "need count >= 0, got count=-1"),
+    ((2, 4, 5, -1), "need seed >= 0, got seed=-1"),
+])
+def test_sweeps_check_their_draw_through_the_spec(args, error):
+    n, m, count, seed = args
+    with pytest.raises(ValueError, match=error):
+        rho_floor_sweep(n, m, count, seed)
+    quota = canonicalize((1,) * (n - 1) + (m - n + 1,), tuple(range(n)), m)
+    with pytest.raises(ValueError, match=error):
+        ef1_random_sweep(quota, m, count, seed)
+
+
+def test_ef1_sweep_refuses_a_quota_that_does_not_fit_m():
+    quota = canonicalize((3, 3), (0, 1), 6)
+    with pytest.raises(QuotaOverflow, match="quotas sum to 6 > m=2"):
+        ef1_random_sweep(quota, 2, 10, 0)
+
+
+def test_targeted_bundles_are_what_the_quota_gives_on_the_base_profile():
+    """Every agent reporting the shared descending row, position pos gets the
+    goods sum(q[:pos]) .. sum(q[:pos+1]) - 1, which the special row values
+    at 1 or more and every other good below 1."""
+    checked = 0
+    for n in range(2, 5):
+        for m in range(1, 9):
+            for qo in enumerate_q(n, m):
+                mech = SerialQuota(n, m, additive_class(m), qo)
+                positions = [pos for pos in range(n - 1) if qo.q[pos] >= 2]
+                witnesses = targeted_instances(mech)
+                assert len(witnesses) == len(positions)
+                for pos, inst in zip(positions, witnesses):
+                    base = inst.valuations[qo.p[0]]
+                    special = inst.valuations[qo.p[-1]]
+                    target = sum(1 << g for g, v in enumerate(special.values) if v >= 1)
+                    alloc = cardinal_apply(mech, CardinalInstance((base,) * n))
+                    assert alloc.bundles[qo.p[pos]] == target, (qo, pos)
+                    checked += 1
+    assert checked == 12292
 
 
 def test_rho_floor_sweep_finishes_where_every_row_ties():

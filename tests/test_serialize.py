@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -65,6 +66,18 @@ def test_fraction_rejects_json_floats():
     # 0.1 has no exact binary form; it used to load as 3602879701896397/2^55.
     with pytest.raises(ValueError):
         fraction_from_json(0.1)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e10000000", "-2.5E-4301", "1" * 4301], ids=["exponent", "negative", "digits"]
+)
+def test_fraction_refuses_strings_past_the_integer_string_limit(text):
+    # Fraction("1e10000000") alone expands 10^(10^7), which takes seconds.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=f"has over {limit} digits or an exponent past it"):
+        fraction_from_json(text)
+    assert fraction_from_json("1e-4300") == Fraction(1, 10**4300)
+    assert fraction_from_json("2.5e3") == 2500
 
 
 @pytest.mark.parametrize("pair", [[0.5, 1], [1, 2.0], [True, 2], ["1", 2], [1, 0], "1/0"])
