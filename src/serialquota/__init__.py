@@ -64,7 +64,6 @@ from .prefs import (
     PreferenceClass,
     RankTable,
     additive_class,
-    all_permutations,
     class_from_tag,
     compare,
     demand,

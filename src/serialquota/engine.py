@@ -27,6 +27,7 @@ from .prefs import (
     PreferenceClass,
     demand,
     full_mask,
+    neutrality_perms,
     rank_table,
     strongly_desires,
 )
@@ -77,22 +78,6 @@ def mask_perm_table(pi: Permutation) -> np.ndarray:
     out = np.array([pi.apply_mask(s) for s in range(1 << pi.m)], dtype=np.int32)
     out.setflags(write=False)
     return out
-
-
-def neutrality_perms(m: int) -> list[Permutation]:
-    """Generators of S_m: the swap (0 1) and, for m >= 3, the cycle i -> i+1 mod m.
-
-    If f(pi.P) = pi.f(P) holds at every profile for sigma and for tau, it
-    holds for their product, since f(sigma.tau.P) = sigma.f(tau.P) =
-    sigma.tau.f(P); so covariance under these generators is covariance under
-    every permutation of the goods.
-    """
-    if m < 2:
-        return []
-    gens = [Permutation.swap(m, 0, 1)]
-    if m >= 3:
-        gens.append(Permutation(tuple((i + 1) % m for i in range(m))))
-    return gens
 
 
 def allocation_table(mech: Mechanism) -> np.ndarray:
@@ -319,11 +304,11 @@ def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     return min(filter(None, hits), default=None)
 
 
-def _renamed(idx: int, action, c: int, n: int) -> int:
-    """Index of the profile whose members are action's images of profile idx's."""
+def _renamed(idx: int, image, c: int, n: int) -> int:
+    """Index of the profile whose members are image(member) of profile idx's."""
     out = 0
     for k in range(n - 1, -1, -1):
-        out = out * c + action[idx // c**k % c]
+        out = out * c + image(idx // c**k % c)
     return out
 
 
@@ -348,8 +333,9 @@ def neutrality_violation(
                 image = np.take(image, cls.perm_action(pi), axis=k)
             image = image.reshape(table.shape)
         else:  # at's pair with its image, and its preimage's pair with it
-            pre = _renamed(at, cls.perm_action(pi.inverse()), c, n)
-            pairs = sorted({(at, _renamed(at, cls.perm_action(pi), c, n)), (pre, at)})
+            action = cls.perm_action(pi)  # its inverse gives at's preimage
+            pre = _renamed(at, action.index, c, n)
+            pairs = sorted({(at, _renamed(at, action.__getitem__, c, n)), (pre, at)})
             rows = [p for p, _ in pairs]
             image = table[[q for _, q in pairs]]
         bad = np.flatnonzero((image != mask_perm_table(pi)[table[rows]]).any(axis=1))

@@ -1,8 +1,16 @@
 """Error types raised by the library.
 
 Each name corresponds to one failure mode of the public API; callers that
-want to catch everything can catch SerialQuotaError.
+want to catch everything can catch SerialQuotaError.  Messages show an
+offending input through `brief`, so one bad value gives one short line.
 """
+
+
+def brief(value) -> str:
+    """repr(value), or its first 20 characters and its length when it runs
+    past 40."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} chars)"
 
 
 class SerialQuotaError(Exception):

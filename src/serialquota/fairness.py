@@ -2,8 +2,10 @@
 
 MMS is brute-forced over one labeled partition per unordered split into at
 most n parts, each share a max-min gather from the row's subset-sum table.
-The gate still counts all n^m labeled partitions against the engine's
-PROFILE_CAP, and every block holds at most engine.CELLS entries.  The audits
+The gate counts those canonical partitions, sum_{k <= n} S(m, k), against
+the engine's PROFILE_CAP; the rational reference `mms` still loops over all
+n^m labeled ones and keeps an n^m gate.  The partition masks are built in
+blocks, and every block holds at most engine.CELLS entries.  The audits
 and sweeps run on batched int64 kernels over the integer rows each
 AdditiveStrict stores, tested against the rational reference `mms`,
 `bundle_value` and `check_ef1` (value ties are fine there; strictness only
@@ -101,13 +103,25 @@ def _values_of(valuation) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in valuation)
 
 
-def _partition_gate(n: int, m: int) -> int:
-    """n^m, the labeled partitions an MMS brute force scans; raises TooLarge
-    above engine.PROFILE_CAP."""
-    total = n**m
+def _completions(n: int, r: int) -> list[int]:
+    """out[j] = ways to place r more goods by restricted growth once j of at
+    most n parts are open: out[0] at r = m counts sum_{k <= n} S(m, k)."""
+    out = [1] * (n + 1)
+    for _ in range(r):
+        out = [j * out[j] + (out[j + 1] if j < n else 0) for j in range(n + 1)]
+    return out
+
+
+def _canonical_gate(n: int, m: int) -> None:
+    """Refuse the canonical partitions `_mms_int_batch` scans, one per
+    unordered split of m goods into at most n parts, above
+    engine.PROFILE_CAP."""
+    total = _completions(n, m)[0]
     if total > engine.PROFILE_CAP:
-        raise TooLarge(f"{n}^{m} partitions exceed the brute-force cap")
-    return total
+        raise TooLarge(
+            f"{total:,} partitions of {m} goods into at most {n} parts exceed "
+            f"the {engine.PROFILE_CAP:,} brute-force cap"
+        )
 
 
 def mms(valuation: AdditiveStrict | Sequence, n: int) -> Fraction:
@@ -116,7 +130,8 @@ def mms(valuation: AdditiveStrict | Sequence, n: int) -> Fraction:
         raise ValueError("need at least one part")
     values = _values_of(valuation)
     m = len(values)
-    _partition_gate(n, m)
+    if n**m > engine.PROFILE_CAP:  # the labeled partitions looped over below
+        raise TooLarge(f"{n}^{m} partitions exceed the brute-force cap")
     best = None
     for owners in product(range(n), repeat=m):
         parts = [Fraction(0)] * n
@@ -276,7 +291,7 @@ def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
     Each agent's ratio is capped at 1 (the guarantee is fully met); MMS = 0
     makes the bound vacuous, also scored 1.
     """
-    _partition_gate(mech.n, mech.m)  # before any instance is built
+    _canonical_gate(mech.n, mech.m)  # before any instance is built
     instances, vals = _audit_instances(mech, spec)
     worst = None
     if instances:
@@ -331,17 +346,11 @@ def _apply_quota_int(q, p, vals: np.ndarray) -> np.ndarray:
     return bundles
 
 
-def _partition_masks(n: int, m: int) -> np.ndarray:
-    """Part bitmasks, shape (P, n), of one labeled partition per unordered
-    split of m goods into at most n parts: P = sum_{k <= n} S(m, k).
-
-    The labels follow a restricted-growth string: good 0 goes in part 0, and
-    good g joins a part already open or opens the next one.  Unused parts
-    are empty.
-    """
-    masks = np.zeros((1, n), dtype=np.int64)
-    opened = np.zeros(1, dtype=np.int64)
-    for g in range(m):
+def _grow(masks: np.ndarray, opened: np.ndarray, goods: range):
+    """Extend restricted-growth prefixes over goods: each good joins a part
+    already open or opens the next one, up to masks' n parts."""
+    n = masks.shape[1]
+    for g in goods:
         grown, grown_opened = [], []
         for j in range(n):
             keep = opened >= j
@@ -350,7 +359,34 @@ def _partition_masks(n: int, m: int) -> np.ndarray:
             grown.append(part)
             grown_opened.append(np.maximum(opened[keep], j + 1))
         masks, opened = np.concatenate(grown), np.concatenate(grown_opened)
-    return masks
+    return masks, opened
+
+
+def _partition_blocks(n: int, m: int):
+    """Part bitmasks, in blocks of shape (P_b, n) with P_b * n <= engine.CELLS
+    (or one partition), of one labeled partition per unordered split of m
+    goods into at most n parts: sum_b P_b = sum_{k <= n} S(m, k).
+
+    The labels follow a restricted-growth string: good 0 goes in part 0, and
+    good g joins a part already open or opens the next one.  Unused parts
+    are empty.  The first `depth` goods are placed at once; `depth` is the
+    least at which every prefix's completions fit in a block, and the
+    prefixes are then finished in consecutive chunks that fit.
+    """
+    rows = max(1, engine.CELLS // n)
+    depth = 0
+    while _completions(n, m - depth)[min(depth, n)] > rows:
+        depth += 1
+    empty = np.zeros((1, n), dtype=np.int64)
+    prefixes, opened = _grow(empty, np.zeros(1, dtype=np.int64), range(depth))
+    sizes = np.asarray(_completions(n, m - depth))[opened]
+    start, total = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if total + size > rows:
+            yield _grow(prefixes[start:i], opened[start:i], range(depth, m))[0]
+            start, total = i, 0
+        total += size
+    yield _grow(prefixes[start:], opened[start:], range(depth, m))[0]
 
 
 def _mms_int_batch(rows: np.ndarray, n: int) -> np.ndarray:
@@ -358,25 +394,25 @@ def _mms_int_batch(rows: np.ndarray, n: int) -> np.ndarray:
     partition per unordered split, read from each row's subset-sum table.
 
     A partition's worst part does not depend on its labels, so the canonical
-    partitions of `_partition_masks` give the labeled maximum.  Rows go in
+    partitions of `_partition_blocks` give the labeled maximum.  Rows go in
     blocks whose subset-sum table holds at most engine.CELLS entries, and
     partitions in blocks whose (row, partition) minima stay within it too.
     """
     count, m = rows.shape
-    _partition_gate(n, m)
-    masks = _partition_masks(n, m)
+    _canonical_gate(n, m)
     row_step = max(1, engine.CELLS >> m)
     out = np.zeros(count, dtype=np.int64)
     for lo in range(0, count, row_step):
         sums = subset_sum_table(rows[lo : lo + row_step])
         step = max(1, engine.CELLS // len(sums))
         best = out[lo : lo + row_step]
-        for start in range(0, len(masks), step):
-            block = masks[start : start + step]
-            low = sums[:, block[:, 0]]
-            for j in range(1, n):
-                np.minimum(low, sums[:, block[:, j]], out=low)
-            np.maximum(best, low.max(axis=1), out=best)
+        for masks in _partition_blocks(n, m):
+            for start in range(0, len(masks), step):
+                block = masks[start : start + step]
+                low = sums[:, block[:, 0]]
+                for j in range(1, n):
+                    np.minimum(low, sums[:, block[:, j]], out=low)
+                np.maximum(best, low.max(axis=1), out=best)
     return out
 
 

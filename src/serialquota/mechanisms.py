@@ -9,6 +9,7 @@ one of truthfulness / non-bossiness / neutrality.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import (
@@ -18,6 +19,7 @@ from .errors import (
     NotInClass,
     QuotaOverflow,
     TooSmall,
+    brief,
 )
 from .prefs import (
     AdditiveStrict,
@@ -81,10 +83,8 @@ class QuotaOrdering:
 
     def __post_init__(self):
         n = len(self.q)
-        if sorted(self.p) != list(range(n)):
-            raise InvalidOrdering(f"p must be a permutation of the agents: {self.p}")
-        if any(x < 0 for x in self.q):
-            raise ValueError("quotas must be non-negative")
+        _check_order(self.p, n)
+        _check_quotas(self.q)
         nz = [i for i, x in enumerate(self.q) if x > 0]
         if nz and nz != list(range(len(nz))):
             raise InvalidOrdering("zero quotas must form a suffix")
@@ -101,14 +101,34 @@ class QuotaOrdering:
         return sum(self.q)
 
 
+def _check_order(p: tuple, n: int) -> None:
+    """Raise InvalidOrdering naming p's first entry that is not a new agent
+    in 0..n-1, or its length when that is not n."""
+    if len(p) != n:
+        raise InvalidOrdering(
+            f"p must be a permutation of the {n} agents, got {len(p)} entries"
+        )
+    seen = set()
+    for i, agent in enumerate(p):
+        if not (isinstance(agent, numbers.Integral) and 0 <= agent < n) or agent in seen:
+            raise InvalidOrdering(
+                f"p must be a permutation of the agents: p[{i}] = {brief(agent)}"
+            )
+        seen.add(agent)
+
+
+def _check_quotas(q: tuple) -> None:
+    """Raise ValueError naming q's first negative entry."""
+    for i, x in enumerate(q):
+        if x < 0:
+            raise ValueError(f"quotas must be non-negative: q[{i}] = {brief(x)}")
+
+
 def canonicalize(q, p, m: int) -> QuotaOrdering:
     """Canonical form of an arbitrary quota/order pair; idempotent."""
     q, p = tuple(q), tuple(p)
-    n = len(q)
-    if len(p) != n or sorted(p) != list(range(n)):
-        raise InvalidOrdering(f"p must be a permutation of the agents: {p}")
-    if any(qi < 0 for qi in q):
-        raise ValueError(f"quotas must be non-negative: {q}")
+    _check_order(p, len(q))
+    _check_quotas(q)
     if sum(q) > m:
         raise QuotaOverflow(f"quotas sum to {sum(q)} > m={m}")
     nonzero = [(qi, pi) for qi, pi in zip(q, p) if qi > 0]

@@ -37,6 +37,7 @@ from .errors import (
     NotInClass,
     QuotaExceedsPool,
     TieDetected,
+    brief,
 )
 
 Mask = int
@@ -124,9 +125,21 @@ class Permutation:
         return out
 
 
-def all_permutations(m: int):
-    for p in _permutations(range(m)):
-        yield Permutation(p)
+def neutrality_perms(m: int) -> list[Permutation]:
+    """Generators of S_m: the swap (0 1) and, for m >= 3, the cycle i -> i+1 mod m.
+
+    If f(pi.P) = pi.f(P) holds at every profile for sigma and for tau, it
+    holds for their product, since f(sigma.tau.P) = sigma.f(tau.P) =
+    sigma.tau.f(P); so covariance under these generators is covariance under
+    every permutation of the goods.  Likewise a set of preferences closed
+    under both is closed under every permutation.
+    """
+    if m < 2:
+        return []
+    gens = [Permutation.swap(m, 0, 1)]
+    if m >= 3:
+        gens.append(Permutation(tuple((i + 1) % m for i in range(m))))
+    return gens
 
 
 def _check_monotone_bijection(rank: tuple[int, ...], m: int) -> None:
@@ -167,7 +180,7 @@ class Lexicographic:
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"order must list each good exactly once: {self.order}")
+            raise ValueError(f"order must list each good exactly once: {brief(self.order)}")
 
     @property
     def m(self) -> int:
@@ -396,7 +409,7 @@ class PreferenceClass:
 
     def __post_init__(self):
         if self.tag == EXPLICIT:
-            _validate_explicit(self.m, self.members)
+            _validate_explicit(self)
 
     @property
     def enumerable(self) -> bool:
@@ -455,20 +468,17 @@ def _perm_action(cls: PreferenceClass, pi: Permutation) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _validate_explicit(m: int, members: tuple[Preference, ...]) -> None:
-    keys = {rank_table(p) for p in members}
-    if len(keys) != len(members):
+def _validate_explicit(cls: PreferenceClass) -> None:
+    """S_m-closure is checked on its generators, caching their member actions."""
+    if any(p.m != cls.m for p in cls.members):
+        raise InvalidDomain("member universe size mismatch")
+    if len(cls._member_index) != len(cls.members):
         raise InvalidDomain("explicit class has duplicate members")
-    for p in members:
-        if p.m != m:
-            raise InvalidDomain("member universe size mismatch")
-    for lex in enumerate_class(LEX, m):
-        if rank_table(lex) not in keys:
+    for lex in enumerate_class(LEX, cls.m):
+        if rank_table(lex) not in cls._member_index:
             raise InvalidDomain("explicit class must contain every lexicographic preference")
-    for pi in all_permutations(m):
-        for p in members:
-            if rank_table(permute_preference(p, pi)) not in keys:
-                raise InvalidDomain("explicit class not permutations-closed")
+    for pi in neutrality_perms(cls.m):
+        cls.perm_action(pi)
 
 
 def lex_class(m: int) -> PreferenceClass:
@@ -516,4 +526,4 @@ def enumerate_class(tag: str, m: int) -> tuple[Preference, ...]:
         return tuple(prefs)
     if tag == STRICT_ADDITIVE:
         raise NotEnumerable("strict additive preferences are a continuum")
-    raise ValueError(f"unknown class tag {tag!r}")
+    raise ValueError(f"unknown class tag {brief(tag)}")

@@ -35,7 +35,6 @@ from .mechanisms import (
     SerialQuota,
     TableMechanism,
     apply_serial_quota,
-    canonicalize,
     profiles_exceed,
 )
 from .prefs import PreferenceClass, full_mask
@@ -349,7 +348,7 @@ def mutate_with_log(
         )
     if base.total != m:
         raise ValueError("mutation mode needs a partition quota (sum q = m)")
-    sq = SerialQuota(n, m, cls, canonicalize(base.q, base.p, m))
+    sq = SerialQuota(n, m, cls, base)
     table = engine.allocation_table(sq)
     choices = _choice_masks(n, m, partition_only=True)
     rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
+from .errors import brief
 from .fairness import FairnessAudit
 from .mechanisms import (
     CardinalInstance,
@@ -69,21 +70,27 @@ def _int(
     unless a default is given."""
     x = obj.get(key, default) if default is not None else _field(obj, key, what)
     if not _is_int(x):
-        raise ValueError(f"{key!r} must be an integer, got {x!r}")
+        raise ValueError(f"{key!r} must be an integer, got {brief(x)}")
     if low is not None and x < low:
-        raise ValueError(f"{key!r} must be >= {low}, got {x}")
+        raise ValueError(f"{key!r} must be >= {low}, got {brief(x)}")
     return x
 
 
 def _list(x: Any, field: str) -> list:
     if not isinstance(x, (list, tuple)):
-        raise ValueError(f"{field!r} must be a list, got {x!r}")
+        raise ValueError(f"{field!r} must be a list, got {brief(x)}")
     return x
 
 
 def _ints(x: Any, field: str) -> tuple[int, ...]:
-    if not (isinstance(x, (list, tuple)) and all(map(_is_int, x))):
-        raise ValueError(f"{field!r} must be a list of integers, got {x!r}")
+    """x as a tuple, or a ValueError naming its first non-integer entry."""
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{field!r} must be a list of integers, got {brief(x)}")
+    for i, entry in enumerate(x):
+        if not _is_int(entry):
+            raise ValueError(
+                f"{field!r} must be a list of integers, got {brief(entry)} at {field}[{i}]"
+            )
     return tuple(x)
 
 
@@ -97,8 +104,7 @@ def _check_decimal_size(text: str) -> None:
         sum(ch.isdigit() for ch in text) > limit
         or (exponent and abs(int(exponent.group(1))) > limit)
     ):
-        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} chars)"
-        raise ValueError(f"rational {shown} has over {limit} digits or an exponent past it")
+        raise ValueError(f"rational {brief(text)} has over {limit} digits or an exponent past it")
 
 
 def fraction_from_json(x: Any) -> Fraction:
@@ -107,13 +113,13 @@ def fraction_from_json(x: Any) -> Fraction:
     rounded to binary, and so are non-integer pair entries."""
     is_pair = isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_int, x))
     if not (_is_int(x) or isinstance(x, str) or is_pair):
-        raise ValueError(f"not a rational: {x!r}")
+        raise ValueError(f"not a rational: {brief(x)}")
     if isinstance(x, str):
         _check_decimal_size(x)
     try:
         return Fraction(*x) if is_pair else Fraction(x)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {x!r}") from None
+        raise ValueError(f"zero denominator: {brief(x)}") from None
 
 
 def preference_to_json(pref: Preference) -> dict:
@@ -136,7 +142,7 @@ def preference_from_json(obj: Any) -> Preference:
     if kind == "additive":
         values = _list(_field(obj, "values", what), "values")
         return AdditiveStrict(tuple(fraction_from_json(v) for v in values))
-    raise ValueError(f"unknown preference kind {kind!r}")
+    raise ValueError(f"unknown preference kind {brief(kind)}")
 
 
 def class_to_json(cls: PreferenceClass) -> dict:
@@ -155,7 +161,7 @@ def class_from_json(obj: Any, m: int | None = None) -> PreferenceClass:
             raise ValueError("class tag shorthand needs an explicit m")
         return class_from_tag(obj, m)
     if not isinstance(obj, dict):
-        raise ValueError(f"'class' must be a tag string or a JSON object, got {obj!r}")
+        raise ValueError(f"'class' must be a tag string or a JSON object, got {brief(obj)}")
     tag = _field(obj, "tag", "class")
     if "m" in obj:
         own = _int(obj, "m", "class")
@@ -246,7 +252,7 @@ def mechanism_from_json(obj: Any) -> Mechanism:
         n, m = _int(obj, "n", what, 3, low=1), _int(obj, "m", what)
         cls = class_from_json(obj.get("class", "lex"), m)
         return CounterNonNeutral(n, m, cls, _int(obj, "a", what), _int(obj, "b", what))
-    raise ValueError(f"unknown mechanism kind {kind!r}")
+    raise ValueError(f"unknown mechanism kind {brief(kind)}")
 
 
 def _validate_table(alloc, cls: PreferenceClass, n: int) -> None:

@@ -103,7 +103,7 @@ def test_check_rejects_a_negative_quota(mech_file, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: quotas must be non-negative: (2, -1)\n"
+    assert captured.err == "error: quotas must be non-negative: q[1] = -1\n"
 
 
 def test_check_builds_one_table_for_every_axiom(mech_file, monkeypatch, capsys):
@@ -169,7 +169,33 @@ def test_verify_mutation_rejects_a_negative_default_base(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: quotas must be non-negative: (1, 1, -1)\n"
+    assert captured.err == "error: quotas must be non-negative: q[2] = -1\n"
+
+
+BIG = 10**5
+
+
+@pytest.mark.parametrize("args, payload, error", [
+    (["verify", "--mode", "mutate", "--n", str(BIG), "--m", "3"], None,
+     f"quotas must be non-negative: q[{BIG - 1}] = {4 - BIG}"),
+    (["check"], {"kind": "round_robin", "n": [0] * BIG, "m": 3},
+     f"'n' must be an integer, got [0, 0, 0, 0, 0, 0, 0... ({3 * BIG} chars)"),
+    (["check"], {"kind": "serial_quota", "q": [1] * (BIG - 1) + ["1"],
+                 "p": list(range(BIG)), "m": BIG},
+     f"'q' must be a list of integers, got '1' at q[{BIG - 1}]"),
+    (["check"], {"kind": "serial_quota", "q": [1, 1], "p": list(range(BIG)), "m": 2},
+     f"p must be a permutation of the 2 agents, got {BIG} entries"),
+], ids=["default-base", "n-list", "q-string-entry", "p-too-long"])
+def test_oversized_inputs_give_one_short_error_line(args, payload, error, mech_file, capsys):
+    """An error names the offending entry instead of echoing the whole value."""
+    if payload is not None:
+        args = [*args, "--mech", mech_file(payload)]
+    code = main([*args, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert len(captured.err.encode()) < 200
 
 
 @pytest.mark.parametrize("args,error", [
@@ -543,10 +569,13 @@ def test_fairness_random_family_finishes_at_large_m(args):
 
 
 def test_fairness_mms_above_the_partition_cap_is_one_line():
-    done = run_cli("fairness", "mms", "--q", "1,1,14", "--m", "16", "--no-timestamp")
+    done = run_cli("fairness", "mms", "--q", "1,1,1,13", "--m", "16", "--no-timestamp")
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == "error: 3^16 partitions exceed the brute-force cap\n"
+    assert done.stderr == (
+        "error: 178,973,355 partitions of 16 goods into at most 4 parts exceed the "
+        "10,000,000 brute-force cap\n"
+    )
 
 
 def test_check_rejects_values_past_the_int64_guard(mech_file, capsys):

@@ -107,16 +107,40 @@ def test_rho_audit_checks_the_cap_before_building_instances(monkeypatch):
         raise AssertionError("instances were generated")
 
     monkeypatch.setattr(serialquota.fairness, "generate_instances", no_instances)
-    mech = serial_quota((1, 1, 14), (0, 1, 2), additive_class(16))
-    with pytest.raises(TooLarge, match="3\\^16 partitions"):
-        rho_mms_audit(mech, GeneratorSpec(3, 16))
+    mech = serial_quota((1, 1, 1, 13), (0, 1, 2, 3), additive_class(16))
+    with pytest.raises(TooLarge, match="^178,973,355 partitions of 16 goods"):
+        rho_mms_audit(mech, GeneratorSpec(4, 16))
 
 
 def test_rho_audit_gates_on_the_engine_profile_cap(monkeypatch):
-    monkeypatch.setattr(serialquota.engine, "PROFILE_CAP", 7)
+    # 2^3 = 8 labeled partitions, but S(3,1) + S(3,2) = 4 canonical ones.
+    monkeypatch.setattr(serialquota.engine, "PROFILE_CAP", 4)
     mech = serial_quota((1, 2), (0, 1), additive_class(3))
-    with pytest.raises(TooLarge, match="2\\^3 partitions"):
+    assert rho_mms_audit(mech, GeneratorSpec(2, 3, count=2)).instances_tested == 3
+    monkeypatch.setattr(serialquota.engine, "PROFILE_CAP", 3)
+    with pytest.raises(TooLarge, match="^4 partitions of 3 goods into at most 2 parts"):
         rho_mms_audit(mech, GeneratorSpec(2, 3))
+
+
+def test_rho_audit_reaches_three_agents_over_sixteen_goods():
+    """7,174,454 canonical partitions pass the cap that the 3^16 labeled ones
+    did not; the masks are built in blocks, so the run stays small."""
+    src = str(Path(serialquota.__file__).resolve().parents[1])
+    code = (
+        "import resource\n"
+        "from serialquota import GeneratorSpec, additive_class, rho_bound, rho_mms_audit,"
+        " serial_quota\n"
+        "mech = serial_quota((1, 1, 14), (0, 1, 2), additive_class(16))\n"
+        "audit = rho_mms_audit(mech, GeneratorSpec(3, 16, count=1))\n"
+        "print(audit.instances_tested, audit.worst_ratio >= rho_bound(3, 16))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    verdict, peak_mb = done.stdout.splitlines()
+    assert verdict == "2 True"
+    assert int(peak_mb) < 250
 
 
 def test_bundle_value():
@@ -438,10 +462,10 @@ def stirling2(m, k):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_partition_masks_list_each_unordered_split_once(n):
-    from serialquota.fairness import _partition_masks
+    from serialquota.fairness import _partition_blocks
 
     for m in range(0, 8):
-        masks = _partition_masks(n, m)
+        masks = np.concatenate(list(_partition_blocks(n, m)))
         assert masks.shape == (sum(stirling2(m, k) for k in range(n + 1)), n)
         for row in masks.tolist():
             assert sum(row) == (1 << m) - 1  # the parts are disjoint and cover every good
@@ -471,15 +495,42 @@ def test_mms_batch_matches_the_fraction_oracle():
 
 def test_mms_batch_blocks_rows_and_partitions(monkeypatch):
     from serialquota import engine
-    from serialquota.fairness import _mms_int_batch, _partition_masks
+    from serialquota.fairness import _mms_int_batch, _partition_blocks
 
     rows = np.random.default_rng(20).integers(0, 50, size=(7, 5))
     whole = _mms_int_batch(rows, 3)
-    # 2 rows per block (4 blocks), 32 of the 41 partitions per block (2 blocks).
+    # 2 rows per block (4 blocks); the 41 partitions come in blocks of at
+    # most 21 (64 entries), each split again into 32-partition minima.
     monkeypatch.setattr(engine, "CELLS", 64)
-    assert len(_partition_masks(3, 5)) == 41
+    sizes = [len(b) for b in _partition_blocks(3, 5)]
+    assert sum(sizes) == 41 and len(sizes) > 1 and max(sizes) <= 21
     assert (_mms_int_batch(rows, 3) == whole).all()
     assert whole.tolist() == [mms(row, 3) for row in rows.tolist()]
+
+
+@pytest.mark.parametrize("n,m", [(2, 9), (3, 8), (4, 7), (5, 6)])
+def test_partition_blocks_stay_within_cells(n, m, monkeypatch):
+    """Blocks hold at most engine.CELLS entries and together list the same
+    partitions as one unblocked list, and give the same shares."""
+    from serialquota import engine
+    from serialquota.fairness import _mms_int_batch, _partition_blocks
+
+    rows = np.random.default_rng(n * m).integers(0, 90, size=(5, m))
+    (whole,) = _partition_blocks(n, m)
+    shares = _mms_int_batch(rows, n)
+    monkeypatch.setattr(engine, "CELLS", 40)
+    blocks = list(_partition_blocks(n, m))
+    assert len(blocks) > 2
+    assert all(block.size <= 40 for block in blocks)
+    assert sorted(np.concatenate(blocks).tolist()) == sorted(whole.tolist())
+    assert (_mms_int_batch(rows, n) == shares).all()
+
+
+@pytest.mark.parametrize("n,m,count", [(3, 6, 122), (2, 8, 128), (3, 8, 1094)])
+def test_small_partition_lists_stay_one_block(n, m, count):
+    from serialquota.fairness import _partition_blocks
+
+    assert [len(block) for block in _partition_blocks(n, m)] == [count]
 
 
 def test_rho_floor_sweep_agrees_with_exact_recomputation():

@@ -5,9 +5,11 @@ rank tables are rebuilt from scratch by enumerating orderings of the subset
 lattice, and demand is checked against an exhaustive argmax.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,7 +28,6 @@ from serialquota import (
     RankTable,
     TieDetected,
     additive_class,
-    all_permutations,
     class_from_tag,
     compare,
     demand,
@@ -43,6 +44,7 @@ from serialquota import (
     strongly_desires,
     submasks,
 )
+from serialquota import engine, prefs
 from serialquota.prefs import MAX_GOODS
 
 LEX012 = Lexicographic((0, 1, 2))
@@ -288,7 +290,7 @@ def test_permutation_round_trip(pref, pi_map):
 def test_permute_definition_pointwise():
     """compare(p^pi, pi(S), pi(T)) == compare(p, S, T), exhaustive at m=3."""
     for pref in lex_class(3).members:
-        for pi in all_permutations(3):
+        for pi in map(Permutation, permutations(range(3))):
             moved = permute_preference(pref, pi)
             for s in range(8):
                 for t in range(s):
@@ -350,6 +352,128 @@ def test_explicit_class_requires_permutation_closure():
         explicit_class(3, (*lex_class(3).members, stray))
     full = explicit_class(3, tuple(strict_monotone_class(3).members))
     assert len(full) == 48
+
+
+def closed_under_every_permutation(members, m):
+    """The oracle: each member's image under each of the m! renamings is a member."""
+    keys = {rank_table(p) for p in members}
+    return all(
+        rank_table(permute_preference(p, Permutation(pi))) in keys
+        for pi in permutations(range(m))
+        for p in members
+    )
+
+
+def orbit(pref, m):
+    """pref's images under S_m, keyed by rank table."""
+    images = (permute_preference(pref, Permutation(pi)) for pi in permutations(range(m)))
+    return {rank_table(q): q for q in images}
+
+
+def accepted(members, m):
+    try:
+        explicit_class(m, members)
+    except InvalidDomain:
+        return False
+    return True
+
+
+def test_generator_closure_matches_the_full_group_at_m3():
+    """Every union of strict_monotone_all(3)'s S_3 orbits that holds lex is
+    accepted; lex plus one stray order is refused, by both rules."""
+    lex = {rank_table(p): p for p in lex_class(3).members}
+    orbits = []
+    for p in strict_monotone_class(3).members:
+        key = rank_table(p)
+        if key not in lex and all(key not in o for o in orbits):
+            orbits.append(orbit(p, 3))
+    assert len(orbits) == 7
+    for picked in range(1 << len(orbits)):
+        members = dict(lex)
+        for k, o in enumerate(orbits):
+            if picked >> k & 1:
+                members.update(o)
+        members = tuple(members.values())
+        assert closed_under_every_permutation(members, 3)
+        assert accepted(members, 3)
+    for o in orbits:
+        members = (*lex.values(), next(iter(o.values())))
+        assert not closed_under_every_permutation(members, 3)
+        assert not accepted(members, 3)
+
+
+def test_generator_closure_matches_the_full_group_on_sampled_m4_unions():
+    """Lex with whole S_4 orbits of random additive orders, then with one
+    member dropped or one order added, and lex with one order's images
+    under the swap alone or the cycle alone: both rules give the same
+    verdict."""
+    rng = np.random.default_rng(4)
+    lex = {rank_table(p): p for p in lex_class(4).members}
+    swap, cycle = prefs.neutrality_perms(4)
+
+    def draw():
+        while True:
+            try:
+                return AdditiveStrict(tuple(int(v) for v in rng.integers(1, 60, size=4)))
+            except TieDetected:
+                pass
+
+    verdicts = []
+    for _ in range(12):
+        members = dict(lex)
+        for _ in range(int(rng.integers(1, 3))):
+            members.update(orbit(draw(), 4))
+        extra = draw()
+        cases = [
+            tuple(members.values()),
+            tuple(v for k, v in members.items() if k != list(members)[-1]),
+        ]
+        if rank_table(extra) not in members:
+            cases.append((*members.values(), extra))
+        for gen, power in ((swap, 2), (cycle, 4)):
+            images = dict(lex)
+            for _ in range(power):
+                images[rank_table(extra)] = extra
+                extra = permute_preference(extra, gen)
+            cases.append(tuple(images.values()))
+        for case in cases:
+            verdict = closed_under_every_permutation(case, 4)
+            assert accepted(case, 4) == verdict
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_explicit_class_refusal_names_the_generator_that_breaks():
+    swap, cycle = prefs.neutrality_perms(3)
+    lex_keys = {rank_table(p) for p in lex_class(3).members}
+    stray = next(
+        p for p in strict_monotone_class(3).members if rank_table(p) not in lex_keys
+    )
+    swap_pair = (stray, permute_preference(stray, swap))
+    cycle_triple = (
+        stray,
+        permute_preference(stray, cycle),
+        permute_preference(permute_preference(stray, cycle), cycle),
+    )
+    for extra, broken in ((swap_pair, cycle), (cycle_triple, swap)):
+        named = rf"not closed under {re.escape(str(broken.map))}$"
+        with pytest.raises(InvalidDomain, match=named):
+            explicit_class(3, (*lex_class(3).members, *extra))
+
+
+def test_explicit_class_leaves_its_generator_actions_cached():
+    cls = explicit_class(3, tuple(strict_monotone_class(3).members))
+    before = prefs._perm_action.cache_info()
+    actions = [cls.perm_action(pi) for pi in prefs.neutrality_perms(3)]
+    after = prefs._perm_action.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    assert actions == [
+        strict_monotone_class(3).perm_action(pi) for pi in prefs.neutrality_perms(3)
+    ]
+
+
+def test_engine_reads_the_generators_from_prefs():
+    assert engine.neutrality_perms is prefs.neutrality_perms
 
 
 def test_class_from_tag_round_trip():

@@ -8,7 +8,7 @@ bug in the index gymnastics cannot hide.
 import gc
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from serialquota import (
     RoundRobin,
     TooLarge,
     additive_class,
-    all_permutations,
     apply,
     class_from_tag,
     compare,
@@ -41,7 +40,7 @@ from serialquota import (
 )
 from serialquota import engine
 from serialquota.mechanisms import SerialQuota, TableMechanism, profile_index
-from serialquota.prefs import permute_preference
+from serialquota.prefs import Permutation, permute_preference
 from serialquota.properties import (
     CONTROL_CLAIM,
     NEUTRAL,
@@ -64,6 +63,11 @@ from serialquota.search import _choice_masks, enumerate_q
 LEX2 = lex_class(2)
 LEX3 = lex_class(3)
 LEX4 = lex_class(4)
+
+
+def _all_permutations(m):
+    """Every renaming of m goods: the whole group S_m, the oracle's reach."""
+    return map(Permutation, permutations(range(m)))
 
 
 def random_partition_table(rng, n, m, cls):
@@ -111,7 +115,7 @@ def naive_neutral(mech):
     cls = mech.domain
     for profile in product(cls.members, repeat=mech.n):
         base = apply(mech, profile)
-        for pi in all_permutations(mech.m):
+        for pi in _all_permutations(mech.m):
             moved = apply(mech, tuple(permute_preference(p, pi) for p in profile))
             if moved.bundles != base.permute(pi).bundles:
                 return False
@@ -390,7 +394,7 @@ def full_group_neutral(table, cls, n):
     c = len(cls)
     digits = np.array(list(product(range(c), repeat=n)))
     powers = c ** np.arange(n - 1, -1, -1)
-    for pi in all_permutations(cls.m):
+    for pi in _all_permutations(cls.m):
         image = np.asarray(cls.perm_action(pi))[digits] @ powers
         moved = np.array([pi.apply_mask(s) for s in range(1 << cls.m)])[table]
         if (table[image] != moved).any():
@@ -422,7 +426,7 @@ def test_generator_neutrality_matches_full_group(n, m, mutants):
     cls = lex_class(m)
     rng = np.random.default_rng(100 * n + m)
     choices = _choice_masks(n, m, partition_only=False)
-    group = list(all_permutations(m))
+    group = list(_all_permutations(m))
     fixing_last = [pi for pi in group if pi.map[-1] == m - 1]
     family = enumerate_q(n, m)
     verdicts = []
