@@ -8,10 +8,11 @@ import argparse
 import time
 
 from serialquota import EnumerationTooLarge, TooLarge, class_from_tag, verify_characterization
+from serialquota.prefs import STRICT_MONOTONE_ENUM_CAP
 
 
 def tags_for(m: int) -> tuple[str, ...]:
-    return ("lex", "strict_monotone_all") if m <= 3 else ("lex",)
+    return ("lex", "strict_monotone_all") if m <= STRICT_MONOTONE_ENUM_CAP else ("lex",)
 
 
 def run(max_n: int, max_m: int) -> int:

@@ -55,8 +55,16 @@ AXIOM_CHECKS = {
 }
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+def _entries(flag: str, text: str) -> list[str]:
+    """text's comma-separated entries, stripped; an empty entry is refused."""
+    entries = [x.strip() for x in text.split(",")]
+    if "" in entries:
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
+    return entries
+
+
+def _ints(flag: str, text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in _entries(flag, text))
 
 
 def _quota(args, q: tuple[int, ...]) -> QuotaOrdering:
@@ -64,7 +72,7 @@ def _quota(args, q: tuple[int, ...]) -> QuotaOrdering:
     --n, when given, must match the quota length."""
     if args.n is not None and args.n != len(q):
         raise ValueError(f"--n {args.n} does not match quota length {len(q)}")
-    p = _ints(args.p) if args.p else tuple(range(len(q)))
+    p = _ints("--p", args.p) if args.p is not None else tuple(range(len(q)))
     return canonicalize(q, p, args.m)
 
 
@@ -79,9 +87,9 @@ def _emit(payload: dict, args) -> None:
 
 def cmd_check(args) -> int:
     mech = mechanism_from_json(json.loads(Path(args.mech).read_text()))
-    names = [x.strip() for x in args.axioms.split(",") if x.strip()]
-    if not names:
+    if not args.axioms.replace(",", "").strip():
         raise ValueError(f"no axioms given; choose from {sorted(AXIOM_CHECKS)}")
+    names = _entries("--axioms", args.axioms)
     unknown = [x for x in names if x not in AXIOM_CHECKS]
     if unknown:
         raise ValueError(f"unknown axioms {unknown}; choose from {sorted(AXIOM_CHECKS)}")
@@ -121,7 +129,8 @@ def cmd_verify(args) -> int:
         return 0 if report.verdict == "sets-equal" else 1
     if args.allocations:
         raise ValueError("mutate mode does not take --allocations; it draws partition mutants")
-    q = _ints(args.q) if args.q else (1,) * (args.n - 1) + (args.m - args.n + 1,)
+    guarantee = (1,) * (args.n - 1) + (args.m - args.n + 1,)
+    q = guarantee if args.q is None else _ints("--q", args.q)
     base = _quota(args, q)
     trials = 1000 if args.trials is None else args.trials
     seed = 0 if args.seed is None else args.seed
@@ -138,10 +147,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fairness(args) -> int:
-    quota = _quota(args, _ints(args.q))
+    quota = _quota(args, _ints("--q", args.q))
     n = quota.n
     mech = SerialQuota(n, args.m, additive_class(args.m), quota)
-    families = tuple(x.strip() for x in args.family.split(",") if x.strip())
+    families = tuple(_entries("--family", args.family))
     spec = GeneratorSpec(n, args.m, families, args.count, args.seed)
     bound = rho_bound(n, args.m) if args.audit == "mms" else None
     audit = (rho_mms_audit if args.audit == "mms" else ef1_audit)(mech, spec)

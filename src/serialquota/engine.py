@@ -27,7 +27,7 @@ from .prefs import (
     PreferenceClass,
     demand,
     full_mask,
-    neutrality_perms,
+    neutrality_perms,  # noqa: F401  read as engine.neutrality_perms by perfbench
     rank_table,
     strongly_desires,
 )
@@ -305,10 +305,10 @@ def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
 
 
 def _renamed(idx: int, image, c: int, n: int) -> int:
-    """Index of the profile whose members are image(member) of profile idx's."""
+    """Index of the profile whose members are image[member] of profile idx's."""
     out = 0
     for k in range(n - 1, -1, -1):
-        out = out * c + image(idx // c**k % c)
+        out = out * c + image[idx // c**k % c]
     return out
 
 
@@ -317,25 +317,24 @@ def neutrality_violation(
 ):
     """Lowest (profile_idx, perm_position) where renaming goods breaks covariance.
 
-    perm_position indexes neutrality_perms(cls.m).  The full scan gathers
-    the table at every profile's image by taking each agent's axis of the
-    (c,)*n + (n,) grid through pi's action on members.  With `at`, only
+    perm_position indexes cls.generators.  The full scan gathers the table
+    at every profile's image by taking each agent's axis of the (c,)*n +
+    (n,) grid through the generator's action on members.  With `at`, only
     profile `at` and its preimage under each generator are checked: the
-    pairs of (profile, image) that involve `at`.
+    pairs of (profile, image) that involve `at`, both found through the
+    cached action and its inverse.
     """
     c = len(cls)
     best = None
-    for pos, pi in enumerate(neutrality_perms(cls.m)):
+    for pos, (pi, action, inverse) in enumerate(cls.generators):
         if at is None:
             rows = slice(None)  # a view: the full scan copies nothing extra
             image = table.reshape((c,) * n + (n,))
             for k in range(n):
-                image = np.take(image, cls.perm_action(pi), axis=k)
+                image = np.take(image, action, axis=k)
             image = image.reshape(table.shape)
         else:  # at's pair with its image, and its preimage's pair with it
-            action = cls.perm_action(pi)  # its inverse gives at's preimage
-            pre = _renamed(at, action.index, c, n)
-            pairs = sorted({(at, _renamed(at, action.__getitem__, c, n)), (pre, at)})
+            pairs = sorted({(at, _renamed(at, action, c, n)), (_renamed(at, inverse, c, n), at)})
             rows = [p for p, _ in pairs]
             image = table[[q for _, q in pairs]]
         bad = np.flatnonzero((image != mask_perm_table(pi)[table[rows]]).any(axis=1))

@@ -316,11 +316,15 @@ def strict_integer_rows(rng: np.random.Generator, rows: int, m: int) -> np.ndarr
 
     One draw, uniform in [1, 1000].  A row whose subset sums tie becomes
     row * 10^6 + 2^g at good g, which is row + eps*2^g scaled by 1/eps; no
-    further numbers are drawn, so the generator finishes at every m.
+    further numbers are drawn, so the generator finishes at every m.  Ties
+    are found in chunks of about `engine.CELLS` subset sums.
     """
     out = rng.integers(1, 1001, size=(rows, m), dtype=np.int64)
-    tied = tied_rows(out)
-    out[tied] = out[tied] * EPS.denominator + (1 << np.arange(m))
+    step = max(1, engine.CELLS >> m)
+    for lo in range(0, rows, step):
+        chunk = out[lo : lo + step]  # a view: fixing it fixes out
+        tied = tied_rows(chunk)
+        chunk[tied] = chunk[tied] * EPS.denominator + (1 << np.arange(m))
     return out
 
 

@@ -111,12 +111,6 @@ class Permutation:
         v[a], v[b] = v[b], v[a]
         return cls(tuple(v))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.m
-        for i, j in enumerate(self.map):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     def apply_mask(self, mask: Mask) -> Mask:
         out = 0
         for i in range(self.m):
@@ -203,16 +197,11 @@ def subset_sum_table(rows: np.ndarray) -> np.ndarray:
 
 def tied_rows(rows: np.ndarray) -> np.ndarray:
     """Whether each int64 value row (shape (count, m)) has two equal subset
-    sums.  Rows go in chunks of about 2^22 sums (32 MB), so a batch at
-    m = 16 never holds all its sums at once."""
-    count, m = rows.shape
-    step = max(1, (1 << 22) >> m)
-    out = np.zeros(count, dtype=bool)
-    for lo in range(0, count, step):
-        sums = subset_sum_table(rows[lo : lo + step])
-        sums.sort(axis=1)
-        out[lo : lo + step] = (sums[:, 1:] == sums[:, :-1]).any(axis=1)
-    return out
+    sums.  All count * 2^m sums are held at once; a large batch goes in
+    chunks (`fairness.strict_integer_rows`)."""
+    sums = subset_sum_table(rows)
+    sums.sort(axis=1)
+    return (sums[:, 1:] == sums[:, :-1]).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -451,25 +440,24 @@ class PreferenceClass:
             return isinstance(pref, AdditiveStrict) and pref.m == self.m
         return rank_table(pref) in self._member_index
 
-    def perm_action(self, pi: Permutation) -> tuple[int, ...]:
-        """action[i] = index of member i's image under pi (closure required)."""
-        return _perm_action(self, pi)
-
-
-@lru_cache(maxsize=None)
-def _perm_action(cls: PreferenceClass, pi: Permutation) -> tuple[int, ...]:
-    out = []
-    for p in cls.members:
-        image = permute_preference(p, pi)
-        idx = cls._member_index.get(rank_table(image))
-        if idx is None:
-            raise InvalidDomain(f"class {cls.tag} not closed under {pi.map}")
-        out.append(idx)
-    return tuple(out)
+    @cached_property
+    def generators(self) -> tuple[tuple[Permutation, tuple[int, ...], tuple[int, ...]], ...]:
+        """(pi, action, inverse) for each pi in neutrality_perms(m): member i's
+        image under pi is member action[i], and inverse[action[i]] == i.
+        Raises InvalidDomain naming the first generator the class is not
+        closed under."""
+        out = []
+        for pi in neutrality_perms(self.m):
+            action = tuple(self._member_index.get(rank_table(permute_preference(p, pi)))
+                           for p in self.members)
+            if None in action:
+                raise InvalidDomain(f"class {self.tag} not closed under {pi.map}")
+            out.append((pi, action, tuple(sorted(range(len(action)), key=action.__getitem__))))
+        return tuple(out)
 
 
 def _validate_explicit(cls: PreferenceClass) -> None:
-    """S_m-closure is checked on its generators, caching their member actions."""
+    """S_m-closure is checked on its generators, whose actions stay with cls."""
     if any(p.m != cls.m for p in cls.members):
         raise InvalidDomain("member universe size mismatch")
     if len(cls._member_index) != len(cls.members):
@@ -477,8 +465,7 @@ def _validate_explicit(cls: PreferenceClass) -> None:
     for lex in enumerate_class(LEX, cls.m):
         if rank_table(lex) not in cls._member_index:
             raise InvalidDomain("explicit class must contain every lexicographic preference")
-    for pi in neutrality_perms(cls.m):
-        cls.perm_action(pi)
+    cls.generators  # raises unless closed under both
 
 
 def lex_class(m: int) -> PreferenceClass:

@@ -92,8 +92,7 @@ def _witness(
         return witness
     if prop == NEUTRAL:
         idx, pos = hit
-        pi = engine.neutrality_perms(cls.m)[pos]
-        return {"profile_index": idx, "perm": list(pi.map)}
+        return {"profile_index": idx, "perm": list(cls.generators[pos][0].map)}
     if prop == PARETO:
         idx, bundles = hit
         return {"profile_index": idx, "blocking_bundles": list(bundles)}
@@ -167,7 +166,7 @@ def check_neutral(mech: Mechanism) -> PropertyReport:
     """Relabeling goods commutes with the mechanism.
 
     Exact at every m: the check covers every profile under the two
-    generators of S_m from `engine.neutrality_perms`, and covariance under
+    generators of S_m held by `cls.generators`, and covariance under
     generators is covariance under the whole group.  A witness names the
     generator that breaks.
     """

@@ -160,10 +160,10 @@ def search_tables(
     row_of = {tuple(row): k for k, row in enumerate(choices.tolist())}
 
     gens = []  # (profile images, choice images) of each generator
-    for pi in engine.neutrality_perms(cls.m):
+    for pi, action, _ in cls.generators:
         image = np.arange(p_count).reshape((c,) * n)
         for axis in range(n):  # rename every agent's report
-            image = np.take(image, cls.perm_action(pi), axis=axis)
+            image = np.take(image, action, axis=axis)
         renamed = engine.mask_perm_table(pi)[choices].tolist()
         gens.append((image.ravel().tolist(), [row_of[tuple(row)] for row in renamed]))
     # Walk each orbit through the generators from its lowest index r, and

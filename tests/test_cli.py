@@ -90,6 +90,23 @@ def test_check_rejects_an_empty_axiom_list(mech_file, tmp_path, axioms, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["fairness", "ef1", "--q", "1,,2", "--m", "4"], "--q"),
+    (["verify", "--mode", "mutate", "--n", "2", "--m", "3", "--q", "1,2", "--p", "0,1,"], "--p"),
+    (["fairness", "mms", "--q", "1,2", "--m", "3", "--family", ",identical"], "--family"),
+    (["check", "--axioms", "truthful,,neutral"], "--axioms"),
+], ids=["q", "p", "family", "axioms"])
+def test_list_flags_refuse_an_empty_entry(args, flag, mech_file, capsys):
+    if args[0] == "check":
+        args = [*args, "--mech", mech_file(SQ_JSON)]
+    code = main([*args, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} has an empty entry: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_rejects_quota_overflow(mech_file, capsys):
     bad = dict(SQ_JSON, q=[2, 2])
     code = main(["check", "--mech", mech_file(bad), "--no-timestamp"])

@@ -396,6 +396,27 @@ def test_strict_integer_rows_break_ties_without_drawing_again():
     assert rng.integers(1 << 30) == follow.integers(1 << 30)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 200])
+def test_strict_integer_rows_are_the_same_in_smaller_chunks(rows, monkeypatch):
+    """Ties are found in chunks of about engine.CELLS subset sums; the rows
+    do not depend on the chunk size."""
+    m = 6
+    whole = strict_integer_rows(np.random.default_rng(3), rows, m)
+    chunks = []
+
+    def counted(block):
+        chunks.append(block.shape[0])
+        return serialquota.prefs.tied_rows(block)
+
+    monkeypatch.setattr(serialquota.fairness, "tied_rows", counted)
+    monkeypatch.setattr(serialquota.engine, "CELLS", 7 << m)
+    out = strict_integer_rows(np.random.default_rng(3), rows, m)
+    assert out.shape == (rows, m)
+    assert out.tolist() == whole.tolist()
+    assert sum(chunks) == rows and max(chunks, default=0) <= 7
+    assert len(chunks) == -(-rows // 7)
+
+
 def test_random_instances_are_the_generator_rows():
     n, m, count, seed = 2, 6, 50, 5
     rows = strict_integer_rows(np.random.default_rng(seed), count * n, m)

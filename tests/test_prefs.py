@@ -5,7 +5,9 @@ rank tables are rebuilt from scratch by enumerating orderings of the subset
 lattice, and demand is checked against an exhaustive argmax.
 """
 
+import gc
 import re
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -280,10 +282,18 @@ def test_permute_rank_table_subset_by_subset():
     assert rank_table(permute_preference(base, pi)) == (0, 1, 2, 3)
 
 
+def inverse(pi):
+    """pi^-1, mapping pi.map[i] back to i."""
+    inv = [0] * pi.m
+    for i, j in enumerate(pi.map):
+        inv[j] = i
+    return Permutation(tuple(inv))
+
+
 @given(st.sampled_from(list(lex_class(3).members)), st.permutations(list(range(3))))
 def test_permutation_round_trip(pref, pi_map):
     pi = Permutation(tuple(pi_map))
-    back = permute_preference(permute_preference(pref, pi), pi.inverse())
+    back = permute_preference(permute_preference(pref, pi), inverse(pi))
     assert rank_table(back) == rank_table(pref)
 
 
@@ -461,15 +471,41 @@ def test_explicit_class_refusal_names_the_generator_that_breaks():
             explicit_class(3, (*lex_class(3).members, *extra))
 
 
-def test_explicit_class_leaves_its_generator_actions_cached():
+def test_explicit_class_holds_its_generators_once_built():
     cls = explicit_class(3, tuple(strict_monotone_class(3).members))
-    before = prefs._perm_action.cache_info()
-    actions = [cls.perm_action(pi) for pi in prefs.neutrality_perms(3)]
-    after = prefs._perm_action.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
-    assert actions == [
-        strict_monotone_class(3).perm_action(pi) for pi in prefs.neutrality_perms(3)
-    ]
+    assert "generators" in vars(cls)  # computed by the closure check
+    assert cls.generators == strict_monotone_class(3).generators
+
+
+def test_refused_explicit_class_is_freed():
+    """Nothing outside the refused class keeps it alive: a frontier sweep
+    that tries many candidate domains does not pile them up."""
+    swap = prefs.neutrality_perms(3)[0]
+    lex_keys = {rank_table(p) for p in lex_class(3).members}
+    stray = next(
+        p for p in strict_monotone_class(3).members if rank_table(p) not in lex_keys
+    )
+    with pytest.raises(InvalidDomain, match="not closed under") as info:
+        explicit_class(3, (*lex_class(3).members, stray, permute_preference(stray, swap)))
+    tb = info.tb
+    while tb.tb_frame.f_code.co_name != "__post_init__":
+        tb = tb.tb_next
+    ref = weakref.ref(tb.tb_frame.f_locals["self"])
+    del tb, info
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("tag,m", [("lex", 0), ("lex", 1), ("lex", 2), ("lex", 3),
+                                   ("lex", 4), ("strict_monotone_all", 3)])
+def test_generator_actions_and_inverses_follow_permute_preference(tag, m):
+    cls = class_from_tag(tag, m)
+    assert [pi for pi, _, _ in cls.generators] == prefs.neutrality_perms(m)
+    for pi, action, inv in cls.generators:
+        assert action == tuple(
+            cls.index_of(permute_preference(p, pi)) for p in cls.members
+        )
+        assert all(inv[action[i]] == i for i in range(len(cls)))
 
 
 def test_engine_reads_the_generators_from_prefs():

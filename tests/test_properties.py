@@ -389,13 +389,18 @@ def test_counter_non_neutral_fails_exactly_neutrality():
 
 # ------------------------------------------------------------ neutrality
 
+def member_action(cls, pi):
+    """action[i] = index of member i's image under any renaming pi."""
+    return [cls.index_of(permute_preference(p, pi)) for p in cls.members]
+
+
 def full_group_neutral(table, cls, n):
     """Covariance under every one of the m! permutations, scanned directly."""
     c = len(cls)
     digits = np.array(list(product(range(c), repeat=n)))
     powers = c ** np.arange(n - 1, -1, -1)
     for pi in _all_permutations(cls.m):
-        image = np.asarray(cls.perm_action(pi))[digits] @ powers
+        image = np.asarray(member_action(cls, pi))[digits] @ powers
         moved = np.array([pi.apply_mask(s) for s in range(1 << cls.m)])[table]
         if (table[image] != moved).any():
             return False
