@@ -75,7 +75,6 @@ from .prefs import (
     lex_class,
     mask_of,
     permute_preference,
-    rank_table,
     strict_monotone_class,
     strongly_desires,
     submasks,

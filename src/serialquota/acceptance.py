@@ -43,7 +43,6 @@ from .prefs import (
     AdditiveStrict,
     additive_class,
     lex_class,
-    rank_table,
     strict_monotone_class,
 )
 from .properties import (
@@ -304,7 +303,7 @@ def ac9() -> tuple[bool, str]:
                 other = [_perturb_row(val, rng) for val in inst1.valuations]
             inst2 = CardinalInstance.from_values(other)
             for a, b in zip(inst1.valuations, inst2.valuations):
-                if rank_table(a) != rank_table(b):
+                if a.rank != b.rank:
                     return False, "transform changed the induced preference"
             if cardinal_apply(mech, inst1) != cardinal_apply(mech, inst2):
                 return False, (

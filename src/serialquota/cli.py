@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .acceptance import run_all
-from .errors import SerialQuotaError
+from .errors import SerialQuotaError, brief
 from .fairness import (
     GeneratorSpec,
     ef1_audit,
@@ -59,12 +59,16 @@ def _entries(flag: str, text: str) -> list[str]:
     """text's comma-separated entries, stripped; an empty entry is refused."""
     entries = [x.strip() for x in text.split(",")]
     if "" in entries:
-        raise ValueError(f"{flag} has an empty entry: {text!r}")
+        raise ValueError(f"{flag} has an empty entry: {brief(text)}")
     return entries
 
 
 def _ints(flag: str, text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in _entries(flag, text))
+    entries = _entries(flag, text)
+    try:
+        return tuple(map(int, entries))
+    except ValueError:
+        raise ValueError(f"{flag} has a non-integer entry: {brief(text)}") from None
 
 
 def _quota(args, q: tuple[int, ...]) -> QuotaOrdering:

@@ -9,13 +9,15 @@ and re-played through the pure-Python apply path.
 Profile indexing is mixed-radix with agent 0 as the most significant digit,
 matching `mechanisms.profile_index`: numpy's C-order ravel of a (C,)*n grid,
 agent i's digit weighing C^(n-1-i).  Kernels compute the profile indices
-they need inside each call; the caches here are keyed by class or by
-(n, m), so no C^n-sized array outlives a check.
+they need inside each call and read the tables each class holds; the one
+cache here, `assignment_masks`, is keyed by (n, m), so no C^n-sized array
+outlives a check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,13 +25,9 @@ from . import mechanisms as mech_mod
 from .errors import TooLarge
 from .mechanisms import Mechanism, SerialQuota, TableMechanism
 from .prefs import (
-    Permutation,
     PreferenceClass,
-    demand,
     full_mask,
     neutrality_perms,  # noqa: F401  read as engine.neutrality_perms by perfbench
-    rank_table,
-    strongly_desires,
 )
 
 PROFILE_CAP = 10**7
@@ -38,46 +36,10 @@ PROFILE_CAP = 10**7
 CELLS = 1 << 22
 
 
-@lru_cache(maxsize=None)
-def rank_matrix(cls: PreferenceClass) -> np.ndarray:
-    """ranks[i, s] = rank of subset s under member i; shape (C, 2^m)."""
-    out = np.array([rank_table(p) for p in cls.members], dtype=np.int32)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def demand_tables(cls: PreferenceClass) -> np.ndarray:
-    """dt[k, i, pool] = k-demand of member i from pool (k clamped to |pool|)."""
-    m = cls.m
-    size = 1 << m
-    out = np.zeros((m + 1, len(cls.members), size), dtype=np.int32)
-    for i, p in enumerate(cls.members):
-        for pool in range(size):
-            avail = pool.bit_count()
-            for k in range(m + 1):
-                out[k, i, pool] = demand(p, pool, min(k, avail))
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def strong_desire_matrix(cls: PreferenceClass) -> np.ndarray:
-    """sd[i, s] = member i strongly desires subset s; shape (C, 2^m)."""
-    out = np.array(
-        [[strongly_desires(p, s) for s in range(1 << cls.m)] for p in cls.members],
-        dtype=bool,
-    )
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def mask_perm_table(pi: Permutation) -> np.ndarray:
-    """image[s] = pi(s) for every bitmask s."""
-    out = np.array([pi.apply_mask(s) for s in range(1 << pi.m)], dtype=np.int32)
-    out.setflags(write=False)
-    return out
+# Readers of a class's tables that perfbench's set-up calls by name.
+rank_matrix = attrgetter("ranks")
+demand_tables = attrgetter("demands")
+strong_desire_matrix = attrgetter("strong_desire")
 
 
 def allocation_table(mech: Mechanism) -> np.ndarray:
@@ -116,7 +78,7 @@ def _serial_quota_grid(mech: SerialQuota, c: int, n: int) -> np.ndarray:
     order), with the pool they left carried forward, and then broadcast over
     the reports of everyone else.
     """
-    dt = demand_tables(mech.domain)
+    dt = mech.domain.demands
     dims = _report_axes(c, n)
     out = np.zeros((c,) * dims + (n,), dtype=np.int32)
     remaining = np.array(full_mask(mech.m), dtype=np.int32)  # pool on the pickers' grid
@@ -195,7 +157,7 @@ def truthful_violation(
     c = len(cls)
     size = 1 << cls.m
     by_subset = np.full((size + 1, c), -1, dtype=np.int32)  # [s, t]: t's rank of s
-    by_subset[:size] = rank_matrix(cls).T  # row `size` pads short menus
+    by_subset[:size] = cls.ranks.T  # row `size` pads short menus
     diag = np.arange(c)
     hits = []
     for i in range(n):
@@ -262,24 +224,12 @@ def _bossy_rows(table: np.ndarray, idx: np.ndarray, agent: int, others) -> np.nd
     return np.flatnonzero((moved & (own[:, 1:] == own[:, :-1])).any(axis=1))
 
 
-@lru_cache(maxsize=None)
 def push_up_matrix(cls: PreferenceClass) -> np.ndarray:
-    """up[t, s, d]: member d is a push-up of member t with respect to subset s,
-    i.e. every subset weakly below s under t stays weakly below s under d;
-    shape (C, 2^m, C).  Raises TooLarge above PROFILE_CAP member pairs,
-    before building anything."""
+    """cls.push_up, or TooLarge above PROFILE_CAP member pairs before it is built."""
     c = len(cls)
     if c * c > PROFILE_CAP:
         raise TooLarge(f"{c}^2 push-up member pairs exceed the {PROFILE_CAP} cap")
-    ranks = rank_matrix(cls)
-    size = ranks.shape[1]
-    out = np.empty((c, size, c), dtype=bool)
-    for s in range(size):
-        below = (ranks <= ranks[:, s, None]).astype(np.float32)  # below[t, z]
-        # escapes[t, d]: subsets weakly below s under t but above it under d.
-        out[:, s, :] = below @ (1 - below).T == 0
-    out.setflags(write=False)
-    return out
+    return cls.push_up
 
 
 def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
@@ -337,7 +287,7 @@ def neutrality_violation(
             pairs = sorted({(at, _renamed(at, action, c, n)), (_renamed(at, inverse, c, n), at)})
             rows = [p for p, _ in pairs]
             image = table[[q for _, q in pairs]]
-        bad = np.flatnonzero((image != mask_perm_table(pi)[table[rows]]).any(axis=1))
+        bad = np.flatnonzero((image != pi.mask_image[table[rows]]).any(axis=1))
         if bad.size:
             cand = (int(bad[0] if at is None else rows[bad[0]]), pos)
             if best is None or cand < best:
@@ -385,7 +335,7 @@ def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """
     c = len(cls)
     m = cls.m
-    ranks = rank_matrix(cls)
+    ranks = cls.ranks
     am = assignment_masks(n, m)
     step = max(1, CELLS // am.shape[0])
     for lo in range(0, table.shape[0], step):
@@ -438,7 +388,7 @@ def control_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     are scanned in ascending profile order (`_lowest_on_subgrid`).
     """
     c = len(cls)
-    sd = strong_desire_matrix(cls)
+    sd = cls.strong_desire
     every = np.arange(c)
     dims = _report_axes(c, n)
     cols = [table[:, i].reshape((c,) * dims) for i in range(n)]

@@ -29,7 +29,6 @@ from .prefs import (
     PreferenceClass,
     demand,
     full_mask,
-    rank_table,
 )
 
 Profile = tuple[Preference, ...]
@@ -170,12 +169,17 @@ class Mechanism:
     m: int
     domain: PreferenceClass
 
+    def __post_init__(self):
+        if self.domain.m != self.m:
+            raise DomainError(f"mechanism has m={self.m} but its domain has m={self.domain.m}")
+
 
 @dataclass(frozen=True)
 class SerialQuota(Mechanism):
     quota: QuotaOrdering
 
     def __post_init__(self):
+        super().__post_init__()
         if self.quota.n != self.n:
             raise ValueError("quota length must equal the number of agents")
         if self.quota.total > self.m:
@@ -189,6 +193,7 @@ class TableMechanism(Mechanism):
     table: tuple[tuple[Mask, ...], ...]
 
     def __post_init__(self):
+        super().__post_init__()
         c = len(self.domain)
         if profiles_exceed(c, self.n, len(self.table)) or len(self.table) != c**self.n:
             raise ValueError("table must have one row per profile")
@@ -204,6 +209,7 @@ class CounterNonTruthful(Mechanism):
     """m=2: identical reports give everything to agent 0, otherwise to agent 1."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n < 2 or self.m != 2:
             raise TooSmall("needs n >= 2 and exactly 2 goods")
 
@@ -213,6 +219,7 @@ class CounterBossy(Mechanism):
     """Agent 1 receives agent 0's top good, agent 2 the rest, everyone else nothing."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n < 3 or self.m < 1:
             raise TooSmall("needs n >= 3 and m >= 1")
 
@@ -230,6 +237,7 @@ class CounterNonNeutral(Mechanism):
     b: int
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n < 3 or self.m < 3:
             raise TooSmall("needs n >= 3 and m >= 3")
         if not (0 <= self.a < self.m and 0 <= self.b < self.m) or self.a == self.b:
@@ -281,8 +289,7 @@ def apply(mech: Mechanism, profile: Profile) -> Allocation:
     if isinstance(mech, RoundRobin):
         return _round_robin(profile, mech.m)
     if isinstance(mech, CounterNonTruthful):
-        first = rank_table(profile[0])
-        identical = all(rank_table(p) == first for p in profile[1:])
+        identical = len({p.rank for p in profile}) == 1
         bundles = [0] * mech.n
         bundles[0 if identical else 1] = full_mask(mech.m)
         return Allocation(mech.m, tuple(bundles))

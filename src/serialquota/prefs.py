@@ -12,9 +12,10 @@ on all 2^m subsets that extends set inclusion.  Three representations:
   value.  Rational inputs are brought to this one exact integer form on
   construction, and every subset-sum table is built by `subset_sum_table`.
 
-`rank_table` is the one route from a preference to a subset's rank.
+`pref.rank` is the one route from a preference to a subset's rank.
 
-All values are immutable and hashable; every operation is a pure function.
+All values are immutable and hashable and cache what is derived from them on
+themselves, so nothing outlives them; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations as _permutations
 
 import numpy as np
@@ -118,6 +119,13 @@ class Permutation:
                 out |= 1 << self.map[i]
         return out
 
+    @cached_property
+    def mask_image(self) -> np.ndarray:
+        """mask_image[s] = pi(s) for every bitmask s."""
+        out = np.array([self.apply_mask(s) for s in range(1 << self.m)], dtype=np.int32)
+        out.setflags(write=False)
+        return out
+
 
 def neutrality_perms(m: int) -> list[Permutation]:
     """Generators of S_m: the swap (0 1) and, for m >= 3, the cycle i -> i+1 mod m.
@@ -179,6 +187,14 @@ class Lexicographic:
     @property
     def m(self) -> int:
         return len(self.order)
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Rank of every subset; index = bitmask, 0 = worst.  The most
+        important good becomes the most significant bit."""
+        weight = np.zeros(self.m, dtype=np.int64)
+        weight[list(self.order)] = 1 << np.arange(self.m - 1, -1, -1)
+        return tuple(subset_sum_table(weight[None])[0].tolist())
 
 
 def subset_sum_table(rows: np.ndarray) -> np.ndarray:
@@ -251,25 +267,13 @@ class AdditiveStrict:
         """sums[s] = scale times the value of subset s; int64, shape (2^m,)."""
         return subset_sum_table(np.array([self.row], dtype=np.int64))[0]
 
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Rank of every subset; index = bitmask, 0 = worst."""
+        return tuple(np.argsort(np.argsort(self.subset_sums())).tolist())
+
 
 Preference = RankTable | Lexicographic | AdditiveStrict
-
-
-@lru_cache(maxsize=None)
-def rank_table(pref: Preference) -> tuple[int, ...]:
-    """Rank of every subset under pref; index = bitmask, 0 = worst."""
-    m = pref.m
-    if isinstance(pref, RankTable):
-        return pref.rank
-    if isinstance(pref, Lexicographic):
-        # Most important good becomes the most significant bit.
-        weight = np.zeros(m, dtype=np.int64)
-        weight[list(pref.order)] = 1 << np.arange(m - 1, -1, -1)
-        return tuple(subset_sum_table(weight[None])[0].tolist())
-    order = np.argsort(pref.subset_sums())
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return tuple(rank.tolist())
 
 
 def compare(pref: Preference, s: Mask, t: Mask) -> Ordering:
@@ -283,7 +287,7 @@ def compare(pref: Preference, s: Mask, t: Mask) -> Ordering:
         row = pref.row
         gain = sum(row[g] for g in goods_of(t)) - sum(row[g] for g in goods_of(s))
         return Ordering.LESS if gain > 0 else Ordering.GREATER
-    rank = rank_table(pref)
+    rank = pref.rank
     return Ordering.LESS if rank[s] < rank[t] else Ordering.GREATER
 
 
@@ -308,7 +312,7 @@ def demand(pref: Preference, pool: Mask, k: int) -> Mask:
         top = sorted(goods_of(pool), key=lambda g: pref.row[g], reverse=True)
         return mask_of(top[:k])
     best = 0
-    rank = rank_table(pref)
+    rank = pref.rank
     for s in submasks(pool):
         if s.bit_count() <= k and rank[s] > rank[best]:
             best = s
@@ -333,7 +337,7 @@ def permute_preference(pref: Preference, pi: Permutation) -> Preference:
 
 def strongly_desires(pref: Preference, s: Mask) -> bool:
     """True iff for every A strictly inside B inside s: A + (M \\ s) is worse than B."""
-    rank = rank_table(pref)
+    rank = pref.rank
     rest = full_mask(pref.m) & ~s
     for b in submasks(s):
         rb = rank[b]
@@ -345,8 +349,8 @@ def strongly_desires(pref: Preference, s: Mask) -> bool:
 
 def is_push_up(candidate: Preference, base: Preference, s: Mask) -> bool:
     """True iff every Z weakly below s under base stays weakly below s under candidate."""
-    rb = rank_table(base)
-    rc = rank_table(candidate)
+    rb = base.rank
+    rc = candidate.rank
     ts_base, ts_cand = rb[s], rc[s]
     for z in range(len(rb)):
         if rb[z] <= ts_base and rc[z] > ts_cand:
@@ -397,8 +401,18 @@ class PreferenceClass:
     members: tuple[Preference, ...] = ()
 
     def __post_init__(self):
-        if self.tag == EXPLICIT:
-            _validate_explicit(self)
+        """An explicit class is checked for S_m-closure on its generators,
+        whose actions stay with it.  The lex orders form one S_m orbit, so a
+        closed class holds them all once it holds the identity order."""
+        if self.tag != EXPLICIT:
+            return
+        if any(p.m != self.m for p in self.members):
+            raise InvalidDomain("member universe size mismatch")
+        if len(self._member_index) != len(self.members):
+            raise InvalidDomain("explicit class has duplicate members")
+        if Lexicographic(tuple(range(self.m))).rank not in self._member_index:
+            raise InvalidDomain("explicit class must contain every lexicographic preference")
+        self.generators  # raises unless closed under both
 
     @property
     def enumerable(self) -> bool:
@@ -414,23 +428,14 @@ class PreferenceClass:
         self._require_members()
         return len(self.members)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # Hashing the members walks all C of them; the class is frozen, so
-        # the caches keyed on it pay that once.
-        return hash((self.tag, self.m, self.members))
-
     @cached_property
     def _member_index(self) -> dict[tuple[int, ...], int]:
-        return {rank_table(p): i for i, p in enumerate(self.members)}
+        return {p.rank: i for i, p in enumerate(self.members)}
 
     def index_of(self, pref: Preference) -> int:
         """Index of the member order-identical to pref."""
         self._require_members()
-        idx = self._member_index.get(rank_table(pref))
+        idx = self._member_index.get(pref.rank)
         if idx is None:
             raise NotInClass(f"preference not in class {self.tag}(m={self.m})")
         return idx
@@ -438,7 +443,54 @@ class PreferenceClass:
     def __contains__(self, pref) -> bool:
         if not self.enumerable:
             return isinstance(pref, AdditiveStrict) and pref.m == self.m
-        return rank_table(pref) in self._member_index
+        return pref.rank in self._member_index
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """ranks[i, s] = rank of subset s under member i; shape (C, 2^m)."""
+        out = np.array([p.rank for p in self.members], dtype=np.int32).reshape(-1, 1 << self.m)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def demands(self) -> np.ndarray:
+        """dt[k, i, pool] = k-demand of member i from pool (k clamped to |pool|)."""
+        m = self.m
+        size = 1 << m
+        out = np.zeros((m + 1, len(self.members), size), dtype=np.int32)
+        for i, p in enumerate(self.members):
+            for pool in range(size):
+                avail = pool.bit_count()
+                for k in range(m + 1):
+                    out[k, i, pool] = demand(p, pool, min(k, avail))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def strong_desire(self) -> np.ndarray:
+        """sd[i, s] = member i strongly desires subset s; shape (C, 2^m)."""
+        out = np.array(
+            [[strongly_desires(p, s) for s in range(1 << self.m)] for p in self.members],
+            dtype=bool,
+        )
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def push_up(self) -> np.ndarray:
+        """up[t, s, d]: member d is a push-up of member t with respect to subset s,
+        i.e. every subset weakly below s under t stays weakly below s under d;
+        shape (C, 2^m, C), its size gated by `engine.push_up_matrix`."""
+        c = len(self.members)
+        ranks = self.ranks
+        size = ranks.shape[1]
+        out = np.empty((c, size, c), dtype=bool)
+        for s in range(size):
+            below = (ranks <= ranks[:, s, None]).astype(np.float32)  # below[t, z]
+            # escapes[t, d]: subsets weakly below s under t but above it under d.
+            out[:, s, :] = below @ (1 - below).T == 0
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def generators(self) -> tuple[tuple[Permutation, tuple[int, ...], tuple[int, ...]], ...]:
@@ -448,24 +500,12 @@ class PreferenceClass:
         closed under."""
         out = []
         for pi in neutrality_perms(self.m):
-            action = tuple(self._member_index.get(rank_table(permute_preference(p, pi)))
-                           for p in self.members)
+            moved = self.ranks[:, np.argsort(pi.mask_image)]  # [i]: member i's image's ranks
+            action = tuple(self._member_index.get(tuple(row)) for row in moved.tolist())
             if None in action:
                 raise InvalidDomain(f"class {self.tag} not closed under {pi.map}")
             out.append((pi, action, tuple(sorted(range(len(action)), key=action.__getitem__))))
         return tuple(out)
-
-
-def _validate_explicit(cls: PreferenceClass) -> None:
-    """S_m-closure is checked on its generators, whose actions stay with cls."""
-    if any(p.m != cls.m for p in cls.members):
-        raise InvalidDomain("member universe size mismatch")
-    if len(cls._member_index) != len(cls.members):
-        raise InvalidDomain("explicit class has duplicate members")
-    for lex in enumerate_class(LEX, cls.m):
-        if rank_table(lex) not in cls._member_index:
-            raise InvalidDomain("explicit class must contain every lexicographic preference")
-    cls.generators  # raises unless closed under both
 
 
 def lex_class(m: int) -> PreferenceClass:

@@ -146,7 +146,7 @@ def search_tables(
     p_count = c**n
     k_count = choices.shape[0]
     full = (1 << k_count) - 1
-    ranks = engine.rank_matrix(cls)  # [member, subset]
+    ranks = cls.ranks  # [member, subset]
     owners = choices.T.tolist()  # owners[i][k]: agent i's bundle under choice k
     # below[i][t][k]: choices whose agent-i bundle member t ranks strictly
     # below choice k's, plus k itself.  above[i][d][s]: choices whose
@@ -164,7 +164,7 @@ def search_tables(
         image = np.arange(p_count).reshape((c,) * n)
         for axis in range(n):  # rename every agent's report
             image = np.take(image, action, axis=axis)
-        renamed = engine.mask_perm_table(pi)[choices].tolist()
+        renamed = pi.mask_image[choices].tolist()
         gens.append((image.ravel().tolist(), [row_of[tuple(row)] for row in renamed]))
     # Walk each orbit through the generators from its lowest index r, and
     # compose their choice maps: orbit[p] = (r, f) where f takes r's choice

@@ -107,6 +107,20 @@ def test_list_flags_refuse_an_empty_entry(args, flag, mech_file, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["fairness", "ef1", "--q", "1,x", "--m", "4"], "--q"),
+    (["verify", "--n", "2", "--m", "3", "--mode", "mutate", "--q", "1,x"], "--q"),
+    (["verify", "--n", "2", "--m", "3", "--mode", "mutate", "--q", "1,2", "--p", "0,y"], "--p"),
+], ids=["fairness-q", "verify-q", "verify-p"])
+def test_list_flags_name_the_flag_on_a_non_integer_entry(args, flag, capsys):
+    code = main([*args, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} has a non-integer entry: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_rejects_quota_overflow(mech_file, capsys):
     bad = dict(SQ_JSON, q=[2, 2])
     code = main(["check", "--mech", mech_file(bad), "--no-timestamp"])
@@ -246,10 +260,8 @@ def test_check_refuses_a_class_whose_m_disagrees(mech_file, capsys):
 
 def test_check_pushup_refuses_a_class_past_the_member_pair_cap(mech_file, monkeypatch, capsys):
     # lex over 3 goods has 6 members: one agent's 6 profiles pass a cap
-    # lowered to 35, but the push-up table's 6^2 member pairs do not.  The
-    # uncached function keeps an earlier test's table from hiding the gate.
+    # lowered to 35, but the push-up table's 6^2 member pairs do not.
     monkeypatch.setattr(engine, "PROFILE_CAP", 35)
-    monkeypatch.setattr(engine, "push_up_matrix", engine.push_up_matrix.__wrapped__)
     payload = {**SQ_JSON, "q": [3], "p": [0]}
     code = main(["check", "--mech", mech_file(payload), "--axioms", "pushup",
                  "--no-timestamp"])

@@ -20,6 +20,8 @@ from serialquota import (
     QuotaOrdering,
     QuotaOverflow,
     RoundRobin,
+    SerialQuota,
+    TableMechanism,
     TieDetected,
     TooSmall,
     additive_class,
@@ -209,6 +211,21 @@ def test_counterexamples_validate_sizes():
         CounterNonNeutral(3, 2, lex_class(2), a=0, b=1)
     with pytest.raises(ValueError):
         CounterNonNeutral(3, 3, LEX3, a=1, b=1)
+
+
+@pytest.mark.parametrize("kind, args", [
+    (SerialQuota, (2, 4, LEX3, canonicalize((1, 1), (0, 1), 4))),
+    (TableMechanism, (1, 3, lex_class(2), ((1,), (2,)))),
+    (RoundRobin, (2, 3, lex_class(2))),
+    (CounterNonTruthful, (2, 2, LEX3)),
+    (CounterBossy, (3, 3, lex_class(2))),
+    (CounterNonNeutral, (3, 3, lex_class(4), 0, 1)),
+], ids=["serial_quota", "table", "round_robin", "non_truthful", "bossy", "non_neutral"])
+def test_mechanism_refuses_a_domain_of_another_size(kind, args):
+    # Each of these used to be accepted; the table one even passed truthful.
+    m, domain = args[1], args[2]
+    with pytest.raises(DomainError, match=f"has m={m} but its domain has m={domain.m}$"):
+        kind(*args)
 
 
 def test_every_variant_emits_disjoint_bundles_inside_universe():

@@ -41,13 +41,22 @@ from serialquota import (
     lex_class,
     mask_of,
     permute_preference,
-    rank_table,
     strict_monotone_class,
     strongly_desires,
     submasks,
 )
-from serialquota import engine, prefs
+from serialquota import check, engine, prefs, serial_quota, verify_characterization
 from serialquota.prefs import MAX_GOODS
+from serialquota.properties import (
+    CONTROL_CLAIM,
+    NEUTRAL,
+    NON_BOSSY,
+    PARETO,
+    PARTITION,
+    PUSH_UP,
+    TRUTHFUL,
+)
+from serialquota.search import mutate_with_log
 
 LEX012 = Lexicographic((0, 1, 2))
 INTRO_VALS = (Fraction(11), Fraction(1001, 100), Fraction(10))
@@ -79,7 +88,7 @@ def brute_monotone_rank_tables(m):
 def test_linear_extension_counts_against_brute_force():
     for m in (1, 2):
         brute = set(brute_monotone_rank_tables(m))
-        enumerated = {rank_table(p) for p in strict_monotone_class(m).members}
+        enumerated = {p.rank for p in strict_monotone_class(m).members}
         assert enumerated == brute
     # m=3: 40320 permutations of the 8 subsets, 48 survive
     assert len(brute_monotone_rank_tables(3)) == 48
@@ -149,7 +158,7 @@ def test_additive_stores_one_canonical_integer_form():
 
 def test_additive_rejects_rows_past_the_int64_guard():
     top = AdditiveStrict((2**62 - 2, 1))
-    assert rank_table(top) == (0, 2, 1, 3)
+    assert top.rank == (0, 2, 1, 3)
     with pytest.raises(ValueError, match="2\\^62"):
         AdditiveStrict((2**62 - 1, 1))
     with pytest.raises(ValueError, match="2\\^62"):
@@ -179,7 +188,7 @@ def test_integer_rank_table_matches_fraction_sort(values):
     expected = [0] * len(sums)
     for pos, s in enumerate(order):
         expected[s] = pos
-    assert rank_table(pref) == tuple(expected)
+    assert pref.rank == tuple(expected)
     for s in range(len(sums)):
         for t in range(len(sums)):
             if s != t:
@@ -208,7 +217,7 @@ def test_subset_sum_table_and_tie_verdicts_against_brute_force():
 def test_lexicographic_rank_table_orders_by_first_differing_good():
     for m in range(0, 5):
         for order in permutations(range(m)):
-            rank = rank_table(Lexicographic(order))
+            rank = Lexicographic(order).rank
             for s in range(1 << m):
                 for t in range(s + 1, 1 << m):
                     first = next(g for g in order if (s ^ t) >> g & 1)
@@ -235,7 +244,7 @@ def test_monotone_consistency_m3():
 
 def test_rank_table_is_monotone_bijection():
     for pref in lex_class(3).members:
-        rt = rank_table(pref)
+        rt = pref.rank
         assert sorted(rt) == list(range(8))
         assert rt[0] == 0
         assert rt[7] == 7
@@ -279,7 +288,7 @@ def test_permute_rank_table_subset_by_subset():
     # ranks over (empty, {0}, {1}, {0,1}) = (0,2,1,3); swapping goods gives 0,1,2,3
     base = RankTable((0, 2, 1, 3))
     pi = Permutation.swap(2, 0, 1)
-    assert rank_table(permute_preference(base, pi)) == (0, 1, 2, 3)
+    assert permute_preference(base, pi).rank == (0, 1, 2, 3)
 
 
 def inverse(pi):
@@ -294,7 +303,7 @@ def inverse(pi):
 def test_permutation_round_trip(pref, pi_map):
     pi = Permutation(tuple(pi_map))
     back = permute_preference(permute_preference(pref, pi), inverse(pi))
-    assert rank_table(back) == rank_table(pref)
+    assert back.rank == pref.rank
 
 
 def test_permute_definition_pointwise():
@@ -335,7 +344,7 @@ def test_is_push_up_examples():
     assert not is_push_up(Lexicographic((1, 0)), base, mask_of([0]))
 
 
-def test_class_hash_is_cached_and_equal_for_equal_classes():
+def test_equal_classes_compare_and_hash_equal():
     a, b = lex_class(4), lex_class(4)
     assert a is not b and a == b and hash(a) == hash(b)
     assert b.index_of(a.members[17]) == 17
@@ -347,15 +356,15 @@ def test_class_membership_and_index():
         assert cls.index_of(pref) == i
         assert pref in cls
     with pytest.raises(NotInClass):
-        cls.index_of(RankTable(tuple(rank_table(AdditiveStrict(INTRO_VALS)))))
+        cls.index_of(RankTable(tuple(AdditiveStrict(INTRO_VALS).rank)))
 
 
 def test_explicit_class_requires_permutation_closure():
     with pytest.raises(InvalidDomain):
         explicit_class(2, (Lexicographic((0, 1)),))  # missing the other lex order
-    lex_keys = {rank_table(p) for p in lex_class(3).members}
+    lex_keys = {p.rank for p in lex_class(3).members}
     stray = next(
-        p for p in strict_monotone_class(3).members if rank_table(p) not in lex_keys
+        p for p in strict_monotone_class(3).members if p.rank not in lex_keys
     )
     with pytest.raises(InvalidDomain):
         # all lex orders present, but the extra member's orbit is not
@@ -366,9 +375,9 @@ def test_explicit_class_requires_permutation_closure():
 
 def closed_under_every_permutation(members, m):
     """The oracle: each member's image under each of the m! renamings is a member."""
-    keys = {rank_table(p) for p in members}
+    keys = {p.rank for p in members}
     return all(
-        rank_table(permute_preference(p, Permutation(pi))) in keys
+        permute_preference(p, Permutation(pi)).rank in keys
         for pi in permutations(range(m))
         for p in members
     )
@@ -377,7 +386,7 @@ def closed_under_every_permutation(members, m):
 def orbit(pref, m):
     """pref's images under S_m, keyed by rank table."""
     images = (permute_preference(pref, Permutation(pi)) for pi in permutations(range(m)))
-    return {rank_table(q): q for q in images}
+    return {q.rank: q for q in images}
 
 
 def accepted(members, m):
@@ -391,10 +400,10 @@ def accepted(members, m):
 def test_generator_closure_matches_the_full_group_at_m3():
     """Every union of strict_monotone_all(3)'s S_3 orbits that holds lex is
     accepted; lex plus one stray order is refused, by both rules."""
-    lex = {rank_table(p): p for p in lex_class(3).members}
+    lex = {p.rank: p for p in lex_class(3).members}
     orbits = []
     for p in strict_monotone_class(3).members:
-        key = rank_table(p)
+        key = p.rank
         if key not in lex and all(key not in o for o in orbits):
             orbits.append(orbit(p, 3))
     assert len(orbits) == 7
@@ -418,7 +427,7 @@ def test_generator_closure_matches_the_full_group_on_sampled_m4_unions():
     under the swap alone or the cycle alone: both rules give the same
     verdict."""
     rng = np.random.default_rng(4)
-    lex = {rank_table(p): p for p in lex_class(4).members}
+    lex = {p.rank: p for p in lex_class(4).members}
     swap, cycle = prefs.neutrality_perms(4)
 
     def draw():
@@ -438,12 +447,12 @@ def test_generator_closure_matches_the_full_group_on_sampled_m4_unions():
             tuple(members.values()),
             tuple(v for k, v in members.items() if k != list(members)[-1]),
         ]
-        if rank_table(extra) not in members:
+        if extra.rank not in members:
             cases.append((*members.values(), extra))
         for gen, power in ((swap, 2), (cycle, 4)):
             images = dict(lex)
             for _ in range(power):
-                images[rank_table(extra)] = extra
+                images[extra.rank] = extra
                 extra = permute_preference(extra, gen)
             cases.append(tuple(images.values()))
         for case in cases:
@@ -455,9 +464,9 @@ def test_generator_closure_matches_the_full_group_on_sampled_m4_unions():
 
 def test_explicit_class_refusal_names_the_generator_that_breaks():
     swap, cycle = prefs.neutrality_perms(3)
-    lex_keys = {rank_table(p) for p in lex_class(3).members}
+    lex_keys = {p.rank for p in lex_class(3).members}
     stray = next(
-        p for p in strict_monotone_class(3).members if rank_table(p) not in lex_keys
+        p for p in strict_monotone_class(3).members if p.rank not in lex_keys
     )
     swap_pair = (stray, permute_preference(stray, swap))
     cycle_triple = (
@@ -481,9 +490,9 @@ def test_refused_explicit_class_is_freed():
     """Nothing outside the refused class keeps it alive: a frontier sweep
     that tries many candidate domains does not pile them up."""
     swap = prefs.neutrality_perms(3)[0]
-    lex_keys = {rank_table(p) for p in lex_class(3).members}
+    lex_keys = {p.rank for p in lex_class(3).members}
     stray = next(
-        p for p in strict_monotone_class(3).members if rank_table(p) not in lex_keys
+        p for p in strict_monotone_class(3).members if p.rank not in lex_keys
     )
     with pytest.raises(InvalidDomain, match="not closed under") as info:
         explicit_class(3, (*lex_class(3).members, stray, permute_preference(stray, swap)))
@@ -494,6 +503,21 @@ def test_refused_explicit_class_is_freed():
     del tb, info
     gc.collect()
     assert ref() is None
+
+
+def test_checked_class_and_its_members_are_freed():
+    """Checks, the search and mutation runs keep nothing derived from a
+    class or a member beyond their lifetime: a census that builds one class
+    per orbit does not pile them up."""
+    cls = lex_class(3)
+    mech = serial_quota((1, 2), (0, 1), cls)
+    check(mech, [TRUTHFUL, NON_BOSSY, NEUTRAL, PARTITION, PARETO, CONTROL_CLAIM, PUSH_UP])
+    verify_characterization(2, 3, cls, True)
+    mutate_with_log(mech.quota, cls, trials=20, log_size=5)
+    refs = weakref.ref(cls), weakref.ref(cls.members[0])
+    del cls, mech
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 @pytest.mark.parametrize("tag,m", [("lex", 0), ("lex", 1), ("lex", 2), ("lex", 3),

@@ -209,10 +209,9 @@ def test_deviation_witnesses_match_scalar_scan(tag, n, m, randoms):
 def test_allocation_table_gates_profiles_before_demand_tables():
     cls = lex_class(7)  # 5040^2 profiles at n = 2
     mech = serial_quota((1, 6), (0, 1), cls)
-    before = engine.demand_tables.cache_info().currsize
     with pytest.raises(TooLarge, match="5040\\^2 profiles"):
         engine.allocation_table(mech)
-    assert engine.demand_tables.cache_info().currsize == before
+    assert "demands" not in cls.__dict__
     # The largest size in use, lex (4,4), stays under the cap.
     assert len(lex_class(4)) ** 4 <= engine.PROFILE_CAP
 
