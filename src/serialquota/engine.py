@@ -298,7 +298,9 @@ def neutrality_violation(
 def partition_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (profile_idx, union) whose bundles leave some good unallocated,
     union being the goods they cover."""
-    union = np.bitwise_or.reduce(table, axis=1)
+    union = np.zeros(table.shape[0], dtype=table.dtype)
+    for j in range(n):  # column by column: a reduce over the short axis is slower
+        union |= table[:, j]
     bad = np.flatnonzero(union != full_mask(cls.m))
     return (int(bad[0]), int(union[bad[0]])) if bad.size else None
 
@@ -327,37 +329,60 @@ def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (profile_idx, blocking bundle tuple); blocker has lowest assignment index.
 
     Whether an assignment is weakly or strictly better for agent j depends only
-    on (member, current bundle), so each distinct pair gets one packed bit row
-    over all assignments (bit a set: assignment a is weakly, resp. strictly,
-    better).  A profile's blockers are the AND of its agents' weak rows and
-    the OR of their strict rows.  Profiles are taken in blocks whose rank
-    comparisons hold at most CELLS entries.
+    on (member, current bundle), so each distinct pair gets one bit row over
+    all assignments (bit a set: assignment a is weakly, resp. strictly,
+    better), packed and padded to whole 64-bit words.  A profile's blockers
+    are the AND of its agents' weak rows and the OR of their strict rows,
+    taken word by word.  Profiles are taken in blocks whose rank comparisons
+    hold at most CELLS entries.  Within a block a pair is keyed by the
+    agent's digit offset, modulo c, from the block's first profile and by
+    the bundle, so its dense key table holds at most about CELLS + 2^(m+1)
+    entries whatever c * 2^m is.
     """
     c = len(cls)
     m = cls.m
     ranks = cls.ranks
     am = assignment_masks(n, m)
-    step = max(1, CELLS // am.shape[0])
+    count = am.shape[0]
+    width = -(-count // 8)  # packbits' bytes per row
+    step = max(1, CELLS // count)
     for lo in range(0, table.shape[0], step):
-        profiles = np.arange(lo, min(lo + step, table.shape[0]))
-        weak = strict = None
+        hi = min(lo + step, table.shape[0])
+        profiles = np.arange(lo, hi)
         for j in range(n):
-            digit = profiles // c ** (n - 1 - j) % c  # agent j's member
-            keys, inv = np.unique(digit << m | table[lo : lo + step, j], return_inverse=True)
-            member = keys >> m
-            alt = ranks[member[:, None], am[None, :, j]]  # (keys, assignments)
-            cur = ranks[member, keys & ((1 << m) - 1)][:, None]
-            w = np.packbits(alt >= cur, axis=1)[inv]
-            s = np.packbits(alt > cur, axis=1)[inv]
-            if weak is None:
+            weight = c ** (n - 1 - j)  # agent j's digit weight
+            first = lo // weight  # the digit run holding the block's first profile
+            span = min(c, (hi - 1) // weight - first + 1)  # digits the block holds
+            key = (profiles // weight - first) % c << m | table[lo:hi, j]
+            present = np.zeros(span << m, dtype=bool)
+            present[key] = True
+            keys = np.flatnonzero(present)
+            lookup = np.empty(span << m, dtype=np.int32)
+            lookup[keys] = np.arange(keys.size, dtype=np.int32)
+            # Each digit's ranks of every assignment's bundle, read once: a
+            # column gather over the block's members, then rows per key.
+            member = (first + np.arange(span)) % c
+            offset = keys >> m
+            by_offset = np.take(np.take(ranks, member, axis=0), am[:, j], axis=1)
+            alt = np.take(by_offset, offset, axis=0)
+            cur = ranks[member[offset], keys & full_mask(m)][:, None]
+            packed = np.zeros((2, keys.size, 8 * -(-width // 8)), dtype=np.uint8)  # whole words
+            packed[0, :, :width] = np.packbits(alt >= cur, axis=1)
+            packed[1, :, :width] = np.packbits(alt > cur, axis=1)
+            inv = lookup[key]
+            w, s = (np.take(rows, inv, axis=0) for rows in packed.view(np.int64))
+            if j == 0:
                 weak, strict = w, s
             else:
                 weak &= w
                 strict |= s
         weak &= strict
-        rows = np.flatnonzero(weak.any(axis=1))
+        blocked = weak[:, 0].copy()
+        for word in range(1, weak.shape[1]):  # OR the word columns: faster than any(axis=1)
+            blocked |= weak[:, word]
+        rows = np.flatnonzero(blocked)
         if rows.size:
-            row = weak[rows[0]]
+            row = weak[rows[0]].view(np.uint8)  # the packed bytes, in packbits' order
             k = int(np.flatnonzero(row)[0])
             # packbits is big-endian: assignment 8k + t sits at bit 7 - t of byte k.
             a = 8 * k + 8 - int(row[k]).bit_length()

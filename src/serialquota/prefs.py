@@ -388,6 +388,17 @@ def _linear_extensions(m: int):
     yield from walk()
 
 
+def _pool_levels(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(level, subs) for each pool size s = 0..m: level lists the pools of
+    s goods and subs[r, t] is level[r] without its t-th good."""
+    out = []
+    for s in range(m + 1):
+        level = [p for p in range(1 << m) if p.bit_count() == s]
+        subs = [[p ^ 1 << g for g in range(m) if p >> g & 1] for p in level]
+        out.append((np.array(level), np.array(subs, dtype=np.intp).reshape(len(level), s)))
+    return out
+
+
 @dataclass(frozen=True)
 class PreferenceClass:
     """An enumerable (or declared-continuum) family of preferences over m goods.
@@ -454,25 +465,59 @@ class PreferenceClass:
 
     @cached_property
     def demands(self) -> np.ndarray:
-        """dt[k, i, pool] = k-demand of member i from pool (k clamped to |pool|)."""
+        """dt[k, i, pool] = k-demand of member i from pool (k clamped to |pool|).
+
+        Built from `ranks` for all members at once, level by level over pool
+        sizes: a pool of at most k goods is its own demand, and the best
+        subset of at most k goods of a larger pool misses one of its goods
+        g, so it is the best of the demands from pool - {g} over g in pool.
+        Each subset s is keyed rank << m | s, so the largest key names the
+        best subset in its low m bits.
+        """
+        ranks = self.ranks
         m = self.m
-        size = 1 << m
-        out = np.zeros((m + 1, len(self.members), size), dtype=np.int32)
-        for i, p in enumerate(self.members):
-            for pool in range(size):
-                avail = pool.bit_count()
-                for k in range(m + 1):
-                    out[k, i, pool] = demand(p, pool, min(k, avail))
+        pools = np.arange(1 << m, dtype=ranks.dtype)
+        levels = _pool_levels(m)
+        out = np.empty((m + 1, *ranks.shape), dtype=np.int32)
+        for k in range(m + 1):
+            # [pool, i]: pools are rows, so a level's sub-pools are row
+            # gathers.  Keys stay below 2^(2m), within int32 for any class
+            # small enough to hold its m! lex orders.
+            best = ranks.T.copy()
+            best <<= m
+            best |= pools[:, None]
+            for level, subs in levels[k + 1 :]:
+                top = np.take(best, subs[:, 0], axis=0)
+                for col in subs.T[1:]:
+                    np.maximum(top, np.take(best, col, axis=0), out=top)
+                best[level] = top
+            np.bitwise_and(best.T, (1 << m) - 1, out=out[k])
         out.setflags(write=False)
         return out
 
     @cached_property
     def strong_desire(self) -> np.ndarray:
-        """sd[i, s] = member i strongly desires subset s; shape (C, 2^m)."""
-        out = np.array(
-            [[strongly_desires(p, s) for s in range(1 << self.m)] for p in self.members],
-            dtype=bool,
-        )
+        """sd[i, s] = member i strongly desires subset s; shape (C, 2^m).
+
+        Built from `ranks`, one subset s at a time for all members.  Every
+        member is strictly monotone, so "A strictly inside B inside s ranks
+        below B even with M - s added" needs checking only for A = B - {g}
+        with g in B: every other A lies inside one of those.
+        """
+        ranks = self.ranks
+        m = self.m
+        pools = np.arange(1 << m)
+        goods = 1 << np.arange(m)
+        by_subset = ranks.T.copy()  # [subset, i]: gathers take whole rows
+        out = np.empty(by_subset.shape, dtype=bool)  # [s, i], transposed below
+        for s in range(1 << m):
+            inside = pools[(pools & ~s) == 0][:, None]  # every B inside s
+            pair = (inside & goods) != 0  # [B, g]: g in B
+            rest = ((1 << m) - 1) & ~s
+            less = (inside ^ goods)[pair] | rest
+            more = np.broadcast_to(inside, pair.shape)[pair]
+            out[s] = (np.take(by_subset, less, axis=0) < np.take(by_subset, more, axis=0)).all(axis=0)
+        out = np.ascontiguousarray(out.T)
         out.setflags(write=False)
         return out
 

@@ -486,6 +486,34 @@ def test_explicit_class_holds_its_generators_once_built():
     assert cls.generators == strict_monotone_class(3).generators
 
 
+def lex_and_one_orbit(m):
+    """lex(m) and the S_m orbit of the first strict order that is not lex:
+    an explicit class that no tag names."""
+    lex_keys = {p.rank for p in lex_class(m).members}
+    stray = next(p for p in strict_monotone_class(m).members if p.rank not in lex_keys)
+    return explicit_class(m, (*lex_class(m).members, *orbit(stray, m).values()))
+
+
+@pytest.mark.parametrize("build,m", [
+    *((lex_class, m) for m in range(6)),
+    *((strict_monotone_class, m) for m in range(4)),
+    (lex_and_one_orbit, 3),
+])
+def test_class_tables_match_scalar_demand_and_desire(build, m):
+    """`demands` and `strong_desire`, built from the rank matrix for all
+    members at once, equal the scalar `demand` and `strongly_desires` of
+    every member, pool and k."""
+    cls = build(m)
+    pools = range(1 << m)
+    demands = [
+        [[demand(p, pool, min(k, pool.bit_count())) for pool in pools] for p in cls.members]
+        for k in range(m + 1)
+    ]
+    desire = [[strongly_desires(p, s) for s in pools] for p in cls.members]
+    assert cls.demands.tolist() == demands
+    assert cls.strong_desire.tolist() == desire
+
+
 def test_refused_explicit_class_is_freed():
     """Nothing outside the refused class keeps it alive: a frontier sweep
     that tries many candidate domains does not pile them up."""

@@ -585,10 +585,13 @@ def first_scalar_blocker(mech):
     return None
 
 
-def pareto_cases(n, m, rng):
-    """Quota tables plus mutants: random assignments at one profile, and
-    rows taken from another partition quota at the same profile."""
-    cls = lex_class(m)
+def pareto_cases(n, m, rng, cls=None):
+    """A serial dictatorship (agent 0 takes every good, efficient in any
+    class), then quota tables over cls (lex by default) plus mutants: random
+    assignments at one profile, and rows taken from another partition quota
+    at the same profile."""
+    cls = cls or lex_class(m)
+    yield engine.allocation_table(serial_quota((m,) + (0,) * (n - 1), tuple(range(n)), cls))
     choices = _choice_masks(n, m, partition_only=False)
     family = enumerate_q(n, m)
     partitions = enumerate_q(n, m, partition_only=True)
@@ -607,12 +610,23 @@ def pareto_cases(n, m, rng):
             yield swapped
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (4, 2)])
-def test_pareto_witness_matches_scalar_scan(n, m):
+# The Pareto kernel packs one bit per assignment, (n+1)^m of them, into
+# 64-bit words: 25 at (4,2) and 27 at (2,3) fill part of one word, 64 at
+# (3,3) exactly one, and 81 at (2,4) cross a word boundary; m = 0 has a
+# single assignment, and n = 1 a single agent.
+@pytest.mark.parametrize("tag,n,m", [
+    *(
+        pytest.param("lex", n, m, id=f"{n}-{m}")
+        for n, m in [(2, 2), (2, 3), (3, 3), (4, 2), (2, 4), (2, 0), (1, 3)]
+    ),
+    pytest.param("strict_monotone_all", 2, 3, id="strict_monotone_all-2-3"),
+])
+def test_pareto_witness_matches_scalar_scan(tag, n, m):
+    cls = class_from_tag(tag, m)
     rng = np.random.default_rng(10 * n + m)
     verdicts = []
-    for table in pareto_cases(n, m, rng):
-        mech = TableMechanism(n, m, lex_class(m), tuple(map(tuple, table.tolist())))
+    for table in pareto_cases(n, m, rng, cls):
+        mech = TableMechanism(n, m, cls, tuple(map(tuple, table.tolist())))
         report = check_pareto_efficient(mech)
         expected = first_scalar_blocker(mech)
         if expected is None:
@@ -624,28 +638,51 @@ def test_pareto_witness_matches_scalar_scan(n, m):
                 "blocking_bundles": list(blocker),
             }
         verdicts.append(report.holds)
-    assert any(verdicts) and not all(verdicts)
+    assert verdicts[0]  # the serial dictatorship
+    assert m == 0 or not all(verdicts)  # at m = 0 every table is the dictatorship
 
 
 def test_pareto_blocks_give_the_same_witness(monkeypatch):
     """Blocks of a few profiles find the witness that one block finds,
-    including one that lies past the first block boundary."""
-    n, m = 2, 3
-    cls = LEX3
-    rng = np.random.default_rng(5)
-    tables = list(pareto_cases(n, m, rng))
-    late = engine.allocation_table(serial_quota((1, 2), (0, 1), cls)).copy()
+    including one that lies past the first block boundary.  Blocks of 7
+    profiles at lex (2,3) (c = 6) and of 3 at lex (3,2) (c = 2) end partway
+    through a run of equal digits of an agent, and the next block's digits
+    wrap from c - 1 to 0, so the key table's digit offsets wrap modulo c."""
+    late = engine.allocation_table(serial_quota((1, 2), (0, 1), LEX3)).copy()
     late[-1] = (0, 0)
-    tables.append(late)
-    assignments = (n + 1) ** m
-    for table in tables:
-        whole = engine.pareto_violation(table, cls, n)
-        for rows in (1, 5):
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "CELLS", rows * assignments)
-                assert engine.pareto_violation(table, cls, n) == whole
-    monkeypatch.setattr(engine, "CELLS", 5 * assignments)
-    assert engine.pareto_violation(late, cls, n)[0] == len(late) - 1
+    cases = [(2, 3, 5, (1, 5, 7), [late]), (3, 2, 6, (1, 3), [])]
+    for n, m, seed, block_rows, extra in cases:
+        cls = lex_class(m)
+        rng = np.random.default_rng(seed)
+        assignments = (n + 1) ** m
+        for table in [*pareto_cases(n, m, rng), *extra]:
+            whole = engine.pareto_violation(table, cls, n)
+            for rows in block_rows:
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "CELLS", rows * assignments)
+                    assert engine.pareto_violation(table, cls, n) == whole
+    monkeypatch.setattr(engine, "CELLS", 5 * 27)
+    assert engine.pareto_violation(late, LEX3, 2)[0] == len(late) - 1
+
+
+def test_pareto_key_table_stays_within_its_cells(monkeypatch):
+    """One agent at lex m = 6 (c * 2^m = 46,080 member-bundle keys): with
+    engine.CELLS lowered to 4,096, a full Pareto scan's traced peak stays
+    within 32 bytes per entry of CELLS (131 KB), while a key table over all
+    c * 2^m keys alone, bool marks and int32 rows, would take 230 KB."""
+    cls = lex_class(6)
+    cells = 4096
+    table = engine.allocation_table(serial_quota((6,), (0,), cls))
+    monkeypatch.setattr(engine, "CELLS", cells)
+    engine.pareto_violation(table, cls, 1)  # fill the engine's caches
+    tracemalloc.start()
+    try:
+        assert engine.pareto_violation(table, cls, 1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * cells, peak
+    assert 5 * len(cls) << cls.m > 32 * cells
 
 
 def test_intro_instance_blocked_by_bundle_swap():
