@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Per-call times of the engine's layers on fixed lex mechanisms.
 
-For each mechanism it times `allocation_table` and every forward axiom
+For each mechanism it times `allocation_table`, the per-call
+`assignment_masks` build the Pareto scan makes, and every forward axiom
 kernel on that table; for each m it times the class tables, each built cold
-on a fresh class.  Every line is the best of a few calls, in milliseconds:
+on a fresh class, and prints each one's size.  Every time is the best of a
+few calls, in milliseconds:
 
     PYTHONPATH=src python scripts/bench_kernels.py
 
@@ -46,9 +48,10 @@ def best_ms(call, repeats: int) -> float:
     return best * 1e3
 
 
-def cold_ms(m: int, table: str, repeats: int) -> float:
+def cold_ms(m: int, table: str, repeats: int) -> tuple[float, float]:
     """Best time to build one table of a fresh lex class whose members'
-    ranks (and rank matrix, for the other tables) are already built."""
+    ranks (and rank matrix, for the other tables) are already built, and
+    the table's size in MB."""
     best = float("inf")
     for _ in range(repeats):
         cls = class_from_tag("lex", m)
@@ -58,9 +61,9 @@ def cold_ms(m: int, table: str, repeats: int) -> float:
             for p in cls.members:
                 p.rank
         start = time.perf_counter()
-        getattr(cls, table)
+        built = getattr(cls, table)
         best = min(best, time.perf_counter() - start)
-    return best * 1e3
+    return best * 1e3, built.nbytes / 2**20
 
 
 def main() -> None:
@@ -72,6 +75,8 @@ def main() -> None:
         table = engine.allocation_table(mech)
         ms = best_ms(lambda: engine.allocation_table(mech), REPEATS)
         print(f"{label}  allocation_table  {ms:.3f} ms", flush=True)
+        ms = best_ms(lambda: engine.assignment_masks(n, m), REPEATS)
+        print(f"{label}  assignment_masks  {ms:.3f} ms", flush=True)
         for name in KERNELS:
             kernel = getattr(engine, name)
             kernel(table, cls, n)  # builds the class tables it reads
@@ -82,8 +87,8 @@ def main() -> None:
         if m in PUSH_UP_SIZES:
             tables += ("push_up",)
         for table in tables:
-            ms = cold_ms(m, table, COLD_REPEATS)
-            print(f"lex m={m} (cold)  {table}  {ms:.3f} ms", flush=True)
+            ms, mb = cold_ms(m, table, COLD_REPEATS)
+            print(f"lex m={m} (cold)  {table}  {ms:.3f} ms  {mb:.3f} MB", flush=True)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .fairness import (
     ef1_audit,
     ef1_quota_feasibility,
     ef1_random_sweep,
-    identical_instance,
     mms,
     rho_bound,
     rho_floor_sweep,

@@ -237,12 +237,10 @@ def _ef1_equivalence():
     for n in (1, 2, 3):
         for m in range(1, 6):
             domain = additive_class(m)
+            spec = GeneratorSpec(n, m, count=100, seed=700 + 10 * n + m)
             for qo in enumerate_q(n, m):
                 mech = SerialQuota(n, m, domain, qo)
-                audit = ef1_audit(
-                    mech,
-                    GeneratorSpec(n, m, count=100, seed=700 + 10 * n + m),
-                )
+                audit = ef1_audit(mech, spec)
                 feasible = ef1_quota_feasibility(qo.q)
                 clean = len(audit.ef1_violations) == 0
                 results.append((n, m, qo, mech, feasible, audit, clean == feasible))

@@ -9,14 +9,12 @@ and re-played through the pure-Python apply path.
 Profile indexing is mixed-radix with agent 0 as the most significant digit,
 matching `mechanisms.profile_index`: numpy's C-order ravel of a (C,)*n grid,
 agent i's digit weighing C^(n-1-i).  Kernels compute the profile indices
-they need inside each call and read the tables each class holds; the one
-cache here, `assignment_masks`, is keyed by (n, m), so no C^n-sized array
-outlives a check.
+and assignments they need inside each call and read the tables each class
+holds; nothing here is cached, so no array outlives a check.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -305,24 +303,29 @@ def partition_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     return (int(bad[0]), int(union[bad[0]])) if bad.size else None
 
 
-@lru_cache(maxsize=None)
+def assignment_count(n: int, m: int) -> int:
+    """(n+1)^m, the assignments of m goods to n agents or nobody; TooLarge
+    when their bundle table, (n+1)^m rows of n, passes PROFILE_CAP entries."""
+    count = (n + 1) ** m
+    if count * n > PROFILE_CAP:
+        raise TooLarge(f"{count * n} assignment entries exceed the {PROFILE_CAP} cap")
+    return count
+
+
 def assignment_masks(n: int, m: int) -> np.ndarray:
     """All (n+1)^m ways to give each good to an agent or to nobody.
 
     Row a, column j: bundle bitmask of agent j under assignment a; owner n
     means unallocated.  Assignments are ordered with good 0 most significant.
-    Raises TooLarge above PROFILE_CAP entries, before building anything.
+    Raises TooLarge (`assignment_count`) before building anything.
     """
-    count = (n + 1) ** m
-    if count * n > PROFILE_CAP:
-        raise TooLarge(f"{count * n} assignment entries exceed the {PROFILE_CAP} cap")
-    out = np.zeros((count, n), dtype=np.int32)
-    for g in range(m):
-        owner = np.arange(count) // (n + 1) ** (m - 1 - g) % (n + 1)
-        for j in range(n):
-            out[:, j] |= (owner == j) << g
-    out.setflags(write=False)
-    return out
+    count = assignment_count(n, m)
+    owner = np.eye(n + 1, n, dtype=np.int32)  # row o: o's one-hot column, nobody's zero
+    grid = sum(  # good g's owner on axis g, its bit added to that agent's column
+        ((owner << g).reshape((1,) * g + (n + 1,) + (1,) * (m - 1 - g) + (n,)) for g in range(m)),
+        np.zeros((n + 1,) * m + (n,), dtype=np.int32),
+    )
+    return grid.reshape(count, n)
 
 
 def pareto_violation(table: np.ndarray, cls: PreferenceClass, n: int):

@@ -15,8 +15,9 @@ that breaks subset-sum ties instead of redrawing, so every reported number is
 reproducible bit for bit and every m <= MAX_GOODS finishes.
 
 A GeneratorSpec describes and validates every seeded draw, the sweeps' too,
-and one function draws it.  Instances come from the spec and the quota
-alone: the targeted bundles are the quota's consecutive blocks, so no
+and owns what depends on it alone: the random family, drawn once, and the
+identical instance are its cached properties.  The targeted instances come
+from the quota alone: its bundles are the quota's consecutive blocks, so no
 mechanism runs to build them.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -95,6 +96,30 @@ class GeneratorSpec:
             raise ValueError(f"need count >= 0, got count={self.count}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got seed={self.seed}")
+
+    @cached_property
+    def random_values(self) -> np.ndarray:
+        """The random family, int64 of shape (count, n, m), drawn once by
+        `strict_integer_rows`: values uniform in [1, 1000], ties broken."""
+        rows = strict_integer_rows(np.random.default_rng(self.seed), self.count * self.n, self.m)
+        return rows.reshape(self.count, self.n, self.m)
+
+    @cached_property
+    def random_instances(self) -> tuple[CardinalInstance, ...]:
+        """One instance per `random_values` row, each tie-checked once."""
+        return tuple(map(CardinalInstance.from_values, self.random_values.tolist()))
+
+    @cached_property
+    def identical_instance(self) -> CardinalInstance:
+        """Near-identical goods: value 1 + eps*2^g, shared by every agent."""
+        scale = EPS.denominator
+        row = AdditiveStrict(tuple(scale + 2**g for g in range(self.m)), scale)
+        return CardinalInstance((row,) * self.n)
+
+    @cached_property
+    def identical_values(self) -> np.ndarray:
+        """The identical instance's stored rows, shape (1, n, m)."""
+        return _stored_values([self.identical_instance], self.n, self.m)
 
 
 def _values_of(valuation) -> tuple[Fraction, ...]:
@@ -199,13 +224,6 @@ def ef1_quota_feasibility(q: Sequence[int]) -> bool:
     return last == 2 and all(x == 1 for x in head)
 
 
-def identical_instance(n: int, m: int) -> CardinalInstance:
-    """Near-identical goods: value 1 + eps*2^g, shared by every agent."""
-    scale = EPS.denominator
-    row = AdditiveStrict(tuple(scale + 2**g for g in range(m)), scale)
-    return CardinalInstance((row,) * n)
-
-
 def targeted_instances(mech: Mechanism) -> list[CardinalInstance]:
     """Worst-case witnesses for quotas >= 2 before the last position.
 
@@ -235,32 +253,23 @@ def targeted_instances(mech: Mechanism) -> list[CardinalInstance]:
     return out
 
 
-@lru_cache(maxsize=32)
-def random_instances(
-    n: int, m: int, count: int, seed: int
-) -> tuple[CardinalInstance, ...]:
-    """Rows from `strict_integer_rows`: uniform integer values in [1, 1000],
-    a tied row broken to value * 10^6 + 2^g."""
-    vals = _random_values(GeneratorSpec(n, m, ("random",), count, seed))
-    return tuple(map(CardinalInstance.from_values, vals.tolist()))
-
-
-def _random_values(spec: GeneratorSpec) -> np.ndarray:
-    """The spec's random family as int64 values, shape (count, n, m)."""
-    rows = strict_integer_rows(np.random.default_rng(spec.seed), spec.count * spec.n, spec.m)
-    return rows.reshape(spec.count, spec.n, spec.m)
-
-
 def generate_instances(mech: Mechanism, spec: GeneratorSpec) -> list[CardinalInstance]:
     out: list[CardinalInstance] = []
     for family in spec.families:
         if family == "identical":
-            out.append(identical_instance(spec.n, spec.m))
+            out.append(spec.identical_instance)
         elif family == "targeted":
             out.extend(targeted_instances(mech))
         elif family == "random":
-            out.extend(random_instances(spec.n, spec.m, spec.count, spec.seed))
+            out.extend(spec.random_instances)
     return out
+
+
+def _stored_values(instances, n: int, m: int) -> np.ndarray:
+    """The integer rows the instances' AdditiveStricts store, as int64 of
+    shape (count, n, m)."""
+    rows = [valuation.row for inst in instances for valuation in inst.valuations]
+    return np.array(rows, dtype=np.int64).reshape(len(instances), n, m)
 
 
 def _descriptor(mech: SerialQuota) -> str:
@@ -271,7 +280,8 @@ def _audit_instances(
     mech: SerialQuota, spec: GeneratorSpec
 ) -> tuple[list[CardinalInstance], np.ndarray]:
     """The spec's instances for mech, checked for size before any is built,
-    and their exact int64 values, shape (count, n, m): the stored integer rows.
+    and their exact int64 values, shape (count, n, m): the stored integer
+    rows, the spec's own cached ones and the targeted ones in family order.
 
     Dropping a row's scale multiplies that agent's values by a positive
     factor, which changes neither its MMS ratio nor its EF1 comparisons.
@@ -281,8 +291,16 @@ def _audit_instances(
     if (spec.n, spec.m) != (n, m):
         raise DomainError(f"spec is ({spec.n},{spec.m}), mechanism is ({n},{m})")
     instances = generate_instances(mech, spec)
-    rows = [valuation.row for inst in instances for valuation in inst.valuations]
-    return instances, np.array(rows, dtype=np.int64).reshape(len(instances), n, m)
+    families = spec.families
+    targeted = len(instances) - ("identical" in families) - spec.count * ("random" in families)
+    blocks = [np.zeros((0, n, m), dtype=np.int64)]
+    for family in families:
+        if family == "targeted":  # the only family the spec does not hold
+            start = sum(map(len, blocks))
+            blocks.append(_stored_values(instances[start : start + targeted], n, m))
+        else:
+            blocks.append(spec.identical_values if family == "identical" else spec.random_values)
+    return instances, np.concatenate(blocks)
 
 
 def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
@@ -473,7 +491,7 @@ def rho_floor_sweep(
     cross-multiplication, no floats involved.
     """
     bound = rho_bound(n, m)
-    vals = _random_values(GeneratorSpec(n, m, ("random",), count, seed))
+    vals = GeneratorSpec(n, m, ("random",), count, seed).random_values
     q = (1,) * (n - 1) + (m - n + 1,)
     got, shares = _ratios(q, tuple(range(n)), vals)
     viol = bound.denominator * got < shares
@@ -496,7 +514,7 @@ def ef1_random_sweep(
     """
     spec = GeneratorSpec(quota.n, m, ("random",), count, seed)
     mech = SerialQuota(quota.n, m, additive_class(m), quota)
-    vals = _random_values(spec)
+    vals = spec.random_values
     first_pair = _first_envy(mech.quota.q, mech.quota.p, vals)
     bad = np.nonzero(first_pair[:, 0] >= 0)[0]
     if not bad.size:

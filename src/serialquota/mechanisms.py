@@ -170,6 +170,8 @@ class Mechanism:
     domain: PreferenceClass
 
     def __post_init__(self):
+        if self.n < 1:
+            raise TooSmall(f"a mechanism needs n >= 1 agents, got n={self.n}")
         if self.domain.m != self.m:
             raise DomainError(f"mechanism has m={self.m} but its domain has m={self.domain.m}")
 
@@ -261,9 +263,8 @@ def _round_robin(profile: Profile, m: int) -> Allocation:
     remaining = full_mask(m)
     turn = 0
     while remaining:
-        agent = turn % n
-        got = demand(profile[agent], remaining, min(1, remaining.bit_count()))
-        bundles[agent] |= got
+        got = demand(profile[turn % n], remaining, 1)
+        bundles[turn % n] |= got
         remaining &= ~got
         turn += 1
     return Allocation(m, tuple(bundles))
@@ -339,11 +340,7 @@ def index_to_profile(idx: int, cls: PreferenceClass, n: int) -> Profile:
     c = len(cls)
     if not 0 <= idx < c**n:
         raise NotInClass(f"profile index {idx} out of range")
-    digits = []
-    for _ in range(n):
-        digits.append(idx % c)
-        idx //= c
-    return tuple(cls.members[d] for d in reversed(digits))
+    return tuple(cls.members[idx // c ** (n - 1 - i) % c] for i in range(n))
 
 
 def serial_quota(q, p, domain: PreferenceClass) -> SerialQuota:

@@ -60,14 +60,7 @@ def full_mask(m: int) -> Mask:
 
 
 def goods_of(mask: Mask) -> list[int]:
-    out = []
-    g = 0
-    while mask:
-        if mask & 1:
-            out.append(g)
-        mask >>= 1
-        g += 1
-    return out
+    return [g for g in range(mask.bit_length()) if mask >> g & 1]
 
 
 def mask_of(goods) -> Mask:
@@ -113,11 +106,7 @@ class Permutation:
         return cls(tuple(v))
 
     def apply_mask(self, mask: Mask) -> Mask:
-        out = 0
-        for i in range(self.m):
-            if mask >> i & 1:
-                out |= 1 << self.map[i]
-        return out
+        return sum(1 << self.map[i] for i in goods_of(mask))
 
     @cached_property
     def mask_image(self) -> np.ndarray:
@@ -149,12 +138,9 @@ def _check_monotone_bijection(rank: tuple[int, ...], m: int) -> None:
         raise ValueError("rank is not a bijection onto 0..2^m-1")
     # Covers generate inclusion, so checking single-good supersets suffices.
     for s in range(1 << m):
-        for g in range(m):
-            if not s >> g & 1:
-                if rank[s] >= rank[s | (1 << g)]:
-                    raise ValueError(
-                        f"not weakly monotone: rank[{s}] >= rank[{s | (1 << g)}]"
-                    )
+        for g in goods_of(full_mask(m) & ~s):
+            if rank[s] >= rank[s | 1 << g]:
+                raise ValueError(f"not weakly monotone: rank[{s}] >= rank[{s | 1 << g}]")
 
 
 @dataclass(frozen=True)
@@ -349,13 +335,8 @@ def strongly_desires(pref: Preference, s: Mask) -> bool:
 
 def is_push_up(candidate: Preference, base: Preference, s: Mask) -> bool:
     """True iff every Z weakly below s under base stays weakly below s under candidate."""
-    rb = base.rank
-    rc = candidate.rank
-    ts_base, ts_cand = rb[s], rc[s]
-    for z in range(len(rb)):
-        if rb[z] <= ts_base and rc[z] > ts_cand:
-            return False
-    return True
+    rb, rc = base.rank, candidate.rank
+    return all(c <= rc[s] for b, c in zip(rb, rc) if b <= rb[s])
 
 
 def _linear_extensions(m: int):
@@ -465,7 +446,8 @@ class PreferenceClass:
 
     @cached_property
     def demands(self) -> np.ndarray:
-        """dt[k, i, pool] = k-demand of member i from pool (k clamped to |pool|).
+        """dt[k, i, pool] = k-demand of member i from pool (k clamped to |pool|),
+        in the narrowest unsigned dtype that holds a subset mask.
 
         Built from `ranks` for all members at once, level by level over pool
         sizes: a pool of at most k goods is its own demand, and the best
@@ -478,7 +460,7 @@ class PreferenceClass:
         m = self.m
         pools = np.arange(1 << m, dtype=ranks.dtype)
         levels = _pool_levels(m)
-        out = np.empty((m + 1, *ranks.shape), dtype=np.int32)
+        out = np.empty((m + 1, *ranks.shape), dtype=np.min_scalar_type((1 << m) - 1))
         for k in range(m + 1):
             # [pool, i]: pools are rows, so a level's sub-pools are row
             # gathers.  Keys stay below 2^(2m), within int32 for any class
@@ -491,7 +473,7 @@ class PreferenceClass:
                 for col in subs.T[1:]:
                     np.maximum(top, np.take(best, col, axis=0), out=top)
                 best[level] = top
-            np.bitwise_and(best.T, (1 << m) - 1, out=out[k])
+            np.bitwise_and(best.T, (1 << m) - 1, out=out[k], casting="unsafe")
         out.setflags(write=False)
         return out
 

@@ -12,6 +12,7 @@ serialize directly and can be replayed through the pure-Python
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Any
 
 import numpy as np
@@ -111,9 +112,9 @@ def check(mech: Mechanism, props) -> list[PropertyReport]:
     Every report counts the table's profiles.
 
     Nothing is built for a check that cannot be decided: an unknown
-    property raises ValueError, and the cached tables the push-up and
-    Pareto kernels need (whose TooLarge gates do not depend on the
-    profiles) are built before the allocation table.
+    property raises ValueError, and the push-up and Pareto gates, which do
+    not depend on the profiles, run before the allocation table is built
+    (the push-up one building the class's cached table).
     """
     props = list(props)
     unknown = [prop for prop in props if prop not in _KERNELS]
@@ -123,7 +124,7 @@ def check(mech: Mechanism, props) -> list[PropertyReport]:
     if PUSH_UP in props:
         engine.push_up_matrix(cls)
     if PARETO in props:
-        engine.assignment_masks(mech.n, cls.m)
+        engine.assignment_count(mech.n, cls.m)
     table = engine.allocation_table(mech)
     reports = []
     for prop in props:
@@ -185,7 +186,7 @@ def check_pareto_efficient(mech: Mechanism) -> PropertyReport:
     also be left unallocated), so it certifies efficiency among all feasible
     allocations, not just partitions.  Raises TooLarge when the profiles
     pass PROFILE_CAP (`engine.allocation_table`) or the assignments' bundle
-    table, (n+1)^m rows of n, would (`engine.assignment_masks`): under the
+    table, (n+1)^m rows of n, would (`engine.assignment_count`): under the
     profile cap that only happens with one member, at m = 1.
     """
     return check(mech, [PARETO])[0]
@@ -255,16 +256,18 @@ def verify_blocking(alloc: Allocation, profile, bundles) -> bool:
 def pareto_blocking(alloc: Allocation, profile) -> tuple[int, ...] | None:
     """Lowest-indexed feasible reallocation Pareto-dominating alloc, or None.
 
-    Scans all (n+1)^m labeled assignments (goods may stay unallocated), so it
-    works for a single allocation/profile pair without a mechanism; the
-    table's cap is `engine.assignment_masks`'s.
+    Scans all (n+1)^m labeled assignments (goods may stay unallocated) as
+    owner tuples, good 0 most significant and owner n meaning nobody: the
+    order and the cap (`engine.assignment_count`) of the engine's table.  So
+    it works for a single allocation/profile pair without a mechanism.
     """
     n = alloc.n
     m = alloc.m
     if len(profile) != n:
         raise ValueError("profile/allocation size mismatch")
-    for row in engine.assignment_masks(n, m):
-        bundles = tuple(int(b) for b in row)
+    engine.assignment_count(n, m)
+    for owners in product(range(n + 1), repeat=m):
+        bundles = tuple(sum(1 << g for g, o in enumerate(owners) if o == j) for j in range(n))
         if verify_blocking(alloc, profile, bundles):
             return bundles
     return None
@@ -283,8 +286,9 @@ def replay_witness(mech: Mechanism, report: PropertyReport) -> bool:
     cls = mech.domain
     n = mech.n
     prop = report.property
-    if prop in (TRUTHFUL, NON_BOSSY):
+    if "profile_index" in w:  # every witness but the control claim's
         profile = index_to_profile(w["profile_index"], cls, n)
+    if prop in (TRUTHFUL, NON_BOSSY):
         i = w["agent"]
         deviated = list(profile)
         deviated[i] = cls.members[w["alt_index"]]
@@ -299,19 +303,15 @@ def replay_witness(mech: Mechanism, report: PropertyReport) -> bool:
             )
         return after.bundles[i] == before.bundles[i] and after != before
     if prop == NEUTRAL:
-        profile = index_to_profile(w["profile_index"], cls, n)
         pi = Permutation(tuple(w["perm"]))
         renamed = tuple(permute_preference(p, pi) for p in profile)
         return apply(mech, renamed) != apply(mech, profile).permute(pi)
     if prop == PARTITION:
-        profile = index_to_profile(w["profile_index"], cls, n)
         return not apply(mech, profile).is_partition
     if prop == PARETO:
-        profile = index_to_profile(w["profile_index"], cls, n)
         cur = apply(mech, profile)
         return verify_blocking(cur, profile, w["blocking_bundles"])
     if prop == PUSH_UP:
-        profile = index_to_profile(w["profile_index"], cls, n)
         pushed = index_to_profile(w["push_profile_index"], cls, n)
         before = apply(mech, profile)
         for j in range(n):

@@ -37,9 +37,7 @@ from serialquota.fairness import (
     ef1_quota_feasibility,
     ef1_random_sweep,
     generate_instances,
-    identical_instance,
     mms,
-    random_instances,
     rho_bound,
     rho_floor_sweep,
     rho_mms_audit,
@@ -152,7 +150,7 @@ def test_bundle_value():
 
 def test_ef1_holds_for_unit_quotas_on_identical_goods():
     mech = serial_quota((1, 1, 2), (0, 1, 2), additive_class(4))
-    inst = identical_instance(3, 4)
+    inst = GeneratorSpec(3, 4).identical_instance
     report = check_ef1(cardinal_apply(mech, inst), inst)
     assert report.holds
 
@@ -198,7 +196,7 @@ def test_feasibility_rule_examples():
 # ---------------------------------------------------------------- generators
 
 def test_identical_instance_is_strict_and_near_uniform():
-    inst = identical_instance(2, 4)
+    inst = GeneratorSpec(2, 4).identical_instance
     row = inst.valuations[0].values
     assert row == tuple(1 + EPS * 2**g for g in range(4))
     assert inst.valuations[0] == inst.valuations[1]
@@ -237,11 +235,39 @@ def test_targeted_instances_empty_for_feasible_quotas():
 
 
 def test_random_instances_deterministic_and_strict():
-    a = random_instances(2, 4, 10, seed=9)
-    b = random_instances(2, 4, 10, seed=9)
-    assert a == b
+    """Equal specs give equal instances; another seed gives others."""
+    spec = GeneratorSpec(2, 4, count=10, seed=9)
+    a = spec.random_instances
+    assert spec.random_instances is a  # drawn once per spec
+    assert GeneratorSpec(2, 4, count=10, seed=9).random_instances == a
+    assert GeneratorSpec(2, 4, ("random",), count=10, seed=9).random_instances == a
     assert len(a) == 10
-    assert a != random_instances(2, 4, 10, seed=10)
+    assert GeneratorSpec(2, 4, count=10, seed=10).random_instances != a
+    assert GeneratorSpec(2, 4).identical_instance == GeneratorSpec(2, 4, ("identical",)).identical_instance
+
+
+def test_a_spec_draws_once(monkeypatch):
+    """Audits on one spec share its draw: two EF1 audits and an MMS audit
+    call strict_integer_rows once between them, and give the reports a
+    fresh spec gives."""
+    calls = []
+    draw = serialquota.fairness.strict_integer_rows
+
+    def counted(*args):
+        calls.append(args[1:])
+        return draw(*args)
+
+    monkeypatch.setattr(serialquota.fairness, "strict_integer_rows", counted)
+    spec = GeneratorSpec(3, 5, count=30, seed=4)
+    dirty = serial_quota((2, 2, 1), (0, 1, 2), additive_class(5))
+    clean = serial_quota((1, 1, 3), (0, 1, 2), additive_class(5))
+    audits = [ef1_audit(dirty, spec), ef1_audit(clean, spec), rho_mms_audit(clean, spec)]
+    assert calls == [(90, 5)]
+    fresh = [ef1_audit(dirty, GeneratorSpec(3, 5, count=30, seed=4)),
+             ef1_audit(clean, GeneratorSpec(3, 5, count=30, seed=4)),
+             rho_mms_audit(clean, GeneratorSpec(3, 5, count=30, seed=4))]
+    assert audits == fresh
+    assert len(calls) == 4
 
 
 def test_generator_spec_rejects_unknown_family():
@@ -420,8 +446,9 @@ def test_strict_integer_rows_are_the_same_in_smaller_chunks(rows, monkeypatch):
 def test_random_instances_are_the_generator_rows():
     n, m, count, seed = 2, 6, 50, 5
     rows = strict_integer_rows(np.random.default_rng(seed), count * n, m)
-    insts = random_instances(n, m, count, seed)
-    assert [v.values for inst in insts for v in inst.valuations] == [
+    spec = GeneratorSpec(n, m, ("random",), count, seed)
+    assert spec.random_values.tolist() == rows.reshape(count, n, m).tolist()
+    assert [v.values for inst in spec.random_instances for v in inst.valuations] == [
         tuple(int(v) for v in row) for row in rows
     ]
     assert (rows > 1000).any()  # some rows had ties to break

@@ -200,6 +200,16 @@ def test_counter_non_neutral_branches():
     assert alloc.bundles[0] == mask_of([1])
 
 
+def test_mechanisms_need_an_agent():
+    """n = 0 is refused where a mechanism is built, as descriptors refuse
+    it: a zero-agent table no longer reaches the Pareto scan, nor a
+    zero-agent round robin the apply path."""
+    with pytest.raises(TooSmall, match="n >= 1"):
+        TableMechanism(0, 1, lex_class(1), ((),))
+    with pytest.raises(TooSmall, match="n >= 1"):
+        RoundRobin(0, 2, lex_class(2))
+
+
 def test_counterexamples_validate_sizes():
     with pytest.raises(TooSmall):
         CounterNonTruthful(1, 2, lex_class(2))

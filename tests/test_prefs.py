@@ -511,6 +511,7 @@ def test_class_tables_match_scalar_demand_and_desire(build, m):
     ]
     desire = [[strongly_desires(p, s) for s in pools] for p in cls.members]
     assert cls.demands.tolist() == demands
+    assert cls.demands.dtype == np.uint8  # m <= 8: a subset mask fits a byte
     assert cls.strong_desire.tolist() == desire
 
 

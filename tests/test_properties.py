@@ -339,13 +339,12 @@ def test_blocked_scans_stay_within_their_cells(monkeypatch):
 
 def test_checks_leave_no_profile_sized_state():
     """Checks at lex (2,5), 120^2 profiles, retain nothing of that size once
-    the caches keyed by class or by (n, m) are warm: profile indices are
+    the class's tables are built: profile indices and assignments are
     computed inside each call and freed with it."""
     cls = lex_class(5)
     checks = (check_truthful, check_non_bossy, check_neutral, check_pareto_efficient)
-    for check in checks:  # one agent: warms the class caches, not the (c, 2) ones
+    for check in checks:  # one agent: builds the class's tables, nothing (c, 2)-sized
         check(serial_quota((5,), (0,), cls))
-    engine.assignment_masks(2, 5)
     mech = serial_quota((2, 3), (1, 0), cls)
     gc.collect()
     tracemalloc.start()
@@ -702,6 +701,20 @@ def test_verify_blocking_rejects_non_improvements():
     alloc = Allocation(2, (0b01, 0b10))
     assert not verify_blocking(alloc, profile, (0b01, 0b10))
     assert not verify_blocking(alloc, profile, (0b10, 0b01))  # first agent worse off
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in range(5)])
+def test_pareto_blocking_walks_the_engine_table_in_row_order(n, m):
+    """pareto_blocking's blocker is the first row of engine.assignment_masks
+    that verify_blocking accepts, on random allocations and profiles."""
+    rng = np.random.default_rng(10 * n + m)
+    cls = lex_class(m)
+    rows = engine.assignment_masks(n, m).tolist()
+    for _ in range(6):
+        alloc = Allocation(m, tuple(rows[int(rng.integers(len(rows)))]))
+        profile = tuple(cls.members[int(k)] for k in rng.integers(len(cls), size=n))
+        first = next((tuple(r) for r in rows if verify_blocking(alloc, profile, r)), None)
+        assert pareto_blocking(alloc, profile) == first
 
 
 def test_pareto_blocking_cap():
