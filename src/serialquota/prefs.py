@@ -12,7 +12,9 @@ on all 2^m subsets that extends set inclusion.  Three representations:
   value.  Rational inputs are brought to this one exact integer form on
   construction, and every subset-sum table is built by `subset_sum_table`.
 
-`pref.rank` is the one route from a preference to a subset's rank.
+`pref.rank` is the scalar oracle's route from one preference to a subset's
+rank.  Code that works on a whole class reads `PreferenceClass.ranks`, the
+class's one table of its members' ranks, and never a member's `rank`.
 
 All values are immutable and hashable and cache what is derived from them on
 themselves, so nothing outlives them; every operation is a pure function.
@@ -176,22 +178,35 @@ class Lexicographic:
 
     @cached_property
     def rank(self) -> tuple[int, ...]:
-        """Rank of every subset; index = bitmask, 0 = worst.  The most
-        important good becomes the most significant bit."""
-        weight = np.zeros(self.m, dtype=np.int64)
-        weight[list(self.order)] = 1 << np.arange(self.m - 1, -1, -1)
-        return tuple(subset_sum_table(weight[None])[0].tolist())
+        """Rank of every subset; index = bitmask, 0 = worst."""
+        return tuple(lex_rank_table(np.array([self.order], dtype=np.intp))[0].tolist())
+
+
+def rank_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every rank 0..2^m-1."""
+    return np.min_scalar_type(full_mask(m))
+
+
+def lex_rank_table(orders: np.ndarray) -> np.ndarray:
+    """ranks[j, s] = rank of subset s under the lexicographic order
+    orders[j], in `rank_dtype(m)`; shape (count, 2^m) for orders of shape
+    (count, m).  The most important good becomes the most significant bit:
+    order j gives good g the weight 2^(m-1-position of g)."""
+    count, m = orders.shape
+    weight = np.zeros((count, m), dtype=rank_dtype(m))
+    weight[np.arange(count)[:, None], orders] = 1 << np.arange(m - 1, -1, -1)
+    return subset_sum_table(weight)
 
 
 def subset_sum_table(rows: np.ndarray) -> np.ndarray:
-    """sums[r, s] = the sum of row r over subset s; int64, shape (count, 2^m)
-    for rows of shape (count, m).
+    """sums[r, s] = the sum of row r over subset s, in the rows' dtype;
+    shape (count, 2^m) for rows of shape (count, m).
 
     Built by doubling, one add per entry: the subsets that hold good g are
     those without it plus row[g].
     """
     count, m = rows.shape
-    sums = np.zeros((count, 1 << m), dtype=np.int64)
+    sums = np.zeros((count, 1 << m), dtype=rows.dtype)
     for g in range(m):
         np.add(sums[:, : 1 << g], rows[:, g : g + 1], out=sums[:, 1 << g : 2 << g])
     return sums
@@ -402,7 +417,7 @@ class PreferenceClass:
             raise InvalidDomain("member universe size mismatch")
         if len(self._member_index) != len(self.members):
             raise InvalidDomain("explicit class has duplicate members")
-        if Lexicographic(tuple(range(self.m))).rank not in self._member_index:
+        if Lexicographic(tuple(range(self.m))) not in self:
             raise InvalidDomain("explicit class must contain every lexicographic preference")
         self.generators  # raises unless closed under both
 
@@ -421,13 +436,21 @@ class PreferenceClass:
         return len(self.members)
 
     @cached_property
-    def _member_index(self) -> dict[tuple[int, ...], int]:
-        return {p.rank: i for i, p in enumerate(self.members)}
+    def _member_index(self) -> dict[bytes, int]:
+        """Member index by the bytes of its row of `ranks`."""
+        return {row.tobytes(): i for i, row in enumerate(self.ranks)}
+
+    def _key(self, pref: Preference) -> bytes | None:
+        """pref's rank row as `_member_index` keys it; None for a preference
+        over another number of goods, whose ranks need not fit the dtype."""
+        if pref.m != self.m:
+            return None
+        return np.array(pref.rank, dtype=self.ranks.dtype).tobytes()
 
     def index_of(self, pref: Preference) -> int:
         """Index of the member order-identical to pref."""
         self._require_members()
-        idx = self._member_index.get(pref.rank)
+        idx = self._member_index.get(self._key(pref))
         if idx is None:
             raise NotInClass(f"preference not in class {self.tag}(m={self.m})")
         return idx
@@ -435,12 +458,21 @@ class PreferenceClass:
     def __contains__(self, pref) -> bool:
         if not self.enumerable:
             return isinstance(pref, AdditiveStrict) and pref.m == self.m
-        return pref.rank in self._member_index
+        return self._key(pref) in self._member_index
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """ranks[i, s] = rank of subset s under member i; shape (C, 2^m)."""
-        out = np.array([p.rank for p in self.members], dtype=np.int32).reshape(-1, 1 << self.m)
+        """ranks[i, s] = rank of subset s under member i, in `rank_dtype(m)`;
+        shape (C, 2^m).  The class's one table of its members' ranks: lex
+        members are built together from their orders (`lex_rank_table`);
+        only a class with other members (strict_monotone_all, or an
+        explicit class of other orders) stacks their `rank` rows."""
+        m = self.m
+        if all(isinstance(p, Lexicographic) for p in self.members):
+            orders = np.array([p.order for p in self.members], dtype=np.intp)
+            out = lex_rank_table(orders.reshape(len(self.members), m))
+        else:
+            out = np.array([p.rank for p in self.members], dtype=rank_dtype(m))
         out.setflags(write=False)
         return out
 
@@ -458,14 +490,14 @@ class PreferenceClass:
         """
         ranks = self.ranks
         m = self.m
-        pools = np.arange(1 << m, dtype=ranks.dtype)
+        key = np.min_scalar_type((1 << 2 * m) - 1)  # keys stay below 2^(2m)
+        pools = np.arange(1 << m, dtype=key)
         levels = _pool_levels(m)
         out = np.empty((m + 1, *ranks.shape), dtype=np.min_scalar_type((1 << m) - 1))
         for k in range(m + 1):
             # [pool, i]: pools are rows, so a level's sub-pools are row
-            # gathers.  Keys stay below 2^(2m), within int32 for any class
-            # small enough to hold its m! lex orders.
-            best = ranks.T.copy()
+            # gathers, and the keys are laid out in C order for them.
+            best = ranks.T.astype(key, order="C")
             best <<= m
             best |= pools[:, None]
             for level, subs in levels[k + 1 :]:
@@ -528,7 +560,7 @@ class PreferenceClass:
         out = []
         for pi in neutrality_perms(self.m):
             moved = self.ranks[:, np.argsort(pi.mask_image)]  # [i]: member i's image's ranks
-            action = tuple(self._member_index.get(tuple(row)) for row in moved.tolist())
+            action = tuple(self._member_index.get(row.tobytes()) for row in moved)
             if None in action:
                 raise InvalidDomain(f"class {self.tag} not closed under {pi.map}")
             out.append((pi, action, tuple(sorted(range(len(action)), key=action.__getitem__))))

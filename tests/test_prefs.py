@@ -494,16 +494,25 @@ def lex_and_one_orbit(m):
     return explicit_class(m, (*lex_class(m).members, *orbit(stray, m).values()))
 
 
+def lex_explicit(m):
+    """lex(m)'s orders, last first, as an explicit class: every member is
+    Lexicographic, so its rank matrix is built from their orders."""
+    return explicit_class(m, [Lexicographic(o) for o in reversed(list(permutations(range(m))))])
+
+
 @pytest.mark.parametrize("build,m", [
     *((lex_class, m) for m in range(6)),
     *((strict_monotone_class, m) for m in range(4)),
     (lex_and_one_orbit, 3),
+    *((lex_explicit, m) for m in (0, 1, 3, 4)),
 ])
 def test_class_tables_match_scalar_demand_and_desire(build, m):
-    """`demands` and `strong_desire`, built from the rank matrix for all
-    members at once, equal the scalar `demand` and `strongly_desires` of
-    every member, pool and k."""
+    """`ranks`, `demands` and `strong_desire`, built for all members at
+    once, equal the scalar `rank`, `demand` and `strongly_desires` of every
+    member, pool and k."""
     cls = build(m)
+    assert cls.ranks.tolist() == [list(p.rank) for p in cls.members]
+    assert cls.ranks.dtype == np.uint8  # m <= 8: a rank below 2^m fits a byte
     pools = range(1 << m)
     demands = [
         [[demand(p, pool, min(k, pool.bit_count())) for pool in pools] for p in cls.members]
@@ -513,6 +522,31 @@ def test_class_tables_match_scalar_demand_and_desire(build, m):
     assert cls.demands.tolist() == demands
     assert cls.demands.dtype == np.uint8  # m <= 8: a subset mask fits a byte
     assert cls.strong_desire.tolist() == desire
+
+
+@pytest.mark.parametrize("build", [lex_class, lex_explicit], ids=["lex", "explicit"])
+def test_class_tables_never_ask_members_for_rank(build):
+    """The class's tables read its one rank matrix: building them leaves no
+    member holding its own rank tuple."""
+    cls = build(6)
+    for table in ("ranks", "generators", "demands", "strong_desire"):
+        getattr(cls, table)
+    assert not any("rank" in vars(p) for p in cls.members)
+
+
+def test_member_lookup_by_rank_row():
+    """A preference over more goods is not a member, whatever its ranks
+    would be in the class's narrow dtype; duplicates are still refused; and
+    explicit classes' generator actions follow `permute_preference`."""
+    cls = lex_class(3)
+    wide = Lexicographic(tuple(range(9)))  # ranks up to 511 overflow uint8
+    assert wide not in cls
+    with pytest.raises(NotInClass):
+        cls.index_of(wide)
+    with pytest.raises(InvalidDomain, match="duplicate"):
+        explicit_class(3, (*lex_class(3).members, Lexicographic((0, 1, 2))))
+    for explicit in (lex_and_one_orbit(3), lex_explicit(4)):
+        assert_actions_follow_permute_preference(explicit)
 
 
 def test_refused_explicit_class_is_freed():
@@ -554,10 +588,15 @@ def test_checked_class_and_its_members_are_freed():
 def test_generator_actions_and_inverses_follow_permute_preference(tag, m):
     cls = class_from_tag(tag, m)
     assert [pi for pi, _, _ in cls.generators] == prefs.neutrality_perms(m)
+    assert_actions_follow_permute_preference(cls)
+
+
+def assert_actions_follow_permute_preference(cls):
+    """Each generator's action equals a lookup keyed by rank tuples, built
+    here apart from the class's own index, and its inverse undoes it."""
+    index = {p.rank: i for i, p in enumerate(cls.members)}
     for pi, action, inv in cls.generators:
-        assert action == tuple(
-            cls.index_of(permute_preference(p, pi)) for p in cls.members
-        )
+        assert action == tuple(index[permute_preference(p, pi).rank] for p in cls.members)
         assert all(inv[action[i]] == i for i in range(len(cls)))
 
 
