@@ -2,10 +2,10 @@
 """Per-call times of the engine's layers on fixed lex mechanisms.
 
 For each mechanism it times `allocation_table`, the per-call
-`assignment_masks` build the Pareto scan makes, and every forward axiom
-kernel on that table; for each m it times the class tables, each built cold
-on a fresh class, and prints each array's size.  Every time is the best of a
-few calls, in milliseconds:
+`assignment_masks` build the Pareto scan makes, and the forward axiom
+kernels listed for it on that table; for each m it times the class tables,
+each built cold on a fresh class, and prints each array's size.  Every
+time is the best of a few calls, in milliseconds:
 
     PYTHONPATH=src python scripts/bench_kernels.py
 
@@ -18,12 +18,6 @@ import time
 
 from serialquota import class_from_tag, engine, serial_quota
 
-# (q, p, m): lex (3,4), (2,5) and (4,4).
-MECHANISMS = (
-    ((2, 1, 1), (0, 2, 1), 4),
-    ((3, 2), (1, 0), 5),
-    ((1, 2, 1, 0), (3, 1, 0, 2), 4),
-)
 KERNELS = (
     "truthful_violation",
     "nonbossy_violation",
@@ -32,6 +26,15 @@ KERNELS = (
     "control_violation",
     "partition_violation",
     "pareto_violation",
+)
+# (q, p, m, kernels): lex (3,4), (2,5) and (4,4) with every kernel, and lex
+# (1,8), whose control bit rows are four 64-bit words, with the control scan
+# alone.
+MECHANISMS = (
+    ((2, 1, 1), (0, 2, 1), 4, KERNELS),
+    ((3, 2), (1, 0), 5, KERNELS),
+    ((1, 2, 1, 0), (3, 1, 0, 2), 4, KERNELS),
+    ((8,), (0,), 8, ("control_violation",)),
 )
 # The cold class tables per lex m.  The push-up table has C^2 * 2^m
 # entries; at m = 8 (40,320 members) the tables a one-agent quota check
@@ -71,7 +74,7 @@ def cold_ms(m: int, table: str, repeats: int) -> tuple[float, object]:
 
 
 def main() -> None:
-    for q, p, m in MECHANISMS:
+    for q, p, m, kernels in MECHANISMS:
         cls = class_from_tag("lex", m)
         mech = serial_quota(q, p, cls)
         n = mech.n
@@ -81,7 +84,7 @@ def main() -> None:
         print(f"{label}  allocation_table  {ms:.3f} ms", flush=True)
         ms = best_ms(lambda: engine.assignment_masks(n, m), REPEATS)
         print(f"{label}  assignment_masks  {ms:.3f} ms", flush=True)
-        for name in KERNELS:
+        for name in kernels:
             kernel = getattr(engine, name)
             kernel(table, cls, n)  # builds the class tables it reads
             ms = best_ms(lambda: kernel(table, cls, n), REPEATS)

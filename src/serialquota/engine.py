@@ -15,6 +15,7 @@ holds; nothing here is cached, so no array outlives a check.
 
 from __future__ import annotations
 
+from itertools import product
 from operator import attrgetter
 
 import numpy as np
@@ -26,6 +27,7 @@ from .prefs import (
     PreferenceClass,
     full_mask,
     neutrality_perms,  # noqa: F401  read as engine.neutrality_perms by perfbench
+    rank_dtype,
 )
 
 PROFILE_CAP = 10**7
@@ -270,26 +272,25 @@ def neutrality_violation(
     (n,) grid through the generator's action on members.  With `at`, only
     profile `at` and its preimage under each generator are checked: the
     pairs of (profile, image) that involve `at`, both found through the
-    cached action and its inverse.
+    cached action and its inverse, their rows compared as Python ints (a
+    two-row numpy gather costs more than the comparison).
     """
     c = len(cls)
     best = None
     for pos, (pi, action, inverse) in enumerate(cls.generators):
         if at is None:
-            rows = slice(None)  # a view: the full scan copies nothing extra
             image = table.reshape((c,) * n + (n,))
             for k in range(n):
                 image = np.take(image, action, axis=k)
-            image = image.reshape(table.shape)
+            bad = np.flatnonzero((image.reshape(table.shape) != pi.mask_image[table]).any(axis=1))
         else:  # at's pair with its image, and its preimage's pair with it
+            renamed = pi.mask_image
             pairs = sorted({(at, _renamed(at, action, c, n)), (_renamed(at, inverse, c, n), at)})
-            rows = [p for p, _ in pairs]
-            image = table[[q for _, q in pairs]]
-        bad = np.flatnonzero((image != pi.mask_image[table[rows]]).any(axis=1))
-        if bad.size:
-            cand = (int(bad[0] if at is None else rows[bad[0]]), pos)
-            if best is None or cand < best:
-                best = cand
+            bad = [
+                p for p, q in pairs if [renamed[b] for b in table[p].tolist()] != table[q].tolist()
+            ]
+        if len(bad) and (best is None or (int(bad[0]), pos) < best):
+            best = int(bad[0]), pos
     return best
 
 
@@ -397,39 +398,106 @@ def _lowest_on_subgrid(col: np.ndarray, axes, hit) -> int | None:
     """Lowest profile index on the sub-grid np.ix_(*axes) of col, one
     agent's bundles as a (c,)*n grid, whose bundle satisfies hit; None if
     none does.  Each axis index ascends, so the sub-grid lists profiles in
-    ascending order.  The sub-grid is gathered whole: it holds at most one
-    table column, and the table is already in memory."""
-    block = col[np.ix_(*axes)]
-    flat = np.flatnonzero(hit(block))
-    if not flat.size:
-        return None
-    pos = np.unravel_index(flat[0], block.shape)
-    return int(np.ravel_multi_index([a[k] for a, k in zip(axes, pos)], col.shape))
+    ascending order.  It is gathered in slabs, one per index tuple of its
+    leading axes and in that order, up to the first slab with a hit.  A
+    slab's gather broadcasts one 8-byte index per entry and axis; it holds
+    at most about CELLS bytes of them, or one line of the last axis."""
+    lead, size = len(axes) - 1, len(axes[-1])
+    while lead and 8 * len(axes) * size * len(axes[lead - 1]) <= CELLS:
+        lead -= 1
+        size *= len(axes[lead])
+    for head in product(*axes[:lead]):
+        found = hit(col[head][np.ix_(*axes[lead:])])
+        if found.any():
+            pos = np.unravel_index(found.argmax(), found.shape)
+            idx = [*head, *(a[k] for a, k in zip(axes[lead:], pos))]
+            return int(np.ravel_multi_index(idx, col.shape))
+    return None
+
+
+def _bit_rows(bits: np.ndarray) -> np.ndarray:
+    """The rows of bits, shape (rows, 2^m), packed little-endian into words:
+    bit s of a row is bit s % w of its word s // w, w bits wide.  A row of
+    at most 64 bits is one word of the narrowest unsigned type holding it
+    (uint8 up to m = 3, then uint16, uint32, uint64); longer rows are
+    64-bit words."""
+    size = min(max(1, bits.shape[1] // 8), 8)
+    return np.packbits(bits, axis=1, bitorder="little").view(f"<u{size}")
+
+
+def _or_rows(words: np.ndarray) -> np.ndarray:
+    """OR of the rows of words, shape (rows, w), one word column at a time:
+    numpy reduces a column far faster than axis 0 of a narrow 2-D array."""
+    return np.array([np.bitwise_or.reduce(col) for col in words.T], dtype=words.dtype)
 
 
 def control_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (S, agent, trigger_idx, violating_idx) breaking the control claim.
 
-    For each S, let D be the members that strongly desire it.  Agent i's
-    triggers are the profiles on the D^n sub-grid where she gets all of S,
-    and her violations those with her report in D where she does not; both
-    are scanned in ascending profile order (`_lowest_on_subgrid`).
+    Agent i breaks it on S when she gets all of S at a profile where every
+    agent strongly desires S (a trigger) and misses part of S at a profile
+    where she strongly desires it (a violation).  Subsets S are bits
+    (`_bit_rows`): one row per member (bit S: she strongly desires S) and
+    one per bundle b (bit S: S inside b).  One pass over the profiles ORs,
+    for each agent, (every agent's desire row AND her bundle's row) into her
+    trigger bits and (her desire row AND NOT her bundle's row) into her
+    violation bits.  The lowest S set in both, then the lowest agent, is the
+    pair that a loop over S and then over the agents meets first; only for
+    it are the trigger and the violating profile looked up, each the lowest
+    on its sub-grid of the members desiring S (`_lowest_on_subgrid`).
+
+    Profiles are scanned in blocks of about CELLS bytes: one 8-byte bundle
+    index and two word rows per profile.  A block is whole rows of the grid
+    of the last agents' reports, so their desire rows are broadcast, not
+    gathered, and an agent's bundle rows are ANDed per report before they
+    meet that report's desire row.
     """
     c = len(cls)
-    sd = cls.strong_desire
-    every = np.arange(c)
+    desire = _bit_rows(cls.strong_desire)
+    subsets = np.arange(1 << cls.m, dtype=rank_dtype(cls.m))
+    within = _bit_rows((subsets & ~subsets[:, None]) == 0)  # [b, S]: S inside b
+    words = desire.shape[1]
+    step = max(1, CELLS // (8 + 2 * desire[0].nbytes))  # profiles per block
+    span, tail = 1, 0  # a grid row: the reports of the last `tail` agents
+    while tail < n and span * c <= step:
+        span *= c
+        tail += 1
+    head = n - tail
+    every_tail = np.full((span, words), np.iinfo(desire.dtype).max, dtype=desire.dtype)
+    for j in range(head, n):
+        every_tail.reshape(-1, c, c ** (n - 1 - j), words)[...] &= desire[:, None]
+    grid_rows = table.shape[0] // span
+    per_block = max(1, step // span)
+    hits = np.zeros((2, n, words), dtype=desire.dtype)  # [trigger, violation][agent]
+    for lo in range(0, grid_rows, per_block):
+        h = np.arange(lo, min(lo + per_block, grid_rows))
+        head_desire = [desire[h // c ** (head - 1 - j) % c] for j in range(head)]
+        every = every_tail
+        for rows in head_desire:
+            every = every & rows[:, None]
+        every = every.reshape(-1, words)
+        block = table[lo * span : (lo + h.size) * span]
+        for i in range(n):
+            # np.take is several times slower on a strided int32 index.
+            held = np.take(within, block[:, i].astype(np.intp), axis=0)
+            if i < head:  # one report per grid row
+                kept = np.bitwise_and.reduce(held.reshape(h.size, span, words), axis=1)
+                own = head_desire[i]
+            else:  # report on the middle axis
+                kept = held.reshape(-1, c, c ** (n - 1 - i), words)
+                kept = np.bitwise_and.reduce(kept, axis=(0, 2))
+                own = desire
+            hits[1, i] |= _or_rows(own & ~kept)
+            held &= every
+            hits[0, i] |= _or_rows(held)
+    found = [int.from_bytes(row.tobytes(), "little") for row in hits[0] & hits[1]]
+    first = min((((b & -b).bit_length() - 1, i) for i, b in enumerate(found) if b), default=None)
+    if first is None:
+        return None
+    s, i = first
+    desiring = np.flatnonzero(cls.strong_desire[:, s])
     dims = _report_axes(c, n)
-    cols = [table[:, i].reshape((c,) * dims) for i in range(n)]
-    for s in range(1, 1 << cls.m):
-        desire = np.flatnonzero(sd[:, s])
-        if not desire.size:
-            continue
-        for i, col in enumerate(cols):
-            trig = _lowest_on_subgrid(col, [desire] * dims, lambda b: (b & s) == s)
-            if trig is None:
-                continue
-            axes = [desire if k == i else every for k in range(dims)]
-            viol = _lowest_on_subgrid(col, axes, lambda b: (b & s) != s)
-            if viol is not None:
-                return s, i, trig, viol
-    return None
+    col = table[:, i].reshape((c,) * dims)
+    trig = _lowest_on_subgrid(col, [desiring] * dims, lambda b: (b & s) == s)
+    axes = [desiring if k == i else np.arange(c) for k in range(dims)]
+    return s, i, trig, _lowest_on_subgrid(col, axes, lambda b: (b & s) != s)

@@ -280,9 +280,9 @@ BLOCKED_KERNELS = (
 
 
 def test_blocked_scans_give_the_same_witness(monkeypatch):
-    """One deviation row (or one slab of a control sub-grid) per block finds
-    the witness that one block finds, including witnesses that lie past the
-    first block."""
+    """One deviation row (or one profile of the control scan, and one line
+    of its witness sub-grids) per block finds the witness that one block
+    finds, including witnesses that lie past the first block."""
     late = engine.allocation_table(serial_quota((1, 2), (0, 1), LEX3)).copy()
     late[-1] = (1, 2)  # only the last profile changes
     cases = [(2, 3, [late]), (3, 3, [])]
@@ -311,30 +311,36 @@ def test_blocked_scans_give_the_same_witness(monkeypatch):
 def test_blocked_scans_stay_within_their_cells(monkeypatch):
     """At lex (2,5) the traced peak of each blocked scan stays within 16
     bytes per entry of engine.CELLS, while a whole scan's (c, c, c) rank
-    gather alone is about 6.9 MB."""
-    n, m = 2, 5
-    cls = lex_class(m)
-    c = len(cls)
-    cells = 4 * c * c  # four deviation rows per block
-    rng = np.random.default_rng(2)
-    # A random partition table, and one that may leave goods unallocated, so
-    # that the non-bossy comparison runs too.
-    partition, leftovers = [
-        rows[rng.integers(rows.shape[0], size=c**n)]
-        for rows in (_choice_masks(n, m, partition_only=True), engine.assignment_masks(n, m))
-    ]
-    monkeypatch.setattr(engine, "CELLS", cells)
-    for table in (partition, leftovers):
-        for kernel in BLOCKED_KERNELS:
-            kernel(table, cls, n)  # fill the engine's caches
-            tracemalloc.start()
-            try:
-                kernel(table, cls, n)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * cells, (kernel.__name__, peak)
-    assert engine.nonbossy_violation(leftovers, cls, n) is not None
+    gather alone is about 6.9 MB.  At lex (4,4), 331,776 profiles, so does
+    the control scan with its witness look-up, where one uint16 word per
+    profile, unblocked, would take 663 KB."""
+    cases = (
+        (2, 5, BLOCKED_KERNELS, engine.nonbossy_violation),
+        (4, 4, (engine.control_violation,), engine.control_violation),
+    )
+    for n, m, kernels, breaks in cases:
+        cls = lex_class(m)
+        c = len(cls)
+        cells = 4 * c * c  # four deviation rows per block
+        rng = np.random.default_rng(2)
+        # A random partition table, and one that may leave goods unallocated,
+        # so that the non-bossy comparison runs too.
+        partition, leftovers = [
+            rows[rng.integers(rows.shape[0], size=c**n)]
+            for rows in (_choice_masks(n, m, partition_only=True), engine.assignment_masks(n, m))
+        ]
+        monkeypatch.setattr(engine, "CELLS", cells)
+        for table in (partition, leftovers):
+            for kernel in kernels:
+                kernel(table, cls, n)  # build the class's tables
+                tracemalloc.start()
+                try:
+                    kernel(table, cls, n)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 16 * cells, (kernel.__name__, n, m, peak)
+        assert breaks(leftovers, cls, n) is not None
 
 
 def test_checks_leave_no_profile_sized_state():
@@ -777,6 +783,76 @@ def test_control_witness_matches_scalar_scan(n, m):
         assert engine.control_violation(table, cls, n) == expected
         verdicts.append(expected is None)
     assert any(verdicts) and not all(verdicts)
+
+
+def subgrid_control_witness(table, cls, n):
+    """Lowest (S, agent, trigger, violation) breaking the control claim, by
+    a loop over the subsets S and then the agents: with D the members that
+    strongly desire S, agent i's triggers are the profiles on the D^n
+    sub-grid where she gets all of S, her violations those with her report
+    in D where she does not, each the lowest on its sub-grid."""
+    c = len(cls)
+    dims = n if c > 1 else 1  # a one-member class has one profile
+    cols = [table[:, i].reshape((c,) * dims) for i in range(n)]
+
+    def lowest(col, axes, hit):
+        block = col[np.ix_(*axes)]
+        flat = np.flatnonzero(hit(block))
+        if not flat.size:
+            return None
+        pos = np.unravel_index(flat[0], block.shape)
+        return int(np.ravel_multi_index([a[k] for a, k in zip(axes, pos)], col.shape))
+
+    for s in range(1, 1 << cls.m):
+        desire = np.flatnonzero(cls.strong_desire[:, s])
+        if not desire.size:
+            continue
+        for i, col in enumerate(cols):
+            trig = lowest(col, [desire] * dims, lambda b: (b & s) == s)
+            if trig is None:
+                continue
+            axes = [desire if k == i else np.arange(c) for k in range(dims)]
+            viol = lowest(col, axes, lambda b: (b & s) != s)
+            if viol is not None:
+                return s, i, trig, viol
+    return None
+
+
+def later_word_mutant(m, k, good):
+    """The one-agent lex quota table giving her best k goods, with `good`
+    taken out of her bundle at the first profile whose bundle holds it.
+    Every S the mutant breaks holds `good`, so the lowest is at least
+    2^good: bit 2^good of a control bit row, in word 2^good // 64."""
+    table = engine.allocation_table(serial_quota((k,), (0,), lex_class(m))).copy()
+    idx = int(np.flatnonzero(table[:, 0] >> good & 1)[0])
+    table[idx, 0] &= ~(1 << good)
+    return table
+
+
+@pytest.mark.parametrize("tag,n,m", [
+    ("lex", 2, 2), ("lex", 3, 3), ("lex", 2, 4), ("lex", 2, 5), ("lex", 1, 6),
+    ("lex", 1, 7), ("lex", 1, 8), ("strict_monotone_all", 2, 3), ("lex", 20, 1),
+])
+def test_control_bit_rows_match_subgrid_scan(tag, n, m):
+    """The bit-row control scan against the loop over subsets, at every word
+    width: uint8 (m <= 3), uint16, uint32, one uint64 (m = 6), and two or
+    four 64-bit words (m = 7, 8), where a mutant's lowest S lies in a later
+    word.  At m = 1 the class has one member, so twenty agents make one
+    profile, and no table breaks the claim."""
+    cls = class_from_tag(tag, m)
+    rng = np.random.default_rng(10 * n + m)
+    tables = list(table_cases(n, m, cls, rng, mutants=4, randoms=0))
+    if m >= 7:
+        tables.append(later_word_mutant(m, 3, m - 1))
+    verdicts = []
+    for table in tables:
+        expected = subgrid_control_witness(table, cls, n)
+        assert engine.control_violation(table, cls, n) == expected
+        verdicts.append(expected)
+    if m >= 7:
+        assert verdicts[-1][0] >= 1 << (m - 1)
+    if m > 1:
+        assert None in verdicts and any(verdicts)
 
 
 def test_first_picker_controls_her_demand_sized_prefixes():
