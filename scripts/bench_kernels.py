@@ -4,8 +4,11 @@
 For each mechanism it times `allocation_table`, the per-call
 `assignment_masks` build the Pareto scan makes, and the forward axiom
 kernels listed for it on that table; for each m it times the class tables,
-each built cold on a fresh class, and prints each array's size.  Every
-time is the best of a few calls, in milliseconds:
+each built cold on a fresh class, and prints each array's size; for two
+additive quota mechanisms it times the fairness layer (`generate_instances`,
+`ef1_audit`, `rho_mms_audit`), each call on a fresh `GeneratorSpec` of all
+three families, so the random draw is part of every call.  Every time is
+the best of a few calls, in milliseconds:
 
     PYTHONPATH=src python scripts/bench_kernels.py
 
@@ -16,7 +19,8 @@ kernel scans its whole table.
 
 import time
 
-from serialquota import class_from_tag, engine, serial_quota
+from serialquota import GeneratorSpec, additive_class, class_from_tag, engine, serial_quota
+from serialquota.fairness import ef1_audit, generate_instances, rho_mms_audit
 
 KERNELS = (
     "truthful_violation",
@@ -46,6 +50,13 @@ CLASS_TABLES = {
     7: ("ranks", "demands", "strong_desire"),
     8: ("ranks", "generators", "demands"),
 }
+# (q, m, count): additive (3,5) and (2,8), each with an early quota of 2 or
+# more, so the targeted family is not empty and EF1 fails.
+FAIRNESS = (
+    ((2, 2, 1), 5, 100),
+    ((2, 6), 8, 20),
+)
+FAIRNESS_CALLS = (generate_instances, ef1_audit, rho_mms_audit)
 REPEATS = 5
 COLD_REPEATS = 3
 
@@ -94,6 +105,12 @@ def main() -> None:
             ms, built = cold_ms(m, table, COLD_REPEATS)
             size = f"  {built.nbytes / 2**20:.3f} MB" if hasattr(built, "nbytes") else ""
             print(f"lex m={m} (cold)  {table}  {ms:.3f} ms{size}", flush=True)
+    for q, m, count in FAIRNESS:
+        mech = serial_quota(q, tuple(range(len(q))), additive_class(m))
+        label = f"additive ({mech.n},{m}) q={q} count={count}"
+        for call in FAIRNESS_CALLS:
+            ms = best_ms(lambda: call(mech, GeneratorSpec(mech.n, m, count=count)), REPEATS)
+            print(f"{label}  {call.__name__}  {ms:.3f} ms", flush=True)
 
 
 if __name__ == "__main__":

@@ -347,8 +347,13 @@ def ac10() -> tuple[bool, str]:
     if not verify_blocking(alloc, inst.valuations, blocking):
         return False, "intro blocking witness failed replay"
     replayed += 1
+    built = {}  # each distinct instance is built and tie-checked once
     for n, m, qo, mech, _feasible, audit, _ok in _ef1_equivalence():
-        for vinst, i, j in audit.ef1_violations:
+        for k, i, j in audit.ef1_violations:
+            key = (n, m, audit.values[k].tobytes(), audit.scales[k].tobytes())
+            if key not in built:
+                built[key] = audit.instance(k)
+            vinst = built[key]
             alloc = cardinal_apply(mech, vinst)
             if check_ef1(alloc, vinst).witness != {"envious": i, "envied": j}:
                 return False, (

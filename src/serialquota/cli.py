@@ -133,6 +133,11 @@ def cmd_verify(args) -> int:
         return 0 if report.verdict == "sets-equal" else 1
     if args.allocations:
         raise ValueError("mutate mode does not take --allocations; it draws partition mutants")
+    if args.q is None and not 1 <= args.n <= args.m + 1:
+        raise ValueError(
+            f"the default base (1,...,1,m-n+1) needs 1 <= --n <= --m + 1, "
+            f"got --n {args.n}, --m {args.m}"
+        )
     guarantee = (1,) * (args.n - 1) + (args.m - args.n + 1,)
     q = guarantee if args.q is None else _ints("--q", args.q)
     base = _quota(args, q)
@@ -182,15 +187,15 @@ def cmd_fairness(args) -> int:
         f"{audit.instances_tested} instances; feasibility predicts "
         f"{'clean' if feasible else 'violations'}"
     )
+    payload = audit_to_json(audit)
     if audit.ef1_violations:
-        inst, i, j = audit.ef1_violations[0]
+        first = payload["ef1_violations"][0]
         witness = {
-            "valuations": [[fraction_to_json(v) for v in row.values] for row in inst.valuations],
-            "envious": i,
-            "envied": j,
+            "valuations": first["instance"]["valuations"],
+            "envious": first["envious"],
+            "envied": first["envied"],
         }
         print(f"  witness: {json.dumps(witness)}")
-    payload = audit_to_json(audit)
     payload["feasible"] = feasible
     _emit(payload, args)
     return 0 if clean == feasible else 1

@@ -5,20 +5,20 @@ most n parts, each share a max-min gather from the row's subset-sum table.
 The gate counts those canonical partitions, sum_{k <= n} S(m, k), against
 the engine's PROFILE_CAP; the rational reference `mms` still loops over all
 n^m labeled ones and keeps an n^m gate.  The partition masks are built in
-blocks, and every block holds at most engine.CELLS entries.  The audits
-and sweeps run on batched int64 kernels over the integer rows each
-AdditiveStrict stores, tested against the rational reference `mms`,
-`bundle_value` and `check_ef1` (value ties are fine there; strictness only
-matters once a mechanism consumes the instance).  Audits draw instances from named
-deterministic families ("identical", "targeted") plus a seeded random family
-that breaks subset-sum ties instead of redrawing, so every reported number is
-reproducible bit for bit and every m <= MAX_GOODS finishes.
+blocks, and every block holds at most engine.CELLS entries.
 
-A GeneratorSpec describes and validates every seeded draw, the sweeps' too,
-and owns what depends on it alone: the random family, drawn once, and the
-identical instance are its cached properties.  The targeted instances come
-from the quota alone: its bundles are the quota's consecutive blocks, so no
-mechanism runs to build them.
+An audit keeps one integer form from draw to report: int64 values (count,
+n, m) and scales (count, n), agent i of instance k valuing good g at
+values[k, i, g] / scales[k, i].  The batched kernels score the values
+alone, since a row's scale changes neither its MMS ratio nor its EF1
+comparisons, and are tested against the rational references `mms`,
+`bundle_value` and `check_ef1`; `FairnessAudit.instance` builds the
+tie-checked `CardinalInstance` a replay needs.  The families are named
+deterministic ones ("identical", "targeted") plus a seeded random one that
+breaks subset-sum ties instead of redrawing, so every reported number is
+reproducible bit for bit and every m <= MAX_GOODS finishes.  A
+GeneratorSpec validates every seeded draw and holds the random and
+identical rows; the targeted rows come from the quota alone.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ import numpy as np
 
 from . import engine
 from .errors import DomainError, TooLarge
-from .mechanisms import (
-    Allocation,
-    CardinalInstance,
-    Mechanism,
-    SerialQuota,
-)
+from .mechanisms import Allocation, CardinalInstance, SerialQuota
 from .prefs import (
     MAX_GOODS,
     AdditiveStrict,
@@ -60,14 +55,29 @@ EF1 = "ef1"
 EPS = Fraction(1, 10**6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairnessAudit:
-    """Result of sweeping a mechanism over a family of cardinal instances."""
+    """Result of sweeping a mechanism over a family of cardinal instances.
+
+    values (count, n, m) and scales (count, n) are the int64 instances the
+    audit scored, in family order; each EF1 violation is (k, envious, envied)
+    for instance k.
+    """
 
     mechanism: str
-    instances_tested: int
     worst_ratio: Fraction | None
-    ef1_violations: tuple[tuple[CardinalInstance, int, int], ...]
+    ef1_violations: tuple[tuple[int, int, int], ...]
+    values: np.ndarray
+    scales: np.ndarray
+
+    @property
+    def instances_tested(self) -> int:
+        return len(self.values)
+
+    def instance(self, k: int) -> CardinalInstance:
+        """Instance k as exact valuations, tie-checked, for replay."""
+        rows = zip(self.values[k].tolist(), self.scales[k].tolist())
+        return CardinalInstance(tuple(AdditiveStrict(tuple(row), scale) for row, scale in rows))
 
 
 @dataclass(frozen=True)
@@ -96,30 +106,27 @@ class GeneratorSpec:
             raise ValueError(f"need count >= 0, got count={self.count}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got seed={self.seed}")
+        drawn = self.count * self.n * max(self.m, 1)  # m = 0 still holds count * n
+        if "random" in self.families and drawn > engine.PROFILE_CAP:
+            raise TooLarge(
+                f"count {self.count:,} draws {drawn:,} random values, above the "
+                f"{engine.PROFILE_CAP:,} cap"
+            )
 
     @cached_property
     def random_values(self) -> np.ndarray:
         """The random family, int64 of shape (count, n, m), drawn once by
-        `strict_integer_rows`: values uniform in [1, 1000], ties broken."""
+        `strict_integer_rows`: values uniform in [1, 1000], ties broken.
+        Every row has scale 1."""
         rows = strict_integer_rows(np.random.default_rng(self.seed), self.count * self.n, self.m)
         return rows.reshape(self.count, self.n, self.m)
 
     @cached_property
-    def random_instances(self) -> tuple[CardinalInstance, ...]:
-        """One instance per `random_values` row, each tie-checked once."""
-        return tuple(map(CardinalInstance.from_values, self.random_values.tolist()))
-
-    @cached_property
-    def identical_instance(self) -> CardinalInstance:
-        """Near-identical goods: value 1 + eps*2^g, shared by every agent."""
-        scale = EPS.denominator
-        row = AdditiveStrict(tuple(scale + 2**g for g in range(self.m)), scale)
-        return CardinalInstance((row,) * self.n)
-
-    @cached_property
     def identical_values(self) -> np.ndarray:
-        """The identical instance's stored rows, shape (1, n, m)."""
-        return _stored_values([self.identical_instance], self.n, self.m)
+        """Near-identical goods shared by every agent, shape (1, n, m): good g
+        is worth 1 + eps*2^g, stored as 10^6 + 2^g at scale 10^6."""
+        row = EPS.denominator + (1 << np.arange(self.m, dtype=np.int64))
+        return np.tile(row, (1, self.n, 1))
 
 
 def _values_of(valuation) -> tuple[Fraction, ...]:
@@ -224,83 +231,56 @@ def ef1_quota_feasibility(q: Sequence[int]) -> bool:
     return last == 2 and all(x == 1 for x in head)
 
 
-def targeted_instances(mech: Mechanism) -> list[CardinalInstance]:
-    """Worst-case witnesses for quotas >= 2 before the last position.
+def _targeted_values(mech: SerialQuota) -> np.ndarray:
+    """Worst-case witnesses for quotas >= 2 before the last position, int64
+    of shape (count, n, m); the special rows have scale 10^6, the rest 1.
 
-    For each such position, every agent shares a descending valuation except
-    the last picker, who values (almost) only the goods that position's agent
-    receives; her leftover bundle is then worth essentially nothing next to
-    the envied one even after removing a good.  Under the shared descending
-    row, position pos takes goods sum(q[:pos]) .. sum(q[:pos+1]) - 1.
+    For each such position, every agent shares a descending valuation
+    (2^(m-g) at good g) except the last picker, who values (almost) only the
+    goods that position's agent receives: those at 2^(m-g), every other good
+    at eps * 2^g.  Her leftover bundle is then worth essentially nothing
+    next to the envied one even after removing a good.  Under the shared
+    descending row, position pos takes goods sum(q[:pos]) .. sum(q[:pos+1]) - 1.
     """
-    if not isinstance(mech, SerialQuota):
-        return []
     q, p = mech.quota.q, mech.quota.p
     n, m = mech.n, mech.m
-    base = AdditiveStrict(tuple(2 ** (m - g) for g in range(m)))
-    scale = EPS.denominator
-    out = []
-    for pos in range(n - 1):
-        if q[pos] < 2:
-            continue
-        target = ((1 << q[pos]) - 1) << sum(q[:pos])
-        special = tuple(
-            base.row[g] * scale if target >> g & 1 else 2**g for g in range(m)
-        )
-        rows = [base] * n
-        rows[p[-1]] = AdditiveStrict(special, scale)
-        out.append(CardinalInstance(tuple(rows)))
+    goods = np.arange(m, dtype=np.int64)
+    base = 1 << (m - goods)
+    positions = [pos for pos in range(n - 1) if q[pos] >= 2]
+    out = np.tile(base, (len(positions), n, 1))
+    for k, pos in enumerate(positions):
+        start = sum(q[:pos])
+        target = (start <= goods) & (goods < start + q[pos])
+        out[k, p[-1]] = np.where(target, base * EPS.denominator, 1 << goods)
     return out
 
 
-def generate_instances(mech: Mechanism, spec: GeneratorSpec) -> list[CardinalInstance]:
-    out: list[CardinalInstance] = []
-    for family in spec.families:
-        if family == "identical":
-            out.append(spec.identical_instance)
-        elif family == "targeted":
-            out.extend(targeted_instances(mech))
-        elif family == "random":
-            out.extend(spec.random_instances)
-    return out
+def generate_instances(mech: SerialQuota, spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The spec's instances for mech in family order, checked for size before
+    any is built: int64 values of shape (count, n, m) and each row's scale,
+    shape (count, n).  The identical and random rows are the spec's own.
 
-
-def _stored_values(instances, n: int, m: int) -> np.ndarray:
-    """The integer rows the instances' AdditiveStricts store, as int64 of
-    shape (count, n, m)."""
-    rows = [valuation.row for inst in instances for valuation in inst.valuations]
-    return np.array(rows, dtype=np.int64).reshape(len(instances), n, m)
-
-
-def _descriptor(mech: SerialQuota) -> str:
-    return f"serial_quota q={mech.quota.q} p={mech.quota.p}"
-
-
-def _audit_instances(
-    mech: SerialQuota, spec: GeneratorSpec
-) -> tuple[list[CardinalInstance], np.ndarray]:
-    """The spec's instances for mech, checked for size before any is built,
-    and their exact int64 values, shape (count, n, m): the stored integer
-    rows, the spec's own cached ones and the targeted ones in family order.
-
-    Dropping a row's scale multiplies that agent's values by a positive
-    factor, which changes neither its MMS ratio nor its EF1 comparisons.
-    AdditiveStrict keeps every row sum below 2^62, inside int64.
+    Every row sum stays below 2^62, so every int64 subset sum is exact.
     """
     n, m = mech.n, mech.m
     if (spec.n, spec.m) != (n, m):
         raise DomainError(f"spec is ({spec.n},{spec.m}), mechanism is ({n},{m})")
-    instances = generate_instances(mech, spec)
-    families = spec.families
-    targeted = len(instances) - ("identical" in families) - spec.count * ("random" in families)
-    blocks = [np.zeros((0, n, m), dtype=np.int64)]
-    for family in families:
-        if family == "targeted":  # the only family the spec does not hold
-            start = sum(map(len, blocks))
-            blocks.append(_stored_values(instances[start : start + targeted], n, m))
+    values, scales = [np.zeros((0, n, m), dtype=np.int64)], [np.zeros((0, n), dtype=np.int64)]
+    for family in spec.families:
+        if family == "identical":
+            block, scale = spec.identical_values, np.full(n, EPS.denominator)
+        elif family == "targeted":
+            block = _targeted_values(mech)
+            scale = np.where(np.arange(n) == mech.quota.p[-1], EPS.denominator, 1)
         else:
-            blocks.append(spec.identical_values if family == "identical" else spec.random_values)
-    return instances, np.concatenate(blocks)
+            block, scale = spec.random_values, np.ones(n, dtype=np.int64)
+        values.append(block)
+        scales.append(np.broadcast_to(scale, block.shape[:2]))
+    return np.concatenate(values), np.concatenate(scales)
+
+
+def _descriptor(mech: SerialQuota) -> str:
+    return f"serial_quota q={mech.quota.q} p={mech.quota.p}"
 
 
 def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
@@ -310,23 +290,21 @@ def rho_mms_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
     makes the bound vacuous, also scored 1.
     """
     _canonical_gate(mech.n, mech.m)  # before any instance is built
-    instances, vals = _audit_instances(mech, spec)
+    values, scales = generate_instances(mech, spec)
     worst = None
-    if instances:
-        worst = _worst_ratio(*_ratios(mech.quota.q, mech.quota.p, vals))
-    return FairnessAudit(_descriptor(mech), len(instances), worst, ())
+    if len(values):
+        worst = _worst_ratio(*_ratios(mech.quota.q, mech.quota.p, values))
+    return FairnessAudit(_descriptor(mech), worst, (), values, scales)
 
 
 def ef1_audit(mech: SerialQuota, spec: GeneratorSpec) -> FairnessAudit:
     """EF1 on every generated instance; collect the first envy pair per
     failing instance, in generation order."""
-    instances, vals = _audit_instances(mech, spec)
-    first = _first_envy(mech.quota.q, mech.quota.p, vals)
-    violations = tuple(
-        (instances[k], int(first[k, 0]), int(first[k, 1]))
-        for k in np.nonzero(first[:, 0] >= 0)[0]
-    )
-    return FairnessAudit(_descriptor(mech), len(instances), None, violations)
+    values, scales = generate_instances(mech, spec)
+    first = _first_envy(mech.quota.q, mech.quota.p, values)
+    bad = np.nonzero(first[:, 0] >= 0)[0]
+    violations = tuple(zip(bad.tolist(), first[bad, 0].tolist(), first[bad, 1].tolist()))
+    return FairnessAudit(_descriptor(mech), None, violations, values, scales)
 
 
 def strict_integer_rows(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
@@ -506,23 +484,19 @@ def rho_floor_sweep(
 def ef1_random_sweep(
     quota, m: int, count: int, seed: int
 ) -> tuple[int, tuple[CardinalInstance, int, int] | None]:
-    """EF1 over seeded random integer instances via exact integer arithmetic.
+    """EF1 over seeded random integer instances: `ef1_audit` on a
+    ("random",) spec.
 
     Returns the number of violating instances and the first violation as
     (instance, envious, envied), replayable through check_ef1.  The quota
     must fit m, as the audits' mechanism does.
     """
     spec = GeneratorSpec(quota.n, m, ("random",), count, seed)
-    mech = SerialQuota(quota.n, m, additive_class(m), quota)
-    vals = spec.random_values
-    first_pair = _first_envy(mech.quota.q, mech.quota.p, vals)
-    bad = np.nonzero(first_pair[:, 0] >= 0)[0]
-    if not bad.size:
+    audit = ef1_audit(SerialQuota(quota.n, m, additive_class(m), quota), spec)
+    if not audit.ef1_violations:
         return 0, None
-    k = int(bad[0])
-    inst = CardinalInstance.from_values(vals[k].tolist())
-    i, j = int(first_pair[k, 0]), int(first_pair[k, 1])
-    return int(bad.size), (inst, i, j)
+    k, i, j = audit.ef1_violations[0]
+    return len(audit.ef1_violations), (audit.instance(k), i, j)
 
 
 def rho_bound(n: int, m: int) -> Fraction:

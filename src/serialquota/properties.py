@@ -52,8 +52,9 @@ _KERNELS = {
 class PropertyReport:
     """Outcome of one property check.  profiles_checked counts what the check
     covered: profiles for an exhaustive axiom check, sampled pairs for the
-    sampled push-up check, mutants for mutation falsification and instances
-    for a fairness audit."""
+    sampled push-up check, mutants for mutation falsification and 1 for
+    `fairness.check_ef1` on one allocation.  Fairness audits return a
+    `fairness.FairnessAudit` instead."""
 
     property: str
     holds: bool

@@ -272,13 +272,13 @@ def _validate_table(alloc, cls: PreferenceClass, n: int) -> None:
 
 
 def instance_to_json(inst: CardinalInstance) -> dict:
-    return {
-        "n": inst.n,
-        "m": inst.m,
-        "valuations": [
-            [fraction_to_json(v) for v in row.values] for row in inst.valuations
-        ],
-    }
+    return _instance_json([v.row for v in inst.valuations], [v.scale for v in inst.valuations])
+
+
+def _instance_json(rows: list, scales: list) -> dict:
+    """The instance whose agent i values good g at rows[i][g] / scales[i]."""
+    valuations = [[fraction_to_json(Fraction(v, s)) for v in row] for row, s in zip(rows, scales)]
+    return {"n": len(rows), "m": len(rows[0]), "valuations": valuations}
 
 
 def report_to_json(report: PropertyReport) -> dict:
@@ -298,8 +298,12 @@ def audit_to_json(audit: FairnessAudit) -> dict:
         "worst_ratio": None if ratio is None else fraction_to_json(ratio),
         "worst_ratio_decimal": None if ratio is None else float(ratio),
         "ef1_violations": [
-            {"instance": instance_to_json(inst), "envious": i, "envied": j}
-            for inst, i, j in audit.ef1_violations
+            {
+                "instance": _instance_json(audit.values[k].tolist(), audit.scales[k].tolist()),
+                "envious": i,
+                "envied": j,
+            }
+            for k, i, j in audit.ef1_violations
         ],
     }
 

@@ -195,12 +195,15 @@ def test_verify_mutation_refuses_sizes_it_cannot_falsify(n, m):
 
 
 def test_verify_mutation_rejects_a_negative_default_base(capsys):
-    # With n > m the default base (1,...,1, m-n+1) has a negative last quota.
+    # With n > m + 1 the default base (1,...,1, m-n+1) would have a negative
+    # last quota; the refusal names the flags the user gave, not that quota.
     code = main(["verify", "--n", "3", "--m", "1", "--mode", "mutate", "--no-timestamp"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: quotas must be non-negative: q[2] = -1\n"
+    assert captured.err == (
+        "error: the default base (1,...,1,m-n+1) needs 1 <= --n <= --m + 1, got --n 3, --m 1\n"
+    )
 
 
 BIG = 10**5
@@ -208,7 +211,7 @@ BIG = 10**5
 
 @pytest.mark.parametrize("args, payload, error", [
     (["verify", "--mode", "mutate", "--n", str(BIG), "--m", "3"], None,
-     f"quotas must be non-negative: q[{BIG - 1}] = {4 - BIG}"),
+     f"the default base (1,...,1,m-n+1) needs 1 <= --n <= --m + 1, got --n {BIG}, --m 3"),
     (["check"], {"kind": "round_robin", "n": [0] * BIG, "m": 3},
      f"'n' must be an integer, got [0, 0, 0, 0, 0, 0, 0... ({3 * BIG} chars)"),
     (["check"], {"kind": "serial_quota", "q": [1] * (BIG - 1) + ["1"],
@@ -237,8 +240,12 @@ def test_oversized_inputs_give_one_short_error_line(args, payload, error, mech_f
      "mutate mode does not take --allocations; it draws partition mutants"),
     ("--n 3 --m 3 --mode mutate --q 1,2 --p 0,1 --trials 5",
      "--n 3 does not match quota length 2"),
+    ("--n 4 --m 2 --mode mutate",
+     "the default base (1,...,1,m-n+1) needs 1 <= --n <= --m + 1, got --n 4, --m 2"),
+    ("--n 0 --m 2 --mode mutate",
+     "the default base (1,...,1,m-n+1) needs 1 <= --n <= --m + 1, got --n 0, --m 2"),
 ], ids=["exhaustive-mutation-flags", "exhaustive-default-seed", "mutate-allocations",
-        "mutate-n-mismatch"])
+        "mutate-n-mismatch", "mutate-default-base-n-above-m", "mutate-default-base-n0"])
 def test_verify_refuses_flags_it_would_ignore(args, error, capsys):
     # Each of these used to exit 0 with a verdict that ignored a flag.
     code = main(["verify", *args.split(), "--no-timestamp"])
@@ -483,6 +490,39 @@ def test_fairness_rejects_a_malformed_instance_spec(args, error, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+def test_fairness_refuses_a_random_draw_above_the_cap(capsys):
+    # 10^12 instances of 2 x 4 values: refused before anything is drawn.
+    code = main(["fairness", "ef1", "--q", "1,1", "--m", "4", "--count", "1000000000000",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: count 1,000,000,000,000 draws 8,000,000,000,000 random values, "
+        "above the 10,000,000 cap\n"
+    )
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "reports" / "fairness"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("ef1_q2-2-1_m5", "ef1 --q 2,2,1 --m 5 --count 20 --seed 9"),
+    ("ef1_q1-1-14_m16", "ef1 --q 1,1,14 --m 16 --count 30"),
+    ("mms_q2-2_m4", "mms --q 2,2 --m 4 --count 30 --seed 3"),
+    ("mms_q1-1-3_m5", "mms --q 1,1,3 --m 5 --family targeted,random,identical --count 10"),
+])
+def test_fairness_reports_match_the_committed_ones(name, args, tmp_path, capsys):
+    """Report and stdout byte for byte: identical, targeted (one with a
+    reducible scale) and random witnesses, and both audits."""
+    path = tmp_path / "report.json"
+    code = main(["fairness", *args.split(), "--no-timestamp", "--out", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
 
 
 def test_fairness_rejects_mismatched_n():

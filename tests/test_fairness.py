@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import serialquota
 from serialquota import (
+    AdditiveStrict,
     CardinalInstance,
     DomainError,
     QuotaOverflow,
@@ -42,7 +43,6 @@ from serialquota.fairness import (
     rho_floor_sweep,
     rho_mms_audit,
     strict_integer_rows,
-    targeted_instances,
 )
 from serialquota.mechanisms import apply_serial_quota
 
@@ -112,12 +112,14 @@ def test_rho_audit_checks_the_cap_before_building_instances(monkeypatch):
 
 def test_rho_audit_gates_on_the_engine_profile_cap(monkeypatch):
     # 2^3 = 8 labeled partitions, but S(3,1) + S(3,2) = 4 canonical ones.
+    # The spec's 12 random values are checked against the cap it is built under.
+    spec = GeneratorSpec(2, 3, count=2)
     monkeypatch.setattr(serialquota.engine, "PROFILE_CAP", 4)
     mech = serial_quota((1, 2), (0, 1), additive_class(3))
-    assert rho_mms_audit(mech, GeneratorSpec(2, 3, count=2)).instances_tested == 3
+    assert rho_mms_audit(mech, spec).instances_tested == 3
     monkeypatch.setattr(serialquota.engine, "PROFILE_CAP", 3)
     with pytest.raises(TooLarge, match="^4 partitions of 3 goods into at most 2 parts"):
-        rho_mms_audit(mech, GeneratorSpec(2, 3))
+        rho_mms_audit(mech, spec)
 
 
 def test_rho_audit_reaches_three_agents_over_sixteen_goods():
@@ -150,14 +152,14 @@ def test_bundle_value():
 
 def test_ef1_holds_for_unit_quotas_on_identical_goods():
     mech = serial_quota((1, 1, 2), (0, 1, 2), additive_class(4))
-    inst = GeneratorSpec(3, 4).identical_instance
+    inst = ef1_audit(mech, GeneratorSpec(3, 4, ("identical",))).instance(0)
     report = check_ef1(cardinal_apply(mech, inst), inst)
     assert report.holds
 
 
 def test_ef1_violation_when_an_early_quota_is_two():
     mech = serial_quota((2, 1), (0, 1), additive_class(3))
-    inst = targeted_instances(mech)[0]
+    inst = targeted(mech)[0]
     report = check_ef1(cardinal_apply(mech, inst), inst)
     assert not report.holds
     assert report.witness == {"envious": 1, "envied": 0}
@@ -195,8 +197,16 @@ def test_feasibility_rule_examples():
 
 # ---------------------------------------------------------------- generators
 
+def targeted(mech):
+    """The targeted family's instances, built from the audit's integer rows."""
+    audit = ef1_audit(mech, GeneratorSpec(mech.n, mech.m, ("targeted",)))
+    return [audit.instance(k) for k in range(audit.instances_tested)]
+
+
 def test_identical_instance_is_strict_and_near_uniform():
-    inst = GeneratorSpec(2, 4).identical_instance
+    spec = GeneratorSpec(2, 4, ("identical",))
+    assert spec.identical_values.tolist() == [[[10**6 + 2**g for g in range(4)]] * 2]
+    inst = rho_mms_audit(serial_quota((1, 3), (0, 1), additive_class(4)), spec).instance(0)
     row = inst.valuations[0].values
     assert row == tuple(1 + EPS * 2**g for g in range(4))
     assert inst.valuations[0] == inst.valuations[1]
@@ -204,7 +214,7 @@ def test_identical_instance_is_strict_and_near_uniform():
 
 def test_targeted_instances_cover_each_early_big_quota():
     mech = serial_quota((2, 2, 1), (0, 1, 2), additive_class(5))
-    witnesses = targeted_instances(mech)
+    witnesses = targeted(mech)
     assert len(witnesses) == 2  # positions 0 and 1 both have quota 2
     for inst in witnesses:
         report = check_ef1(cardinal_apply(mech, inst), inst)
@@ -215,7 +225,7 @@ def test_targeted_instance_makes_the_last_picker_envious():
     """The special row leaves the last picker with eps-value goods, so she
     still envies the target bundle after dropping its best good."""
     mech = serial_quota((2, 1), (0, 1), additive_class(3))
-    inst = targeted_instances(mech)[0]
+    inst = targeted(mech)[0]
     alloc = cardinal_apply(mech, inst)
     last = mech.quota.p[-1]
     target = alloc.bundles[mech.quota.p[0]]
@@ -231,19 +241,28 @@ def test_targeted_instance_makes_the_last_picker_envious():
 
 def test_targeted_instances_empty_for_feasible_quotas():
     mech = serial_quota((1, 1, 2), (0, 1, 2), additive_class(4))
-    assert targeted_instances(mech) == []
+    values, scales = generate_instances(mech, GeneratorSpec(3, 4, ("targeted",)))
+    assert values.shape == (0, 3, 4) and scales.shape == (0, 3)
 
 
 def test_random_instances_deterministic_and_strict():
-    """Equal specs give equal instances; another seed gives others."""
+    """Equal specs give equal rows; another seed gives others."""
     spec = GeneratorSpec(2, 4, count=10, seed=9)
-    a = spec.random_instances
-    assert spec.random_instances is a  # drawn once per spec
-    assert GeneratorSpec(2, 4, count=10, seed=9).random_instances == a
-    assert GeneratorSpec(2, 4, ("random",), count=10, seed=9).random_instances == a
-    assert len(a) == 10
-    assert GeneratorSpec(2, 4, count=10, seed=10).random_instances != a
-    assert GeneratorSpec(2, 4).identical_instance == GeneratorSpec(2, 4, ("identical",)).identical_instance
+    a = spec.random_values
+    assert spec.random_values is a  # drawn once per spec
+    assert (GeneratorSpec(2, 4, count=10, seed=9).random_values == a).all()
+    assert (GeneratorSpec(2, 4, ("random",), count=10, seed=9).random_values == a).all()
+    assert a.shape == (10, 2, 4) and a.dtype == np.int64
+    assert (GeneratorSpec(2, 4, count=10, seed=10).random_values != a).any()
+    assert all(distinct_subset_sums(row) for row in a.reshape(20, 4))
+
+
+def same_audit(a, b) -> bool:
+    return (
+        (a.mechanism, a.worst_ratio, a.ef1_violations) == (b.mechanism, b.worst_ratio, b.ef1_violations)
+        and np.array_equal(a.values, b.values)
+        and np.array_equal(a.scales, b.scales)
+    )
 
 
 def test_a_spec_draws_once(monkeypatch):
@@ -266,7 +285,7 @@ def test_a_spec_draws_once(monkeypatch):
     fresh = [ef1_audit(dirty, GeneratorSpec(3, 5, count=30, seed=4)),
              ef1_audit(clean, GeneratorSpec(3, 5, count=30, seed=4)),
              rho_mms_audit(clean, GeneratorSpec(3, 5, count=30, seed=4))]
-    assert audits == fresh
+    assert all(map(same_audit, audits, fresh))
     assert len(calls) == 4
 
 
@@ -278,8 +297,10 @@ def test_generator_spec_rejects_unknown_family():
 def test_generate_instances_respects_family_list():
     mech = serial_quota((1, 2), (0, 1), additive_class(3))
     spec = GeneratorSpec(2, 3, families=("identical", "random"), count=5, seed=0)
-    instances = generate_instances(mech, spec)
-    assert len(instances) == 6  # one identical + five random
+    values, scales = generate_instances(mech, spec)
+    assert values.shape == (6, 2, 3)  # one identical + five random
+    assert scales.tolist() == [[10**6, 10**6]] + [[1, 1]] * 5
+    assert (values[1:] == spec.random_values).all()
 
 
 # ---------------------------------------------------------------- audits
@@ -306,16 +327,21 @@ def test_ef1_audit_clean_vs_dirty():
     dirty = serial_quota((2, 1), (0, 1), additive_class(3))
     audit = ef1_audit(dirty, GeneratorSpec(2, 3, count=50, seed=21))
     assert audit.ef1_violations
-    inst, i, j = audit.ef1_violations[0]
+    k, i, j = audit.ef1_violations[0]
+    inst = audit.instance(k)
     report = check_ef1(cardinal_apply(dirty, inst), inst)
     assert report.witness == {"envious": i, "envied": j}
 
 
 def exact_audits(mech, spec):
     """Both audits recomputed per instance in exact rationals."""
-    instances = generate_instances(mech, spec)
+    values, scales = generate_instances(mech, spec)
+    instances = [
+        CardinalInstance.from_values([[Fraction(v, s) for v in row] for row, s in zip(rows, ss)])
+        for rows, ss in zip(values.tolist(), scales.tolist())
+    ]
     worst, violations = None, []
-    for inst in instances:
+    for k, inst in enumerate(instances):
         alloc = cardinal_apply(mech, inst)
         for i, valuation in enumerate(inst.valuations):
             share = mms(valuation, inst.n)
@@ -324,7 +350,7 @@ def exact_audits(mech, spec):
             worst = ratio if worst is None else min(worst, ratio)
         report = check_ef1(alloc, inst)
         if not report.holds:
-            violations.append((inst, report.witness["envious"], report.witness["envied"]))
+            violations.append((k, report.witness["envious"], report.witness["envied"]))
     return worst, tuple(violations), len(instances)
 
 
@@ -370,7 +396,8 @@ def test_audits_check_the_spec_size_before_building_instances(audit, monkeypatch
     def no_instances(*args):
         raise AssertionError("instances were generated")
 
-    monkeypatch.setattr(serialquota.fairness, "generate_instances", no_instances)
+    monkeypatch.setattr(serialquota.fairness, "strict_integer_rows", no_instances)
+    monkeypatch.setattr(serialquota.fairness, "_targeted_values", no_instances)
     mech = serial_quota((2, 1), (0, 1), additive_class(3))
     with pytest.raises(DomainError, match="spec is \\(2,16\\), mechanism is \\(2,3\\)"):
         audit(mech, GeneratorSpec(2, 16, count=1000))
@@ -448,7 +475,10 @@ def test_random_instances_are_the_generator_rows():
     rows = strict_integer_rows(np.random.default_rng(seed), count * n, m)
     spec = GeneratorSpec(n, m, ("random",), count, seed)
     assert spec.random_values.tolist() == rows.reshape(count, n, m).tolist()
-    assert [v.values for inst in spec.random_instances for v in inst.valuations] == [
+    audit = ef1_audit(serial_quota((1, 5), (0, 1), additive_class(m)), spec)
+    assert audit.values.tolist() == rows.reshape(count, n, m).tolist()
+    assert (audit.scales == 1).all()
+    assert [v.values for k in range(count) for v in audit.instance(k).valuations] == [
         tuple(int(v) for v in row) for row in rows
     ]
     assert (rows > 1000).any()  # some rows had ties to break
@@ -613,6 +643,69 @@ def test_ef1_random_sweep_matches_check_ef1():
     assert ef1_random_sweep(clean_quota, 3, 60, seed=5) == (0, None)
 
 
+def test_ef1_random_sweep_is_the_random_audit():
+    quota = canonicalize((2, 1, 1), (0, 2, 1), 4)
+    count, (inst, i, j) = ef1_random_sweep(quota, 4, 50, seed=6)
+    mech = serial_quota(quota.q, quota.p, additive_class(4))
+    audit = ef1_audit(mech, GeneratorSpec(3, 4, ("random",), 50, 6))
+    k, envious, envied = audit.ef1_violations[0]
+    assert count == len(audit.ef1_violations) > 1
+    assert (inst, i, j) == (audit.instance(k), envious, envied)
+
+
+def test_audits_build_no_additive_strict(monkeypatch):
+    """The audits score the int64 rows as drawn: no AdditiveStrict is built,
+    so no row is tie-checked again.  Replaying instance k builds its n."""
+    checked = []
+    tied = serialquota.prefs.tied_rows
+
+    def counted(rows):
+        checked.append(len(rows))
+        return tied(rows)
+
+    monkeypatch.setattr(serialquota.prefs, "tied_rows", counted)
+    spec = GeneratorSpec(3, 5, count=40, seed=2)
+    for q in ((2, 2, 1), (1, 1, 3)):
+        mech = serial_quota(q, (0, 1, 2), additive_class(5))
+        assert rho_mms_audit(mech, spec).instances_tested == ef1_audit(mech, spec).instances_tested
+    assert checked == []
+    ef1_audit(mech, spec).instance(0)
+    assert checked == [1, 1, 1]
+
+
+@pytest.mark.parametrize("family", ["identical", "targeted", "random"])
+def test_every_violation_replays_through_audit_instance(family):
+    replayed = 0
+    for q, p, m in (((2, 2, 1), (0, 1, 2), 5), ((2, 1), (1, 0), 3), ((3, 1), (0, 1), 4),
+                    ((1, 2, 1), (2, 0, 1), 4), ((1, 1, 2), (0, 1, 2), 4)):
+        mech = serial_quota(q, p, additive_class(m))
+        audit = ef1_audit(mech, GeneratorSpec(mech.n, m, (family,), count=30, seed=11))
+        for k, i, j in audit.ef1_violations:
+            inst = audit.instance(k)
+            assert check_ef1(cardinal_apply(mech, inst), inst).witness == {
+                "envious": i, "envied": j,
+            }
+            replayed += 1
+    assert replayed > 0
+
+
+def test_generator_spec_refuses_a_huge_random_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("rows were drawn")
+
+    monkeypatch.setattr(serialquota.fairness, "strict_integer_rows", no_draw)
+    with pytest.raises(TooLarge, match="^count 1,000,000,000,000 draws 8,000,000,000,000 "
+                                       "random values, above the 10,000,000 cap$"):
+        GeneratorSpec(2, 4, count=10**12)
+    assert GeneratorSpec(2, 4, ("identical", "targeted"), count=10**12).count == 10**12
+    monkeypatch.setattr(serialquota.engine, "PROFILE_CAP", 40)
+    assert GeneratorSpec(2, 4, ("random",), count=5).count == 5
+    with pytest.raises(TooLarge, match="^count 6 draws 48 random values"):
+        GeneratorSpec(2, 4, ("random",), count=6)
+    with pytest.raises(TooLarge, match="^count 41 draws 41 random values"):
+        GeneratorSpec(1, 0, ("random",), count=41)
+
+
 @pytest.mark.parametrize("args, error", [
     ((2, 20, 5, 0), "got n=2, m=20"),  # 4 of 400 rows stay tied at m = 20
     ((2, 4, -1, 0), "need count >= 0, got count=-1"),
@@ -643,12 +736,12 @@ def test_targeted_bundles_are_what_the_quota_gives_on_the_base_profile():
             for qo in enumerate_q(n, m):
                 mech = SerialQuota(n, m, additive_class(m), qo)
                 positions = [pos for pos in range(n - 1) if qo.q[pos] >= 2]
-                witnesses = targeted_instances(mech)
-                assert len(witnesses) == len(positions)
-                for pos, inst in zip(positions, witnesses):
-                    base = inst.valuations[qo.p[0]]
-                    special = inst.valuations[qo.p[-1]]
-                    target = sum(1 << g for g, v in enumerate(special.values) if v >= 1)
+                values, scales = generate_instances(mech, GeneratorSpec(n, m, ("targeted",)))
+                assert len(values) == len(positions)
+                for pos, rows, row_scales in zip(positions, values.tolist(), scales.tolist()):
+                    base = AdditiveStrict(tuple(rows[qo.p[0]]), row_scales[qo.p[0]])
+                    special, scale = rows[qo.p[-1]], row_scales[qo.p[-1]]
+                    target = sum(1 << g for g, v in enumerate(special) if v >= scale)
                     alloc = cardinal_apply(mech, CardinalInstance((base,) * n))
                     assert alloc.bundles[qo.p[pos]] == target, (qo, pos)
                     checked += 1
