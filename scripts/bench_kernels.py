@@ -4,10 +4,11 @@
 For each mechanism it times `allocation_table`, the per-call
 `assignment_masks` build the Pareto scan makes, and the forward axiom
 kernels listed for it on that table; for each m it times the class tables,
-each built cold on a fresh class, and prints each array's size; for two
-additive quota mechanisms it times the fairness layer (`generate_instances`,
-`ef1_audit`, `rho_mms_audit`), each call on a fresh `GeneratorSpec` of all
-three families, so the random draw is part of every call.  Every time is
+each built cold on a fresh class, and prints each array's size; for
+additive quota mechanisms it times the fairness calls listed for each
+(`generate_instances`, `ef1_audit`, `rho_mms_audit`), each call on a fresh
+`GeneratorSpec` of all three families, so the random draw is part of every
+call.  Every time is
 the best of a few calls, in milliseconds:
 
     PYTHONPATH=src python scripts/bench_kernels.py
@@ -42,21 +43,24 @@ MECHANISMS = (
 )
 # The cold class tables per lex m.  The push-up table has C^2 * 2^m
 # entries; at m = 8 (40,320 members) the tables a one-agent quota check
-# builds are timed.
+# and a control check build are timed.
 CLASS_TABLES = {
     4: ("ranks", "demands", "strong_desire", "push_up"),
     5: ("ranks", "demands", "strong_desire", "push_up"),
     6: ("ranks", "demands", "strong_desire"),
     7: ("ranks", "demands", "strong_desire"),
-    8: ("ranks", "generators", "demands"),
+    8: ("ranks", "generators", "demands", "strong_desire"),
 }
-# (q, m, count): additive (3,5) and (2,8), each with an early quota of 2 or
-# more, so the targeted family is not empty and EF1 fails.
-FAIRNESS = (
-    ((2, 2, 1), 5, 100),
-    ((2, 6), 8, 20),
-)
+# (q, m, count, calls): additive (3,5) and (2,8), each with an early quota
+# of 2 or more, so the targeted family is not empty and EF1 fails; and the
+# draw alone at (3,16), where every random row ties (its MMS audit scans 7.2
+# million partitions per row and is left out).
 FAIRNESS_CALLS = (generate_instances, ef1_audit, rho_mms_audit)
+FAIRNESS = (
+    ((2, 2, 1), 5, 100, FAIRNESS_CALLS),
+    ((2, 6), 8, 20, FAIRNESS_CALLS),
+    ((1, 1, 14), 16, 30, (generate_instances,)),
+)
 REPEATS = 5
 COLD_REPEATS = 3
 
@@ -105,10 +109,10 @@ def main() -> None:
             ms, built = cold_ms(m, table, COLD_REPEATS)
             size = f"  {built.nbytes / 2**20:.3f} MB" if hasattr(built, "nbytes") else ""
             print(f"lex m={m} (cold)  {table}  {ms:.3f} ms{size}", flush=True)
-    for q, m, count in FAIRNESS:
+    for q, m, count, calls in FAIRNESS:
         mech = serial_quota(q, tuple(range(len(q))), additive_class(m))
         label = f"additive ({mech.n},{m}) q={q} count={count}"
-        for call in FAIRNESS_CALLS:
+        for call in calls:
             ms = best_ms(lambda: call(mech, GeneratorSpec(mech.n, m, count=count)), REPEATS)
             print(f"{label}  {call.__name__}  {ms:.3f} ms", flush=True)
 

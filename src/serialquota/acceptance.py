@@ -355,7 +355,7 @@ def ac10() -> tuple[bool, str]:
                 built[key] = audit.instance(k)
             vinst = built[key]
             alloc = cardinal_apply(mech, vinst)
-            if check_ef1(alloc, vinst).witness != {"envious": i, "envied": j}:
+            if check_ef1(alloc, vinst) != {"envious": i, "envied": j}:
                 return False, (
                     f"EF1 witness failed replay at ({n},{m}) q={qo.q}: "
                     f"agents {i}->{j}"

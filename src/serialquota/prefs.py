@@ -467,14 +467,21 @@ class PreferenceClass:
         members are built together from their orders (`lex_rank_table`);
         only a class with other members (strict_monotone_all, or an
         explicit class of other orders) stacks their `rank` rows."""
-        m = self.m
-        if all(isinstance(p, Lexicographic) for p in self.members):
-            orders = np.array([p.order for p in self.members], dtype=np.intp)
-            out = lex_rank_table(orders.reshape(len(self.members), m))
+        orders = self._lex_orders()
+        if orders is not None:
+            out = lex_rank_table(orders)
         else:
-            out = np.array([p.rank for p in self.members], dtype=rank_dtype(m))
+            out = np.array([p.rank for p in self.members], dtype=rank_dtype(self.m))
         out.setflags(write=False)
         return out
+
+    def _lex_orders(self) -> np.ndarray | None:
+        """The members' orders, shape (C, m), when every member is
+        `Lexicographic`; None otherwise."""
+        if not all(isinstance(p, Lexicographic) for p in self.members):
+            return None
+        orders = np.array([p.order for p in self.members], dtype=np.intp)
+        return orders.reshape(len(self.members), self.m)
 
     @cached_property
     def demands(self) -> np.ndarray:
@@ -513,16 +520,28 @@ class PreferenceClass:
     def strong_desire(self) -> np.ndarray:
         """sd[i, s] = member i strongly desires subset s; shape (C, 2^m).
 
-        Built from `ranks`, one subset s at a time for all members.  Every
-        member is strictly monotone, so "A strictly inside B inside s ranks
-        below B even with M - s added" needs checking only for A = B - {g}
-        with g in B: every other A lies inside one of those.
+        A member strongly desires S only if S is its best |S|-subset: any
+        other set of |S| goods lies inside (S - g) + (M - S) for some g in
+        S, which ranks below S (the case B = S, A = S - g).  A lex order's
+        best sets are its m + 1 prefixes, each strongly desired, so a class
+        of lex members marks those.  Any other class is built from `ranks`,
+        one subset s at a time for all members.  Every member is strictly
+        monotone, so "A strictly inside B inside s ranks below B even with
+        M - s added" needs checking only for A = B - {g} with g in B: every
+        other A lies inside one of those.
         """
-        ranks = self.ranks
         m = self.m
+        orders = self._lex_orders()
+        if orders is not None:
+            prefixes = np.zeros((len(orders), m + 1), dtype=np.intp)
+            np.cumsum(1 << orders, axis=1, out=prefixes[:, 1:])
+            out = np.zeros((len(orders), 1 << m), dtype=bool)
+            np.put_along_axis(out, prefixes, True, axis=1)
+            out.setflags(write=False)
+            return out
         pools = np.arange(1 << m)
         goods = 1 << np.arange(m)
-        by_subset = ranks.T.copy()  # [subset, i]: gathers take whole rows
+        by_subset = self.ranks.T.copy()  # [subset, i]: gathers take whole rows
         out = np.empty(by_subset.shape, dtype=bool)  # [s, i], transposed below
         for s in range(1 << m):
             inside = pools[(pools & ~s) == 0][:, None]  # every B inside s

@@ -12,7 +12,6 @@ serialize directly and can be replayed through the pure-Python
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Any
 
 import numpy as np
@@ -52,9 +51,7 @@ _KERNELS = {
 class PropertyReport:
     """Outcome of one property check.  profiles_checked counts what the check
     covered: profiles for an exhaustive axiom check, sampled pairs for the
-    sampled push-up check, mutants for mutation falsification and 1 for
-    `fairness.check_ef1` on one allocation.  Fairness audits return a
-    `fairness.FairnessAudit` instead."""
+    sampled push-up check and mutants for mutation falsification."""
 
     property: str
     holds: bool
@@ -82,9 +79,7 @@ def _witness(
         return {"profile_index": idx, "union": union}
     if prop == PUSH_UP:
         idx, agent, alt = hit
-        c = len(cls)
-        w = c ** (n - 1 - agent)  # agent's digit weight
-        push = idx + (alt - idx // w % c) * w
+        push = int(engine.deviation_index(len(cls), n, agent, at=idx)[0, alt])
         return {"profile_index": idx, "push_profile_index": push}
     if prop in (TRUTHFUL, NON_BOSSY):
         idx, agent, alt = hit
@@ -257,18 +252,15 @@ def verify_blocking(alloc: Allocation, profile, bundles) -> bool:
 def pareto_blocking(alloc: Allocation, profile) -> tuple[int, ...] | None:
     """Lowest-indexed feasible reallocation Pareto-dominating alloc, or None.
 
-    Scans all (n+1)^m labeled assignments (goods may stay unallocated) as
-    owner tuples, good 0 most significant and owner n meaning nobody: the
-    order and the cap (`engine.assignment_count`) of the engine's table.  So
-    it works for a single allocation/profile pair without a mechanism.
+    Scans the (n+1)^m labeled assignments (goods may stay unallocated) as
+    the rows of `engine.assignment_masks`, in the Pareto kernel's order and
+    under its cap, so it works for a single allocation/profile pair without
+    a mechanism.
     """
-    n = alloc.n
-    m = alloc.m
-    if len(profile) != n:
+    if len(profile) != alloc.n:
         raise ValueError("profile/allocation size mismatch")
-    engine.assignment_count(n, m)
-    for owners in product(range(n + 1), repeat=m):
-        bundles = tuple(sum(1 << g for g, o in enumerate(owners) if o == j) for j in range(n))
+    for row in engine.assignment_masks(alloc.n, alloc.m):
+        bundles = tuple(row.tolist())
         if verify_blocking(alloc, profile, bundles):
             return bundles
     return None

@@ -153,16 +153,13 @@ def test_bundle_value():
 def test_ef1_holds_for_unit_quotas_on_identical_goods():
     mech = serial_quota((1, 1, 2), (0, 1, 2), additive_class(4))
     inst = ef1_audit(mech, GeneratorSpec(3, 4, ("identical",))).instance(0)
-    report = check_ef1(cardinal_apply(mech, inst), inst)
-    assert report.holds
+    assert check_ef1(cardinal_apply(mech, inst), inst) is None
 
 
 def test_ef1_violation_when_an_early_quota_is_two():
     mech = serial_quota((2, 1), (0, 1), additive_class(3))
     inst = targeted(mech)[0]
-    report = check_ef1(cardinal_apply(mech, inst), inst)
-    assert not report.holds
-    assert report.witness == {"envious": 1, "envied": 0}
+    assert check_ef1(cardinal_apply(mech, inst), inst) == {"envious": 1, "envied": 0}
 
 
 def test_ef1_empty_bundle_never_envied():
@@ -170,14 +167,14 @@ def test_ef1_empty_bundle_never_envied():
 
     alloc = Allocation(2, (0, 0b1))
     profile = (Lexicographic((0, 1)), Lexicographic((0, 1)))
-    assert check_ef1(alloc, profile).holds
+    assert check_ef1(alloc, profile) is None
 
 
 def test_ef1_single_agent_trivially_holds():
     from serialquota import Allocation
 
     inst = CardinalInstance.from_values(((4, 2, 1),))
-    assert check_ef1(Allocation(3, (0b111,)), inst).holds
+    assert check_ef1(Allocation(3, (0b111,)), inst) is None
 
 
 # ---------------------------------------------------------------- feasibility
@@ -217,8 +214,7 @@ def test_targeted_instances_cover_each_early_big_quota():
     witnesses = targeted(mech)
     assert len(witnesses) == 2  # positions 0 and 1 both have quota 2
     for inst in witnesses:
-        report = check_ef1(cardinal_apply(mech, inst), inst)
-        assert not report.holds
+        assert check_ef1(cardinal_apply(mech, inst), inst) is not None
 
 
 def test_targeted_instance_makes_the_last_picker_envious():
@@ -329,8 +325,7 @@ def test_ef1_audit_clean_vs_dirty():
     assert audit.ef1_violations
     k, i, j = audit.ef1_violations[0]
     inst = audit.instance(k)
-    report = check_ef1(cardinal_apply(dirty, inst), inst)
-    assert report.witness == {"envious": i, "envied": j}
+    assert check_ef1(cardinal_apply(dirty, inst), inst) == {"envious": i, "envied": j}
 
 
 def exact_audits(mech, spec):
@@ -348,9 +343,9 @@ def exact_audits(mech, spec):
             got = bundle_value(valuation, alloc.bundles[i])
             ratio = Fraction(1) if share == 0 else min(Fraction(1), got / share)
             worst = ratio if worst is None else min(worst, ratio)
-        report = check_ef1(alloc, inst)
-        if not report.holds:
-            violations.append((k, report.witness["envious"], report.witness["envied"]))
+        witness = check_ef1(alloc, inst)
+        if witness is not None:
+            violations.append((k, witness["envious"], witness["envied"]))
     return worst, tuple(violations), len(instances)
 
 
@@ -468,6 +463,29 @@ def test_strict_integer_rows_are_the_same_in_smaller_chunks(rows, monkeypatch):
     assert out.tolist() == whole.tolist()
     assert sum(chunks) == rows and max(chunks, default=0) <= 7
     assert len(chunks) == -(-rows // 7)
+
+
+@pytest.mark.parametrize("m", [13, 14, 16])
+def test_strict_integer_rows_skip_the_tie_check_when_every_row_ties(m, monkeypatch):
+    """From m = 14 on, 2^m subset sums within [0, 1000 m] must tie, so the
+    rows are the draw with every row broken, exactly the rows `tied_rows`
+    flags, and `tied_rows` is not called; at m = 13 it still is."""
+    rows = 5
+    first = np.random.default_rng(4).integers(1, 1001, size=(rows, m))
+    tied = serialquota.prefs.tied_rows(first)
+    expected = first.copy()
+    expected[tied] = first[tied] * 10**6 + (1 << np.arange(m))
+    calls = []
+
+    def counted(block):
+        calls.append(len(block))
+        return serialquota.prefs.tied_rows(block)
+
+    monkeypatch.setattr(serialquota.fairness, "tied_rows", counted)
+    out = strict_integer_rows(np.random.default_rng(4), rows, m)
+    assert out.tolist() == expected.tolist()
+    assert tied.all() or m < 14
+    assert sum(calls) == (rows if m == 13 else 0)
 
 
 def test_random_instances_are_the_generator_rows():
@@ -635,9 +653,7 @@ def test_ef1_random_sweep_matches_check_ef1():
     assert count_bad > 0
     inst, i, j = witness
     mech = serial_quota(quota.q, quota.p, additive_class(3))
-    report = check_ef1(cardinal_apply(mech, inst), inst)
-    assert not report.holds
-    assert report.witness == {"envious": i, "envied": j}
+    assert check_ef1(cardinal_apply(mech, inst), inst) == {"envious": i, "envied": j}
 
     clean_quota = canonicalize((1, 1, 1), (0, 1, 2), 3)
     assert ef1_random_sweep(clean_quota, 3, 60, seed=5) == (0, None)
@@ -682,7 +698,7 @@ def test_every_violation_replays_through_audit_instance(family):
         audit = ef1_audit(mech, GeneratorSpec(mech.n, m, (family,), count=30, seed=11))
         for k, i, j in audit.ef1_violations:
             inst = audit.instance(k)
-            assert check_ef1(cardinal_apply(mech, inst), inst).witness == {
+            assert check_ef1(cardinal_apply(mech, inst), inst) == {
                 "envious": i, "envied": j,
             }
             replayed += 1

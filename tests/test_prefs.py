@@ -524,6 +524,34 @@ def test_class_tables_match_scalar_demand_and_desire(build, m):
     assert cls.strong_desire.tolist() == desire
 
 
+def as_rank_tables(cls):
+    """cls's members as RankTables, in the same order: a class that no
+    shortcut for Lexicographic members applies to."""
+    return explicit_class(cls.m, [RankTable(tuple(row)) for row in cls.ranks.tolist()])
+
+
+@pytest.mark.parametrize("build,m", [
+    *((lex_class, m) for m in range(7)),
+    *((lex_explicit, m) for m in (0, 1, 3, 4)),
+])
+def test_lex_strong_desire_matches_the_general_build(build, m):
+    """A class of Lexicographic members marks each order's m + 1 prefixes;
+    the general build from ranks gives the same table."""
+    cls = build(m)
+    assert cls.strong_desire.tolist() == as_rank_tables(cls).strong_desire.tolist()
+    assert cls.strong_desire.sum(axis=1).tolist() == [m + 1] * len(cls)
+
+
+def test_mixed_class_strong_desire_takes_the_general_path():
+    """One member that is not Lexicographic sends the whole class to the
+    general build, which agrees with the scalar `strongly_desires`."""
+    cls = lex_and_one_orbit(3)
+    assert cls._lex_orders() is None
+    assert lex_class(3)._lex_orders() is not None
+    desire = [[strongly_desires(p, s) for s in range(8)] for p in cls.members]
+    assert cls.strong_desire.tolist() == desire
+
+
 @pytest.mark.parametrize("build", [lex_class, lex_explicit], ids=["lex", "explicit"])
 def test_class_tables_never_ask_members_for_rank(build):
     """The class's tables read its one rank matrix: building them leaves no
