@@ -15,12 +15,25 @@ the best of a few calls, in milliseconds:
 
 The same script run on two checkouts, alternating, gives a before/after
 table layer by layer.  Serial-quota tables pass every kernel, so each
-kernel scans its whole table.
+kernel scans its whole table; a one-cell mutant of the lex (3,4) mechanism
+breaks truthfulness, non-bossiness and neutrality, so their
+report-by-report stages are timed on it too.  `allocation_table` is also
+timed on the three counterexamples as the forward checks build them and
+on the bossy one at lex (6,3).
 """
 
 import time
 
-from serialquota import GeneratorSpec, additive_class, class_from_tag, engine, serial_quota
+from serialquota import (
+    CounterBossy,
+    CounterNonNeutral,
+    CounterNonTruthful,
+    GeneratorSpec,
+    additive_class,
+    class_from_tag,
+    engine,
+    serial_quota,
+)
 from serialquota.fairness import ef1_audit, generate_instances, rho_mms_audit
 
 KERNELS = (
@@ -40,6 +53,25 @@ MECHANISMS = (
     ((3, 2), (1, 0), 5, KERNELS),
     ((1, 2, 1, 0), (3, 1, 0, 2), 4, KERNELS),
     ((8,), (0,), 8, ("control_violation",)),
+)
+# (q, p, m, profile, bundles, kernels): the lex (3,4) mechanism with its
+# middle profile overwritten, agent 0 taking goods 0-2 and agent 1 good 3;
+# each kernel listed finds a witness.
+MUTANT = (
+    (2, 1, 1),
+    (0, 2, 1),
+    4,
+    6912,
+    (7, 8, 0),
+    ("truthful_violation", "nonbossy_violation", "neutrality_violation"),
+)
+# (label, variant, (n, m, *goods)): the counterexamples the forward checks
+# use, and the bossy one at lex (6,3), 46,656 profiles.
+COUNTEREXAMPLES = (
+    ("CounterNonTruthful lex (2,2)", CounterNonTruthful, (2, 2)),
+    ("CounterBossy lex (3,3)", CounterBossy, (3, 3)),
+    ("CounterNonNeutral lex (3,3) a=0 b=1", CounterNonNeutral, (3, 3, 0, 1)),
+    ("CounterBossy lex (6,3)", CounterBossy, (6, 3)),
 )
 # The cold class tables per lex m.  The push-up table has C^2 * 2^m
 # entries; at m = 8 (40,320 members) the tables a one-agent quota check
@@ -104,6 +136,23 @@ def main() -> None:
             kernel(table, cls, n)  # builds the class tables it reads
             ms = best_ms(lambda: kernel(table, cls, n), REPEATS)
             print(f"{label}  {name}  {ms:.3f} ms", flush=True)
+    q, p, m, profile, bundles, kernels = MUTANT
+    cls = class_from_tag("lex", m)
+    mech = serial_quota(q, p, cls)
+    table = engine.allocation_table(mech)
+    table[profile] = bundles
+    label = f"lex ({mech.n},{m}) q={q} p={p} profile {profile} = {bundles}"
+    for name in kernels:
+        kernel = getattr(engine, name)
+        if kernel(table, cls, mech.n) is None:
+            raise SystemExit(f"{label}: {name} finds no witness")
+        ms = best_ms(lambda: kernel(table, cls, mech.n), REPEATS)
+        print(f"{label}  {name}  {ms:.3f} ms", flush=True)
+    for label, variant, (n, m, *goods) in COUNTEREXAMPLES:
+        mech = variant(n, m, class_from_tag("lex", m), *goods)
+        engine.allocation_table(mech)  # builds the class's demand tables
+        ms = best_ms(lambda: engine.allocation_table(mech), REPEATS)
+        print(f"{label}  allocation_table  {ms:.3f} ms", flush=True)
     for m, tables in CLASS_TABLES.items():
         for table in tables:
             ms, built = cold_ms(m, table, COLD_REPEATS)

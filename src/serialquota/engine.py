@@ -20,9 +20,17 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import mechanisms as mech_mod
 from .errors import TooLarge
-from .mechanisms import Mechanism, SerialQuota, TableMechanism
+from .mechanisms import (
+    CounterBossy,
+    CounterNonNeutral,
+    CounterNonTruthful,
+    Mechanism,
+    RoundRobin,
+    SerialQuota,
+    TableMechanism,
+    profiles_exceed,
+)
 from .prefs import (
     PreferenceClass,
     full_mask,
@@ -45,22 +53,17 @@ strong_desire_matrix = attrgetter("strong_desire")
 def allocation_table(mech: Mechanism) -> np.ndarray:
     """Bundle bitmask per (profile index, agent); shape (C^n, n).
 
-    Raises TooLarge above PROFILE_CAP profiles, before any table is built.
+    Raises TooLarge above PROFILE_CAP profiles, before any table is built,
+    and TypeError for an unknown mechanism variant.
     """
     cls = mech.domain
     c = len(cls)
     n = mech.n
-    if mech_mod.profiles_exceed(c, n, PROFILE_CAP):
+    if profiles_exceed(c, n, PROFILE_CAP):
         raise TooLarge(f"{c}^{n} profiles exceed the {PROFILE_CAP}-profile cap")
     if isinstance(mech, TableMechanism):
         return np.array(mech.table, dtype=np.int32)
-    if isinstance(mech, SerialQuota):
-        return _serial_quota_grid(mech, c, n).reshape(c**n, n)
-    out = np.zeros((c**n, n), dtype=np.int32)
-    for idx in range(c**n):
-        profile = mech_mod.index_to_profile(idx, cls, n)
-        out[idx] = mech_mod.apply(mech, profile).bundles
-    return out
+    return _report_grid(mech, c, n).reshape(c**n, n)
 
 
 def _report_axes(c: int, n: int) -> int:
@@ -70,28 +73,58 @@ def _report_axes(c: int, n: int) -> int:
     return n if c > 1 else 1
 
 
-def _serial_quota_grid(mech: SerialQuota, c: int, n: int) -> np.ndarray:
-    """The serial-quota table as a (c,)*axes + (n,) grid (`_report_axes`).
+def _report_grid(mech: Mechanism, c: int, n: int) -> np.ndarray:
+    """The table of a rule-defined mechanism as a (c,)*axes + (n,) grid
+    (`_report_axes`).
 
-    The t-th picker's bundle depends only on her report and the earlier
-    pickers', so it is computed on their c^(t+1) sub-grid (axes in picking
-    order), with the pool they left carried forward, and then broadcast over
-    the reports of everyone else.
+    Each variant but the non-truthful one, which gives everything to agent
+    0 on the grid's diagonal and to agent 1 elsewhere, is a sequence of
+    picks: an agent takes the k-demand of her report from the pool the
+    earlier picks left (`cls.demands`).  A pick is a gather on the sub-grid
+    of her report and of the reports that pool depends on, each report on
+    its own axis, broadcast over the reports of everyone else.
     """
     dt = mech.domain.demands
     dims = _report_axes(c, n)
+    univ = full_mask(mech.m)
     out = np.zeros((c,) * dims + (n,), dtype=np.int32)
-    remaining = np.array(full_mask(mech.m), dtype=np.int32)  # pool on the pickers' grid
-    pickers: list[int] = []
-    for k, agent in zip(mech.quota.q, mech.quota.p):
-        if k == 0:
-            break  # zero quotas form a suffix: those agents get nothing
-        got = dt[k][np.arange(c), remaining[..., None]]  # new last axis: agent's report
-        pickers.append(agent)
-        order = np.argsort(pickers)
-        shape = [c if a in pickers else 1 for a in range(dims)]
-        out[..., agent] = got.transpose(order).reshape(shape)
-        remaining = remaining[..., None] & ~got
+
+    def pick(agent: int, pool, k: int = 1) -> np.ndarray:
+        report = np.arange(c).reshape([c if a == agent else 1 for a in range(dims)])
+        return dt[k][report, pool]
+
+    if isinstance(mech, SerialQuota):
+        pool = univ
+        for k, agent in zip(mech.quota.q, mech.quota.p):
+            if k == 0:
+                break  # zero quotas form a suffix: those agents get nothing
+            out[..., agent] = got = pick(agent, pool, k)
+            pool = pool & ~got
+    elif isinstance(mech, RoundRobin):
+        pool = univ
+        for turn in range(mech.m):
+            got = pick(turn % n, pool)
+            out[..., turn % n] |= got
+            pool = pool & ~got
+    elif isinstance(mech, CounterNonTruthful):
+        out[..., 1] = univ
+        same = (np.arange(c),) * dims
+        out[(*same, 0)] = univ
+        out[(*same, 1)] = 0
+    elif isinstance(mech, CounterBossy):
+        top = pick(0, univ)
+        out[..., 1] = top
+        out[..., 2] = univ & ~top
+    elif isinstance(mech, CounterNonNeutral):
+        x = pick(0, univ & ~(1 << mech.a))
+        rest = univ & ~x
+        y1, y2 = pick(1, rest), pick(2, rest)
+        second = x == 1 << mech.b  # agent 1 picks second, else agent 2
+        out[..., 0] = x
+        out[..., 1] = np.where(second, y1, rest & ~y2)
+        out[..., 2] = np.where(second, rest & ~y1, y2)
+    else:
+        raise TypeError(f"unknown mechanism variant {type(mech).__name__}")
     return out
 
 
@@ -117,12 +150,21 @@ def _deviation_blocks(c: int, n: int, agent: int, at: int | None) -> list[np.nda
     return [idx[lo : lo + step] for lo in range(0, idx.shape[0], step)]
 
 
-def _columns_move(table: np.ndarray, idx: np.ndarray, cols) -> np.ndarray:
+def _gather(table: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
+    """table[:, j] at the profiles whose row offsets (profile * n) are rows:
+    one take on the flat view of the table, from its element j on.  A take
+    from the strided column itself would first copy the whole column, so a
+    scan at one profile (`at=`) stays O(rows) only this way.  The method
+    form skips np.take's dispatch, most of a one-row gather's cost."""
+    return table.ravel()[j:].take(rows)
+
+
+def _columns_move(table: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
     """moved[r, t, d]: some column in cols (at least one) differs between
-    profiles idx[r, t] and idx[r, d]."""
+    the profiles at row offsets rows[r, t] and rows[r, d] (`_gather`)."""
     moved = None
     for j in cols:
-        b = table[:, j][idx]
+        b = _gather(table, rows, j)
         diff = b[:, :, None] != b[:, None, :]
         if moved is None:
             moved = diff
@@ -142,46 +184,75 @@ def _lowest_deviation(viol: np.ndarray, idx: np.ndarray, c: int, agent: int):
     return int(idx[r, t]), agent, int(np.argmax(viol[r, t]))
 
 
+def _rows_with_hits(hits: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D boolean array that hold a True, ascending: the
+    rows its flat hits fall in, counted by np.bincount.  One pass over the
+    flat array, far faster than any(axis=1) over short rows; np.unique
+    would import numpy.ma, about 17 ms, on its first call in a process."""
+    rows = np.flatnonzero(hits) // max(1, hits.shape[1])
+    return np.flatnonzero(np.bincount(rows, minlength=hits.shape[0]))
+
+
 def truthful_violation(
     table: np.ndarray, cls: PreferenceClass, n: int, *, at: int | None = None
 ):
     """Lowest (profile_idx, agent, alt_member) where the deviation strictly gains.
 
     Each agent's deviation rows are scanned in blocks (`_deviation_blocks`).
-    A row holds a gain iff some report t ranks a bundle of the row's menu,
-    its distinct bundles, above t's own; that test costs O(u*c) for a menu
-    of u bundles, and only the rows that pass it are compared report by
-    report.  With `at`, only each agent's deviation row holding profile
+    A row holds a gain iff some report t prefers a bundle of the row's
+    menu, its distinct bundles, to t's own; that test costs O(u*c) for a
+    menu of u bundles, and only the rows that pass it are compared report
+    by report.  With `at`, only each agent's deviation row holding profile
     `at` is scanned; those rows hold every violation that involves `at`.
     """
     c = len(cls)
-    size = 1 << cls.m
-    by_subset = np.full((size + 1, c), -1, dtype=np.int32)  # [s, t]: t's rank of s
-    by_subset[:size] = cls.ranks.T  # row `size` pads short menus
+    by_rank = np.ascontiguousarray(cls.ranks.T)  # [s, t]: t's rank of s
+    key = _menu_keys(cls) if at is None else None  # only the full scan's menu test reads keys
     diag = np.arange(c)
     hits = []
     for i in range(n):
         for idx in _deviation_blocks(c, n, i, at):
             if at is None:
-                idx = idx[_gaining_rows(table[:, i][idx], by_subset)]
-            rt = by_subset[table[:, i][idx]]  # [r, d, t]: t's rank of d's bundle
+                idx = idx[_gaining_rows(_gather(table, idx * n, i), key)]
+                if not idx.size:
+                    continue
+            # rt[r, d, t]: t's rank of d's bundle
+            rt = by_rank.take(_gather(table, idx * n, i), axis=0)
             gain = rt > rt[:, diag, diag][:, None, :]
             hits.append(_lowest_deviation(gain.transpose(0, 2, 1), idx, c, i))
     return min(filter(None, hits), default=None)
 
 
-def _gaining_rows(b: np.ndarray, by_subset: np.ndarray) -> np.ndarray:
+def _menu_keys(cls: PreferenceClass) -> np.ndarray:
+    """key[s, t]: member t's rank of subset s above the m bits of s, so keys
+    follow t's order, as ranks do, and the largest of a set names t's best
+    subset in its low bits; shape (2^m + 1, C).  Row 2^m (-1) pads menus."""
+    m = cls.m
+    key = np.full(((1 << m) + 1, len(cls)), -1, dtype=np.int32)
+    key[:-1] = cls.ranks.T
+    key[:-1] <<= m
+    key[:-1] |= np.arange(1 << m, dtype=np.int32)[:, None]
+    return key
+
+
+def _gaining_rows(b: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Rows r of b[r, d], one agent's bundle when she reports d, where some
-    report t ranks a bundle of the row's menu (its distinct bundles) above
-    b[r, t]; by_subset[s, t] is t's rank of s, and its last row (-1) pads
-    the menus of rows with fewer distinct bundles."""
-    pad = by_subset.shape[0] - 1
+    report t prefers a bundle of the row's menu (its distinct bundles) to
+    b[r, t].  key is `_menu_keys`, whose last row pads the menus of rows
+    with fewer distinct bundles.  The menu's largest key per report, the
+    maximum of one row gather of key per menu column, names t's best
+    bundle of the menu in its low bits: the row gains iff that bundle is
+    not b[r, t]."""
+    pad = key.shape[0] - 1
     menu = np.sort(b, axis=1)
     new = menu[:, 1:] != menu[:, :-1]
     menu[:, 1:][~new] = pad
     menu.sort(axis=1)
-    best = by_subset[menu[:, : 1 + int(new.sum(axis=1).max())]].max(axis=1)  # [r, t]
-    return np.flatnonzero((best > by_subset[b, np.arange(b.shape[1])]).any(axis=1))
+    best = key.take(menu[:, 0], axis=0)  # [r, t]
+    for k in range(1, 1 + int(new.sum(axis=1).max())):
+        np.maximum(best, key.take(menu[:, k], axis=0), out=best)
+    best &= pad - 1
+    return _rows_with_hits(best != b)
 
 
 def nonbossy_violation(
@@ -204,9 +275,12 @@ def nonbossy_violation(
         for idx in _deviation_blocks(c, n, i, at):
             if at is None:
                 idx = idx[_bossy_rows(table, idx, i, others)]
-            b = table[:, i][idx]
+                if not idx.size:
+                    continue
+            rows = idx * n
+            b = _gather(table, rows, i)
             viol = b[:, :, None] == b[:, None, :]
-            viol &= _columns_move(table, idx, others)
+            viol &= _columns_move(table, rows, others)
             hits.append(_lowest_deviation(viol, idx, c, i))
     return min(filter(None, hits), default=None)
 
@@ -214,14 +288,24 @@ def nonbossy_violation(
 def _bossy_rows(table: np.ndarray, idx: np.ndarray, agent: int, others) -> np.ndarray:
     """Rows of idx, deviation rows of `agent`, on which two reports give her
     the same bundle but some agent in others a different one: sorted by her
-    own bundle, two neighbours with the same own bundle differ elsewhere."""
-    ranked = np.take_along_axis(idx, np.argsort(table[:, agent][idx], axis=1), axis=1)
-    own = table[:, agent][ranked]
+    own bundle, two neighbours with the same own bundle differ elsewhere.
+    The sort is applied by flat takes, of her bundles and of idx, at a
+    stable argsort plus each row's start; the sorted profiles' row offsets
+    (`_gather`) then read the other agents' bundles."""
+    n = table.shape[1]
+    own = _gather(table, idx * n, agent)
+    order = np.argsort(own, axis=1, kind="stable")
+    order += np.arange(0, own.size, own.shape[1])[:, None]
+    own = own.take(order)
+    ranked = idx.take(order)
+    del order  # its 8 bytes per entry, freed before the other agents are read
+    ranked *= n
     moved = np.zeros(own[:, 1:].shape, dtype=bool)
     for j in others:
-        b = table[:, j][ranked]
+        b = _gather(table, ranked, j)
         moved |= b[:, 1:] != b[:, :-1]
-    return np.flatnonzero((moved & (own[:, 1:] == own[:, :-1])).any(axis=1))
+    moved &= own[:, 1:] == own[:, :-1]
+    return _rows_with_hits(moved)
 
 
 def push_up_matrix(cls: PreferenceClass) -> np.ndarray:
@@ -249,7 +333,8 @@ def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     hits = []
     for i in range(n):
         for idx in _deviation_blocks(c, n, i, None):
-            viol = up[diag, table[:, i][idx]] & _columns_move(table, idx, range(n))
+            rows = idx * n
+            viol = up[diag, _gather(table, rows, i)] & _columns_move(table, rows, range(n))
             hits.append(_lowest_deviation(viol, idx, c, i))
     return min(filter(None, hits), default=None)
 
@@ -267,22 +352,19 @@ def neutrality_violation(
 ):
     """Lowest (profile_idx, perm_position) where renaming goods breaks covariance.
 
-    perm_position indexes cls.generators.  The full scan gathers the table
-    at every profile's image by taking each agent's axis of the (c,)*n +
-    (n,) grid through the generator's action on members.  With `at`, only
-    profile `at` and its preimage under each generator are checked: the
-    pairs of (profile, image) that involve `at`, both found through the
-    cached action and its inverse, their rows compared as Python ints (a
-    two-row numpy gather costs more than the comparison).
+    perm_position indexes cls.generators.  The full scan compares, for every
+    profile, each agent's bundle at the profile's image with her renamed
+    bundle (`_covariance_breaks`).  With `at`, only profile `at` and its
+    preimage under each generator are checked: the pairs of (profile,
+    image) that involve `at`, both found through the cached action and its
+    inverse, their rows compared as Python ints (a two-row numpy gather
+    costs more than the comparison).
     """
     c = len(cls)
     best = None
     for pos, (pi, action, inverse) in enumerate(cls.generators):
         if at is None:
-            image = table.reshape((c,) * n + (n,))
-            for k in range(n):
-                image = np.take(image, action, axis=k)
-            bad = np.flatnonzero((image.reshape(table.shape) != pi.mask_image[table]).any(axis=1))
+            bad = _covariance_breaks(table, pi.mask_image, action, c, n)
         else:  # at's pair with its image, and its preimage's pair with it
             renamed = pi.mask_image
             pairs = sorted({(at, _renamed(at, action, c, n)), (_renamed(at, inverse, c, n), at)})
@@ -292,6 +374,51 @@ def neutrality_violation(
         if len(bad) and (best is None or (int(bad[0]), pos) < best):
             best = int(bad[0]), pos
     return best
+
+
+def _covariance_breaks(
+    table: np.ndarray, renamed: np.ndarray, action, c: int, n: int
+) -> list[int]:
+    """[p] for the lowest profile p whose image under a generator (members
+    mapped by action, bundles by renamed) does not get p's bundles renamed;
+    [] when there is none.
+
+    A block's image row offsets (`_gather`) are a broadcast sum over the
+    grid axes of action[d] * n * c^(n-1-k), agent k reporting member d: the
+    earlier agents' terms per grid row, from its digits, then one axis per
+    later agent.  Each agent's column is gathered at the images and
+    compared with np.take of renamed at her column; the agents'
+    mismatches are OR-ed column by column.  Profiles are taken in blocks
+    of whole rows of the grid of the last agents' reports (one row at
+    least).  A profile holds about 25 bytes while its block is scanned,
+    its 8-byte image offset, a gathered and a renamed bundle and np.take's
+    8-byte copy of its bundle, so a block holds at most CELLS // 2
+    profiles.
+    """
+    moved = [np.array(action) * (n * c ** (n - 1 - k)) for k in range(n)]
+    step = max(1, CELLS // 2)  # profiles per block
+    span, tail = 1, 0  # a grid row: the reports of the last `tail` agents
+    while tail < n and span * c <= step:
+        span *= c
+        tail += 1
+    head = n - tail
+    grid_rows = table.shape[0] // span
+    per_block = max(1, step // span)
+    for lo in range(0, grid_rows, per_block):
+        h = np.arange(lo, min(lo + per_block, grid_rows))
+        image = np.zeros(h.size, dtype=np.intp)
+        for k in range(head):
+            image += moved[k][h // c ** (head - 1 - k) % c]
+        for k in range(head, n):
+            image = (image[:, None] + moved[k]).reshape(-1)
+        block = table[lo * span : (lo + h.size) * span]
+        bad = _gather(table, image, 0) != renamed.take(block[:, 0])
+        for j in range(1, n):
+            bad |= _gather(table, image, j) != renamed.take(block[:, j])
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            return [lo * span + int(hit[0])]
+    return []
 
 
 def partition_violation(table: np.ndarray, cls: PreferenceClass, n: int):

@@ -222,12 +222,16 @@ def check_push_up_invariance(
     rng = np.random.default_rng(rng_seed)
     digits = rng.integers(0, c, size=(trials, n))
     idx = digits @ weights
-    bundles = table[idx]
+    bundles = np.take(table, idx, axis=0)
     cands = up[digits, bundles]  # [trial, agent, member]
     # The largest uniform key among the candidates picks one of them uniformly.
     pushed = np.where(cands, rng.random(cands.shape), -1.0).argmax(axis=2)
     jdx = pushed @ weights
-    moved = np.flatnonzero((table[jdx] != bundles).any(axis=1))
+    after = np.take(table, jdx, axis=0)
+    moved = np.zeros(trials, dtype=bool)
+    for j in range(n):  # column by column: a reduce over the short axis is slower
+        moved |= after[:, j] != bundles[:, j]
+    moved = np.flatnonzero(moved)
     if not moved.size:
         return PropertyReport(PUSH_UP, True, None, trials)
     k = int(moved[0])

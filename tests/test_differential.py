@@ -3,7 +3,8 @@ hypothesis-drawn tables.
 
 Tables are drawn over lex classes at n <= 4 and m <= 3, and over
 strict_monotone_all at n <= 2: random tables (any allocation, partition or
-not, at each profile) and serial-quota tables with one cell overwritten.
+not, at each profile) and serial-quota tables with one to three cells
+overwritten.
 n = 4 is the first size whose middle agents have digit weights (c^2 and c)
 other than their mirror images', so a kernel that confuses an agent's
 weight with another's is caught there even where n <= 3 cannot show it.
@@ -25,15 +26,17 @@ SIZES = [("lex", n, m) for n in range(1, 5) for m in range(1, 4)] + [
 
 
 @st.composite
-def mutants(draw):
-    """(cls, n, table, at): a serial-quota table with the allocation at
-    profile `at` overwritten by any assignment of the goods."""
+def mutants(draw, cells=1):
+    """(cls, n, table, at): a serial-quota table with the allocations at
+    one to `cells` profiles overwritten by any assignments of the goods,
+    `at` being the last profile overwritten."""
     tag, n, m = draw(st.sampled_from(SIZES))
     cls = class_from_tag(tag, m)
     choices = _choice_masks(n, m, partition_only=False)
     table = engine.allocation_table(SerialQuota(n, m, cls, draw(st.sampled_from(enumerate_q(n, m)))))
-    at = draw(st.integers(0, table.shape[0] - 1))
-    table[at] = choices[draw(st.integers(0, choices.shape[0] - 1))]
+    for _ in range(draw(st.integers(1, cells))):
+        at = draw(st.integers(0, table.shape[0] - 1))
+        table[at] = choices[draw(st.integers(0, choices.shape[0] - 1))]
     return cls, n, table, at
 
 
@@ -47,7 +50,9 @@ def random_tables(draw):
     return cls, n, choices[rng.integers(choices.shape[0], size=len(cls) ** n)], None
 
 
-tables = st.one_of(mutants(), random_tables())
+# Up to three overwritten cells, so that the witness stage of a full scan
+# meets several violating rows; the scans at `at` need exactly one.
+tables = st.one_of(mutants(cells=3), random_tables())
 
 
 def scalar_neutrality_witness(table, cls, n):

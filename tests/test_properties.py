@@ -39,7 +39,7 @@ from serialquota import (
     verify_blocking,
 )
 from serialquota import engine
-from serialquota.mechanisms import SerialQuota, TableMechanism, profile_index
+from serialquota.mechanisms import Mechanism, SerialQuota, TableMechanism, profile_index
 from serialquota.prefs import Permutation, permute_preference
 from serialquota.properties import (
     CONTROL_CLAIM,
@@ -235,6 +235,66 @@ def test_grid_allocation_table_matches_apply(tag, n, m):
         assert table.tolist() == expected, qo
 
 
+def _rule_variants(n, m, cls):
+    """Round Robin and every counterexample the size admits, the
+    non-neutral one for every ordered pair (a, b) of distinct goods."""
+    yield RoundRobin(n, m, cls)
+    if n >= 2 and m == 2:
+        yield CounterNonTruthful(n, m, cls)
+    if n >= 3 and m >= 1:
+        yield CounterBossy(n, m, cls)
+    if n >= 3 and m >= 3:
+        for a, b in permutations(range(m), 2):
+            yield CounterNonNeutral(n, m, cls, a, b)
+
+
+def _scalar_table(mech):
+    cls, n = mech.domain, mech.n
+    profiles = (index_to_profile(idx, cls, n) for idx in range(len(cls) ** n))
+    return [list(apply(mech, profile).bundles) for profile in profiles]
+
+
+@pytest.mark.parametrize(
+    "tag,n,m",
+    [
+        (tag, n, m)
+        for tag, top in (("lex", 4), ("strict_monotone_all", 3))
+        for m in range(1, top + 1)
+        for n in range(1, 5)
+        if len(class_from_tag(tag, m)) ** n <= 2304
+    ],
+)
+def test_rule_allocation_tables_match_apply(tag, n, m):
+    """Round Robin and the counterexamples, built on the report grid from
+    the class's demand tables, equal the scalar apply path at every
+    profile."""
+    cls = class_from_tag(tag, m)
+    for mech in _rule_variants(n, m, cls):
+        table = engine.allocation_table(mech)
+        assert table.dtype == np.int32 and table.shape == (len(cls) ** n, n)
+        assert table.tolist() == _scalar_table(mech), mech
+
+
+def test_rule_allocation_tables_at_one_member_and_many_agents():
+    """A one-member class keeps one report axis however many agents there
+    are, and the non-truthful counterexample's identical reports are the
+    grid's diagonal at every n."""
+    one = lex_class(1)
+    for mech in (RoundRobin(40, 1, one), CounterBossy(40, 1, one)):
+        assert engine.allocation_table(mech).tolist() == _scalar_table(mech)
+    for n in range(2, 9):
+        mech = CounterNonTruthful(n, 2, LEX2)
+        assert engine.allocation_table(mech).tolist() == _scalar_table(mech)
+
+
+def test_allocation_table_rejects_an_unknown_variant():
+    class Unknown(Mechanism):
+        pass
+
+    with pytest.raises(TypeError, match="unknown mechanism variant Unknown"):
+        engine.allocation_table(Unknown(2, 2, LEX2))
+
+
 def test_deviation_index_lists_one_agents_reports():
     for c, n in [(2, 3), (3, 3), (6, 2), (4, 1), (2, 4), (3, 4)]:
         digits = np.array(list(product(range(c), repeat=n)))
@@ -253,6 +313,37 @@ def test_deviation_index_lists_one_agents_reports():
             # Rows follow the other agents' digits in mixed-radix order.
             first = others[idx[:, 0]]
             assert first.tolist() == sorted(first.tolist())
+
+
+def test_row_filters_flag_exactly_the_violating_deviation_rows():
+    """The first stages of the truthful and non-bossy scans flag exactly the
+    deviation rows that hold a violation, by a report-by-report comparison
+    of every row, so the second stage sees no row it could have skipped."""
+    for n, m in ((2, 3), (3, 3), (2, 4)):
+        cls = lex_class(m)
+        c = len(cls)
+        ranks = cls.ranks.astype(int)
+        key = engine._menu_keys(cls)
+        rng = np.random.default_rng(3 * n + m)
+        flagged = [0, 0]
+        for table in table_cases(n, m, cls, rng, quotas=2, mutants=2, randoms=2):
+            for i in range(n):
+                idx = engine.deviation_index(c, n, i)
+                rows = table[idx]  # [r, d, agent]
+                own = rows[:, :, i]
+                rt = ranks[np.arange(c), own[:, :, None]]  # [r, d, t]: t's rank of d's bundle
+                gain = (rt > rt[:, np.arange(c), np.arange(c)][:, None, :]).any(axis=(1, 2))
+                same = own[:, :, None] == own[:, None, :]
+                moved = (rows[:, :, None, :] != rows[:, None, :, :]).any(axis=3)
+                bossy = (same & moved).any(axis=(1, 2))
+                others = [j for j in range(n) if j != i]
+                got = engine._gaining_rows(np.ascontiguousarray(own), key)
+                assert got.tolist() == np.flatnonzero(gain).tolist()
+                got = engine._bossy_rows(table, idx, i, others)
+                assert got.tolist() == np.flatnonzero(bossy).tolist()
+                flagged[0] += int(gain.any())
+                flagged[1] += int(bossy.any())
+        assert all(flagged), (n, m, flagged)
 
 
 def test_lowest_deviation_is_the_lowest_profile_not_the_first_row():
@@ -276,13 +367,15 @@ BLOCKED_KERNELS = (
     engine.nonbossy_violation,
     engine.push_up_violation,
     engine.control_violation,
+    engine.neutrality_violation,
 )
 
 
 def test_blocked_scans_give_the_same_witness(monkeypatch):
-    """One deviation row (or one profile of the control scan, and one line
-    of its witness sub-grids) per block finds the witness that one block
-    finds, including witnesses that lie past the first block."""
+    """One deviation row (or one profile of the control and neutrality
+    scans, and one line of the control witness's sub-grids) per block finds
+    the witness that one block finds, including witnesses that lie past the
+    first block."""
     late = engine.allocation_table(serial_quota((1, 2), (0, 1), LEX3)).copy()
     late[-1] = (1, 2)  # only the last profile changes
     cases = [(2, 3, [late]), (3, 3, [])]
@@ -313,10 +406,12 @@ def test_blocked_scans_stay_within_their_cells(monkeypatch):
     bytes per entry of engine.CELLS, while a whole scan's (c, c, c) rank
     gather alone is about 6.9 MB.  At lex (4,4), 331,776 profiles, so does
     the control scan with its witness look-up, where one uint16 word per
-    profile, unblocked, would take 663 KB."""
+    profile, unblocked, would take 663 KB, and a block of the neutrality
+    scan, where one image offset per profile, unblocked, would take
+    2.65 MB."""
     cases = (
         (2, 5, BLOCKED_KERNELS, engine.nonbossy_violation),
-        (4, 4, (engine.control_violation,), engine.control_violation),
+        (4, 4, (engine.control_violation, engine.neutrality_violation), engine.control_violation),
     )
     for n, m, kernels, breaks in cases:
         cls = lex_class(m)
