@@ -17,9 +17,11 @@ The same script run on two checkouts, alternating, gives a before/after
 table layer by layer.  Serial-quota tables pass every kernel, so each
 kernel scans its whole table; a one-cell mutant of the lex (3,4) mechanism
 breaks truthfulness, non-bossiness and neutrality, so their
-report-by-report stages are timed on it too.  `allocation_table` is also
-timed on the three counterexamples as the forward checks build them and
-on the bossy one at lex (6,3).
+report-by-report stages are timed on it too, and so is
+`first_axiom_violation` restricted to the mutated profile (`at=`), the
+check each mutant of `verify --mode mutate` gets, per call over a batch
+of calls.  `allocation_table` is also timed on the three counterexamples
+as the forward checks build them and on the bossy one at lex (6,3).
 """
 
 import time
@@ -35,6 +37,7 @@ from serialquota import (
     serial_quota,
 )
 from serialquota.fairness import ef1_audit, generate_instances, rho_mms_audit
+from serialquota.properties import first_axiom_violation
 
 KERNELS = (
     "truthful_violation",
@@ -95,6 +98,7 @@ FAIRNESS = (
 )
 REPEATS = 5
 COLD_REPEATS = 3
+AT_CALLS = 200  # `at=` calls per timed batch: one takes tens of microseconds
 
 
 def best_ms(call, repeats: int) -> float:
@@ -148,6 +152,16 @@ def main() -> None:
             raise SystemExit(f"{label}: {name} finds no witness")
         ms = best_ms(lambda: kernel(table, cls, mech.n), REPEATS)
         print(f"{label}  {name}  {ms:.3f} ms", flush=True)
+    axiom = first_axiom_violation(table, cls, mech.n, at=profile)
+    if axiom is None:
+        raise SystemExit(f"{label}: first_axiom_violation at={profile} finds no witness")
+
+    def at_batch():
+        for _ in range(AT_CALLS):
+            first_axiom_violation(table, cls, mech.n, at=profile)
+
+    us = best_ms(at_batch, REPEATS) * 1e3 / AT_CALLS
+    print(f"{label}  first_axiom_violation at={profile} ({axiom[0]})  {us:.1f} us", flush=True)
     for label, variant, (n, m, *goods) in COUNTEREXAMPLES:
         mech = variant(n, m, class_from_tag("lex", m), *goods)
         engine.allocation_table(mech)  # builds the class's demand tables

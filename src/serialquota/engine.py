@@ -128,26 +128,24 @@ def _report_grid(mech: Mechanism, c: int, n: int) -> np.ndarray:
     return out
 
 
-def deviation_index(c: int, n: int, agent: int, at: int | None = None) -> np.ndarray:
-    """idx[r, d] = index of the profile whose other agents' digits encode r
-    (mixed radix, lowest agent most significant) and whose `agent` digit is
-    d; shape (c^(n-1), c).  Row r lists every report `agent` can make while
-    the others stay fixed.  With `at`, only the row holding profile `at`;
-    shape (1, c)."""
+def deviation_index(c: int, n: int, agent: int, at: int) -> np.ndarray:
+    """`agent`'s deviation row (`_deviation_blocks`) holding profile `at`; shape (1, c)."""
     w = c ** (n - 1 - agent)  # agent's digit weight
-    if at is not None:
-        lo = at - at // w % c * w  # `at` with agent's digit set to 0
-        return np.arange(lo, lo + w * c, w)[None, :]
-    r = np.arange(c ** (n - 1))
-    return (r // w * (w * c) + r % w)[:, None] + np.arange(0, w * c, w)
+    lo = at - at // w % c * w  # `at` with agent's digit set to 0
+    return np.arange(lo, lo + w * c, w)[None, :]
 
 
-def _deviation_blocks(c: int, n: int, agent: int, at: int | None) -> list[np.ndarray]:
-    """deviation_index(c, n, agent, at) in blocks of rows small enough that a
-    (rows, c, c) comparison holds at most CELLS entries (one row at least)."""
-    idx = deviation_index(c, n, agent, at)
+def _deviation_blocks(c: int, n: int, agent: int):
+    """`agent`'s deviation rows, in blocks whose (rows, c, c) comparisons
+    hold at most CELLS entries (one row at least).  Row r lists the
+    profiles r // w * w * c + r % w + d * w of her reports d, w being her
+    digit weight, so the others' digits encode r.  A block is computed
+    from its own range of r."""
+    w, rows = c ** (n - 1 - agent), c ** (n - 1)
     step = max(1, CELLS // (c * c))
-    return [idx[lo : lo + step] for lo in range(0, idx.shape[0], step)]
+    for lo in range(0, rows, step):
+        r = np.arange(lo, min(lo + step, rows))
+        yield (r // w * (w * c) + r % w)[:, None] + np.arange(0, w * c, w)
 
 
 def _gather(table: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
@@ -160,16 +158,12 @@ def _gather(table: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
 
 
 def _columns_move(table: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
-    """moved[r, t, d]: some column in cols (at least one) differs between
-    the profiles at row offsets rows[r, t] and rows[r, d] (`_gather`)."""
-    moved = None
+    """moved[r, t, d]: some column in cols differs between the profiles at
+    row offsets rows[r, t] and rows[r, d] (`_gather`)."""
+    moved = np.zeros(rows.shape + rows.shape[-1:], dtype=bool)
     for j in cols:
         b = _gather(table, rows, j)
-        diff = b[:, :, None] != b[:, None, :]
-        if moved is None:
-            moved = diff
-        else:
-            moved |= diff
+        moved |= b[:, :, None] != b[:, None, :]
     return moved
 
 
@@ -184,13 +178,32 @@ def _lowest_deviation(viol: np.ndarray, idx: np.ndarray, c: int, agent: int):
     return int(idx[r, t]), agent, int(np.argmax(viol[r, t]))
 
 
+def _deviation_scan(c: int, n: int, at: int | None, flag, test):
+    """Lowest (profile, agent, alt) where test(idx * n, agent)[r, t, d]
+    holds on an agent's deviation rows idx, both tests reading row offsets
+    (`_gather`): in each block (`_deviation_blocks`), on the rows that
+    flag(idx * n, agent) marks, a superset of those with a hit; with `at`,
+    on the one row holding `at`.  It keeps the lowest hit, and stops an
+    agent's scan at a block whose first profile, its lowest, is above."""
+    best = None
+    for i in range(n):
+        for idx in _deviation_blocks(c, n, i) if at is None else (deviation_index(c, n, i, at),):
+            if best is not None and best[0] < idx[0, 0]:
+                break
+            if at is None and not (idx := idx[flag(idx * n, i)]).size:
+                continue
+            hit = _lowest_deviation(test(idx * n, i), idx, c, i)
+            if hit is not None and (best is None or hit < best):
+                best = hit
+    return best
+
+
 def _rows_with_hits(hits: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D boolean array that hold a True, ascending: the
-    rows its flat hits fall in, counted by np.bincount.  One pass over the
-    flat array, far faster than any(axis=1) over short rows; np.unique
-    would import numpy.ma, about 17 ms, on its first call in a process."""
+    """Whether each row of a 2-D boolean array holds a True: whether any of
+    its flat hits falls in the row, counted by np.bincount.  One pass over
+    the flat array, far faster than any(axis=1) over short rows."""
     rows = np.flatnonzero(hits) // max(1, hits.shape[1])
-    return np.flatnonzero(np.bincount(rows, minlength=hits.shape[0]))
+    return np.bincount(rows, minlength=hits.shape[0]) > 0
 
 
 def truthful_violation(
@@ -198,29 +211,22 @@ def truthful_violation(
 ):
     """Lowest (profile_idx, agent, alt_member) where the deviation strictly gains.
 
-    Each agent's deviation rows are scanned in blocks (`_deviation_blocks`).
-    A row holds a gain iff some report t prefers a bundle of the row's
-    menu, its distinct bundles, to t's own; that test costs O(u*c) for a
-    menu of u bundles, and only the rows that pass it are compared report
-    by report.  With `at`, only each agent's deviation row holding profile
-    `at` is scanned; those rows hold every violation that involves `at`.
+    A deviation row holds a gain iff some report t prefers a bundle of the
+    row's menu, its distinct bundles, to t's own (`_gaining_rows`); that
+    test costs O(u*c) for a menu of u bundles, and only the rows that pass
+    it are compared report by report (`_deviation_scan`).  With `at`, only
+    each agent's deviation row holding profile `at` is scanned; those rows
+    hold every violation that involves `at`.
     """
     c = len(cls)
     by_rank = np.ascontiguousarray(cls.ranks.T)  # [s, t]: t's rank of s
     key = _menu_keys(cls) if at is None else None  # only the full scan's menu test reads keys
-    diag = np.arange(c)
-    hits = []
-    for i in range(n):
-        for idx in _deviation_blocks(c, n, i, at):
-            if at is None:
-                idx = idx[_gaining_rows(_gather(table, idx * n, i), key)]
-                if not idx.size:
-                    continue
-            # rt[r, d, t]: t's rank of d's bundle
-            rt = by_rank.take(_gather(table, idx * n, i), axis=0)
-            gain = rt > rt[:, diag, diag][:, None, :]
-            hits.append(_lowest_deviation(gain.transpose(0, 2, 1), idx, c, i))
-    return min(filter(None, hits), default=None)
+
+    def gains(rows, i):
+        rt = by_rank.take(_gather(table, rows, i), axis=0)  # [r, d, t]: t's rank of d's bundle
+        return (rt > rt.diagonal(0, 1, 2)[:, None, :]).transpose(0, 2, 1)
+
+    return _deviation_scan(c, n, at, lambda rows, i: _gaining_rows(table, rows, i, key), gains)
 
 
 def _menu_keys(cls: PreferenceClass) -> np.ndarray:
@@ -235,14 +241,15 @@ def _menu_keys(cls: PreferenceClass) -> np.ndarray:
     return key
 
 
-def _gaining_rows(b: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Rows r of b[r, d], one agent's bundle when she reports d, where some
-    report t prefers a bundle of the row's menu (its distinct bundles) to
-    b[r, t].  key is `_menu_keys`, whose last row pads the menus of rows
-    with fewer distinct bundles.  The menu's largest key per report, the
-    maximum of one row gather of key per menu column, names t's best
-    bundle of the menu in its low bits: the row gains iff that bundle is
-    not b[r, t]."""
+def _gaining_rows(table: np.ndarray, rows: np.ndarray, agent: int, key: np.ndarray) -> np.ndarray:
+    """Whether each of `agent`'s deviation rows, at row offsets rows
+    (`_gather`), gains: some report t prefers a bundle of the row's menu
+    (her distinct bundles b[r, d]) to b[r, t].  key is `_menu_keys`, whose
+    last row pads the menus of rows with fewer distinct bundles.  The
+    menu's largest key per report, the maximum of one row gather of key
+    per menu column, names t's best bundle of the menu in its low bits:
+    the row gains iff that bundle is not b[r, t]."""
+    b = _gather(table, rows, agent)
     pad = key.shape[0] - 1
     menu = np.sort(b, axis=1)
     new = menu[:, 1:] != menu[:, :-1]
@@ -261,47 +268,36 @@ def nonbossy_violation(
     """Lowest (profile_idx, agent, alt_member) where own bundle holds but
     others move; with `at`, only on each agent's deviation row holding it.
 
-    Each agent's deviation rows are scanned in blocks (`_deviation_blocks`).
-    Sorted by the agent's own bundle, a row is bossy iff two neighbours with
-    the same own bundle differ in another agent's bundle; only the rows that
-    are get the report-by-report comparison.
+    Sorted by the agent's own bundle, a deviation row is bossy iff two
+    neighbours with the same own bundle differ in another agent's bundle
+    (`_bossy_rows`); only the rows that are get the report-by-report
+    comparison (`_deviation_scan`).
     """
-    if n < 2:
-        return None  # no one else to move
-    c = len(cls)
-    hits = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        for idx in _deviation_blocks(c, n, i, at):
-            if at is None:
-                idx = idx[_bossy_rows(table, idx, i, others)]
-                if not idx.size:
-                    continue
-            rows = idx * n
-            b = _gather(table, rows, i)
-            viol = b[:, :, None] == b[:, None, :]
-            viol &= _columns_move(table, rows, others)
-            hits.append(_lowest_deviation(viol, idx, c, i))
-    return min(filter(None, hits), default=None)
+
+    def bossy(rows, i):
+        b = _gather(table, rows, i)
+        others = (*range(i), *range(i + 1, n))
+        return (b[:, :, None] == b[:, None, :]) & _columns_move(table, rows, others)
+
+    return _deviation_scan(len(cls), n, at, lambda rows, i: _bossy_rows(table, rows, i), bossy)
 
 
-def _bossy_rows(table: np.ndarray, idx: np.ndarray, agent: int, others) -> np.ndarray:
-    """Rows of idx, deviation rows of `agent`, on which two reports give her
-    the same bundle but some agent in others a different one: sorted by her
-    own bundle, two neighbours with the same own bundle differ elsewhere.
-    The sort is applied by flat takes, of her bundles and of idx, at a
-    stable argsort plus each row's start; the sorted profiles' row offsets
-    (`_gather`) then read the other agents' bundles."""
+def _bossy_rows(table: np.ndarray, rows: np.ndarray, agent: int) -> np.ndarray:
+    """Whether each of `agent`'s deviation rows, at row offsets rows
+    (`_gather`), has two reports giving her the same bundle but another
+    agent a different one: sorted by her own bundle, two neighbours with
+    the same own bundle differ elsewhere.  The sort is applied by flat
+    takes, of her bundles and of rows, at a stable argsort plus each row's
+    start; the sorted row offsets then read the other agents' bundles."""
     n = table.shape[1]
-    own = _gather(table, idx * n, agent)
+    own = _gather(table, rows, agent)
     order = np.argsort(own, axis=1, kind="stable")
     order += np.arange(0, own.size, own.shape[1])[:, None]
     own = own.take(order)
-    ranked = idx.take(order)
+    ranked = rows.take(order)
     del order  # its 8 bytes per entry, freed before the other agents are read
-    ranked *= n
     moved = np.zeros(own[:, 1:].shape, dtype=bool)
-    for j in others:
+    for j in (*range(agent), *range(agent + 1, n)):
         b = _gather(table, ranked, j)
         moved |= b[:, 1:] != b[:, :-1]
     moved &= own[:, 1:] == own[:, :-1]
@@ -319,24 +315,30 @@ def push_up_matrix(cls: PreferenceClass) -> np.ndarray:
 def push_up_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     """Lowest (profile_idx, agent, alt_member) where the agent pushes her
     bundle up (alt_member is a push-up of her report with respect to it)
-    and the allocation moves.  Deviation rows are scanned in blocks
-    (`_deviation_blocks`).
+    and the allocation moves.
 
     Single-agent push-ups decide push-up invariance exactly: if none moves
     the allocation, pushing up several agents at once moves nothing either,
     since the agents can be pushed up one at a time and every step keeps
     the allocation, hence each bundle the later push-ups refer to.
+
+    Only deviation rows that gain (`_gaining_rows`) or are bossy
+    (`_bossy_rows`) can hold one.  Let report d push up report t w.r.t.
+    t's bundle s on a row with neither.  With strict ranks, no gain at t
+    puts d's bundle in t's weak lower set of s.  That set lies in d's, so
+    d's bundle ranks no higher than s under d.  No gain at d forces
+    equality, and non-bossiness then fixes the row.
     """
     c = len(cls)
-    up = push_up_matrix(cls)
-    diag = np.arange(c)
-    hits = []
-    for i in range(n):
-        for idx in _deviation_blocks(c, n, i, None):
-            rows = idx * n
-            viol = up[diag, _gather(table, rows, i)] & _columns_move(table, rows, range(n))
-            hits.append(_lowest_deviation(viol, idx, c, i))
-    return min(filter(None, hits), default=None)
+    up, key, diag = push_up_matrix(cls), _menu_keys(cls), np.arange(c)
+
+    def pushed_and_moved(rows, i):
+        return up[diag, _gather(table, rows, i)] & _columns_move(table, rows, range(n))
+
+    def flag(rows, i):
+        return _gaining_rows(table, rows, i, key) | _bossy_rows(table, rows, i)
+
+    return _deviation_scan(c, n, None, flag, pushed_and_moved)
 
 
 def _renamed(idx: int, image, c: int, n: int) -> int:
@@ -388,37 +390,41 @@ def _covariance_breaks(
     earlier agents' terms per grid row, from its digits, then one axis per
     later agent.  Each agent's column is gathered at the images and
     compared with np.take of renamed at her column; the agents'
-    mismatches are OR-ed column by column.  Profiles are taken in blocks
-    of whole rows of the grid of the last agents' reports (one row at
-    least).  A profile holds about 25 bytes while its block is scanned,
-    its 8-byte image offset, a gathered and a renamed bundle and np.take's
-    8-byte copy of its bundle, so a block holds at most CELLS // 2
-    profiles.
+    mismatches are OR-ed column by column, in blocks of grid rows
+    (`_grid_blocks`).  A profile holds about 25 bytes while its block is
+    scanned, its 8-byte image offset, a gathered and a renamed bundle and
+    np.take's 8-byte copy of its bundle, so a block holds at most
+    CELLS // 2 profiles.
     """
     moved = [np.array(action) * (n * c ** (n - 1 - k)) for k in range(n)]
-    step = max(1, CELLS // 2)  # profiles per block
-    span, tail = 1, 0  # a grid row: the reports of the last `tail` agents
-    while tail < n and span * c <= step:
-        span *= c
-        tail += 1
-    head = n - tail
-    grid_rows = table.shape[0] // span
-    per_block = max(1, step // span)
-    for lo in range(0, grid_rows, per_block):
-        h = np.arange(lo, min(lo + per_block, grid_rows))
-        image = np.zeros(h.size, dtype=np.intp)
-        for k in range(head):
-            image += moved[k][h // c ** (head - 1 - k) % c]
+    head, _, blocks = _grid_blocks(c, n, max(1, CELLS // 2))  # profiles per block
+    for rows, digits in blocks:
+        image = np.zeros(digits.shape[1], dtype=np.intp)
+        for k, d in enumerate(digits):
+            image += moved[k][d]
         for k in range(head, n):
             image = (image[:, None] + moved[k]).reshape(-1)
-        block = table[lo * span : (lo + h.size) * span]
+        block = table[rows]
         bad = _gather(table, image, 0) != renamed.take(block[:, 0])
         for j in range(1, n):
             bad |= _gather(table, image, j) != renamed.take(block[:, j])
         hit = np.flatnonzero(bad)
         if hit.size:
-            return [lo * span + int(hit[0])]
+            return [rows.start + int(hit[0])]
     return []
+
+
+def _grid_blocks(c: int, n: int, step: int):
+    """(head, span, blocks): blocks of whole grid rows, at most `step`
+    profiles (one grid row at least).  A grid row is the span = c^(n-head)
+    profiles of the last agents' reports, as many agents as fit.  A block
+    is (its profiles' slice, the head agents' digits per grid row)."""
+    head, span = n, 1
+    while head and span * c <= step:
+        head, span = head - 1, span * c
+    per_block, weights = max(1, step // span), c ** np.arange(head - 1, -1, -1)[:, None]
+    grid = (np.arange(lo, min(lo + per_block, c**head)) for lo in range(0, c**head, per_block))
+    return head, span, ((slice(h[0] * span, (h[-1] + 1) * span), h // weights % c) for h in grid)
 
 
 def partition_violation(table: np.ndarray, cls: PreferenceClass, n: int):
@@ -585,30 +591,23 @@ def control_violation(table: np.ndarray, cls: PreferenceClass, n: int):
     within = _bit_rows((subsets & ~subsets[:, None]) == 0)  # [b, S]: S inside b
     words = desire.shape[1]
     step = max(1, CELLS // (8 + 2 * desire[0].nbytes))  # profiles per block
-    span, tail = 1, 0  # a grid row: the reports of the last `tail` agents
-    while tail < n and span * c <= step:
-        span *= c
-        tail += 1
-    head = n - tail
+    head, span, blocks = _grid_blocks(c, n, step)
     every_tail = np.full((span, words), np.iinfo(desire.dtype).max, dtype=desire.dtype)
     for j in range(head, n):
         every_tail.reshape(-1, c, c ** (n - 1 - j), words)[...] &= desire[:, None]
-    grid_rows = table.shape[0] // span
-    per_block = max(1, step // span)
     hits = np.zeros((2, n, words), dtype=desire.dtype)  # [trigger, violation][agent]
-    for lo in range(0, grid_rows, per_block):
-        h = np.arange(lo, min(lo + per_block, grid_rows))
-        head_desire = [desire[h // c ** (head - 1 - j) % c] for j in range(head)]
+    for rows, digits in blocks:
+        head_desire = [desire[d] for d in digits]
         every = every_tail
-        for rows in head_desire:
-            every = every & rows[:, None]
+        for wanted in head_desire:
+            every = every & wanted[:, None]
         every = every.reshape(-1, words)
-        block = table[lo * span : (lo + h.size) * span]
+        block = table[rows]
         for i in range(n):
             # np.take is several times slower on a strided int32 index.
             held = np.take(within, block[:, i].astype(np.intp), axis=0)
             if i < head:  # one report per grid row
-                kept = np.bitwise_and.reduce(held.reshape(h.size, span, words), axis=1)
+                kept = np.bitwise_and.reduce(held.reshape(-1, span, words), axis=1)
                 own = head_desire[i]
             else:  # report on the middle axis
                 kept = held.reshape(-1, c, c ** (n - 1 - i), words)

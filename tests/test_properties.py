@@ -295,14 +295,25 @@ def test_allocation_table_rejects_an_unknown_variant():
         engine.allocation_table(Unknown(2, 2, LEX2))
 
 
-def test_deviation_index_lists_one_agents_reports():
-    for c, n in [(2, 3), (3, 3), (6, 2), (4, 1), (2, 4), (3, 4)]:
+def deviation_rows(c, n, agent):
+    """Every deviation row of agent, the blocks of engine._deviation_blocks
+    stacked."""
+    return np.concatenate(list(engine._deviation_blocks(c, n, agent)))
+
+
+def test_deviation_blocks_list_one_agents_reports(monkeypatch):
+    sizes = [(2, 3), (3, 3), (6, 2), (4, 1), (2, 4), (3, 4)]
+    default = engine.CELLS
+    for c, n, cells in [(c, n, x) for c, n in sizes for x in (1, c * c + 1, 3 * c * c, default)]:
+        monkeypatch.setattr(engine, "CELLS", cells)
         digits = np.array(list(product(range(c), repeat=n)))
         for agent in range(n):
-            idx = engine.deviation_index(c, n, agent)
+            blocks = list(engine._deviation_blocks(c, n, agent))
+            assert all(len(b) <= max(1, engine.CELLS // (c * c)) for b in blocks)
+            idx = np.concatenate(blocks)
             assert idx.shape == (c ** (n - 1), c)
             assert sorted(idx.ravel().tolist()) == list(range(c**n))
-            # With `at`, the one row holding that profile.
+            # With `at`, deviation_index gives the one row holding that profile.
             for at in range(c**n):
                 row = engine.deviation_index(c, n, agent, at=at)
                 assert row.tolist() == idx[(idx == at).any(axis=1)].tolist()
@@ -313,22 +324,28 @@ def test_deviation_index_lists_one_agents_reports():
             # Rows follow the other agents' digits in mixed-radix order.
             first = others[idx[:, 0]]
             assert first.tolist() == sorted(first.tolist())
+            assert (np.diff(idx[:, 0]) > 0).all()
 
 
 def test_row_filters_flag_exactly_the_violating_deviation_rows():
     """The first stages of the truthful and non-bossy scans flag exactly the
     deviation rows that hold a violation, by a report-by-report comparison
-    of every row, so the second stage sees no row it could have skipped."""
-    for n, m in ((2, 3), (3, 3), (2, 4)):
-        cls = lex_class(m)
+    of every row, so the second stage sees no row it could have skipped.
+    Every row with a push-up violation, read report by report from
+    cls.push_up, is one of them: the push-up scan's first stage is their
+    union, exact for strict ranks."""
+    sizes = (("lex", 2, 3), ("lex", 3, 3), ("lex", 2, 4), ("strict_monotone_all", 2, 3))
+    for tag, n, m in sizes:
+        cls = class_from_tag(tag, m)
         c = len(cls)
         ranks = cls.ranks.astype(int)
+        up = cls.push_up
         key = engine._menu_keys(cls)
         rng = np.random.default_rng(3 * n + m)
-        flagged = [0, 0]
+        flagged = [0, 0, 0]
         for table in table_cases(n, m, cls, rng, quotas=2, mutants=2, randoms=2):
             for i in range(n):
-                idx = engine.deviation_index(c, n, i)
+                idx = deviation_rows(c, n, i)
                 rows = table[idx]  # [r, d, agent]
                 own = rows[:, :, i]
                 rt = ranks[np.arange(c), own[:, :, None]]  # [r, d, t]: t's rank of d's bundle
@@ -336,13 +353,16 @@ def test_row_filters_flag_exactly_the_violating_deviation_rows():
                 same = own[:, :, None] == own[:, None, :]
                 moved = (rows[:, :, None, :] != rows[:, None, :, :]).any(axis=3)
                 bossy = (same & moved).any(axis=(1, 2))
-                others = [j for j in range(n) if j != i]
-                got = engine._gaining_rows(np.ascontiguousarray(own), key)
-                assert got.tolist() == np.flatnonzero(gain).tolist()
-                got = engine._bossy_rows(table, idx, i, others)
-                assert got.tolist() == np.flatnonzero(bossy).tolist()
+                pushed = up[np.arange(c), own]  # [r, t, d]: d pushes t up w.r.t. t's bundle
+                push_up = (pushed & moved).any(axis=(1, 2))
+                got = engine._gaining_rows(table, idx * n, i, key)
+                assert np.flatnonzero(got).tolist() == np.flatnonzero(gain).tolist()
+                got = engine._bossy_rows(table, idx * n, i)
+                assert np.flatnonzero(got).tolist() == np.flatnonzero(bossy).tolist()
+                assert not (push_up & ~(gain | bossy)).any()
                 flagged[0] += int(gain.any())
                 flagged[1] += int(bossy.any())
+                flagged[2] += int(push_up.any())
         assert all(flagged), (n, m, flagged)
 
 
@@ -393,7 +413,7 @@ def test_blocked_scans_give_the_same_witness(monkeypatch):
     c = len(LEX3)
     for kernel in BLOCKED_KERNELS[:3]:
         idx, agent, _ = kernel(late, LEX3, 2)
-        rows = engine.deviation_index(c, 2, agent)
+        rows = deviation_rows(c, 2, agent)
         assert not (rows[0] == idx).any(), kernel.__name__
     # Agent 0's violation scan starts at the first member desiring S.
     s, agent, _, viol = engine.control_violation(late, LEX3, 2)
@@ -402,40 +422,42 @@ def test_blocked_scans_give_the_same_witness(monkeypatch):
 
 
 def test_blocked_scans_stay_within_their_cells(monkeypatch):
-    """At lex (2,5) the traced peak of each blocked scan stays within 16
-    bytes per entry of engine.CELLS, while a whole scan's (c, c, c) rank
-    gather alone is about 6.9 MB.  At lex (4,4), 331,776 profiles, so does
-    the control scan with its witness look-up, where one uint16 word per
-    profile, unblocked, would take 663 KB, and a block of the neutrality
-    scan, where one image offset per profile, unblocked, would take
-    2.65 MB."""
+    """At lex (2,5) and at lex (4,4), 331,776 profiles, the traced peak of
+    each blocked scan stays within 16 bytes per entry of engine.CELLS.  At
+    (2,5) a whole scan's (c, c, c) rank gather alone is about 6.9 MB.  At
+    (4,4) an agent's deviation rows, unblocked, would take 2.65 MB, as
+    would one neutrality image offset per profile, and one uint16 control
+    word per profile 663 KB.  The (4,4) deviation scans run on the
+    partition table alone, which at n = 4 has bossy rows too."""
     cases = (
-        (2, 5, BLOCKED_KERNELS, engine.nonbossy_violation),
-        (4, 4, (engine.control_violation, engine.neutrality_violation), engine.control_violation),
+        (2, 5, BLOCKED_KERNELS, BLOCKED_KERNELS, engine.nonbossy_violation),
+        (4, 4, BLOCKED_KERNELS, BLOCKED_KERNELS[3:], engine.control_violation),
     )
-    for n, m, kernels, breaks in cases:
+    for n, m, on_partition, on_leftovers, breaks in cases:
         cls = lex_class(m)
         c = len(cls)
         cells = 4 * c * c  # four deviation rows per block
         rng = np.random.default_rng(2)
         # A random partition table, and one that may leave goods unallocated,
-        # so that the non-bossy comparison runs too.
+        # so that the non-bossy comparison runs at n = 2 too.
         partition, leftovers = [
             rows[rng.integers(rows.shape[0], size=c**n)]
             for rows in (_choice_masks(n, m, partition_only=True), engine.assignment_masks(n, m))
         ]
-        monkeypatch.setattr(engine, "CELLS", cells)
-        for table in (partition, leftovers):
-            for kernel in kernels:
-                kernel(table, cls, n)  # build the class's tables
-                tracemalloc.start()
-                try:
-                    kernel(table, cls, n)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak < 16 * cells, (kernel.__name__, n, m, peak)
-        assert breaks(leftovers, cls, n) is not None
+        for kernel in on_partition:
+            kernel(partition, cls, n)  # build the class's tables
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "CELLS", cells)
+            for table, kernels in ((partition, on_partition), (leftovers, on_leftovers)):
+                for kernel in kernels:
+                    tracemalloc.start()
+                    try:
+                        kernel(table, cls, n)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak < 16 * cells, (kernel.__name__, n, m, peak)
+            assert breaks(leftovers, cls, n) is not None
 
 
 def test_checks_leave_no_profile_sized_state():
